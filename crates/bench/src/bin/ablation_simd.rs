@@ -6,8 +6,6 @@
 //! This binary A/B-times the scalar walk (`lanes = 1`) against the
 //! vectorized walk on the same programs and executors, checks the final
 //! grids are identical to the bit, and writes `results/BENCH_simd.json`.
-//! The reference executor is additionally timed with temporal blocking
-//! (`ExecPolicy::tile`) layered on top of the vector walk.
 //!
 //! Knobs (environment): `STENCILCL_BENCH_N` (grid side, default 256),
 //! `STENCILCL_BENCH_ITERS` (iterations, default 16),
@@ -17,9 +15,7 @@
 
 use stencilcl_bench::runner::{exec_policy_from_env, time_simd_ab, write_json, SimdTiming};
 use stencilcl_bench::table::{ratio, Table};
-use stencilcl_exec::{
-    run_pipe_shared_opts, run_reference_opts, run_threaded_opts, ExecOptions, ExecPolicy,
-};
+use stencilcl_exec::{run_pipe_shared_opts, run_reference_opts, run_threaded_opts, ExecOptions};
 use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 use stencilcl_lang::{programs, Program, StencilFeatures};
 
@@ -78,27 +74,10 @@ fn main() {
         .expect("pipe design");
         let partition =
             Partition::new(features.extent, &design, &features.growth).expect("partition");
-        // Temporal blocking for the reference rows: a tile edge that fits a
-        // few fused sweeps in cache on the default 256-cell grid.
-        let block = (n / 4).max(1);
         let timings = [
             time_simd_ab(name, "reference", program, samples, lanes, |p, s, w| {
                 run_reference_opts(p, s, &ExecOptions::new().lanes(w))
             }),
-            time_simd_ab(
-                name,
-                "reference_blocked",
-                program,
-                samples,
-                lanes,
-                |p, s, w| {
-                    let blocked = ExecPolicy {
-                        tile: Some(block),
-                        ..ExecPolicy::default()
-                    };
-                    run_reference_opts(p, s, &ExecOptions::new().lanes(w).policy(blocked))
-                },
-            ),
             time_simd_ab(name, "pipe_shared", program, samples, lanes, |p, s, w| {
                 run_pipe_shared_opts(p, &partition, s, &ExecOptions::new().lanes(w))
             }),

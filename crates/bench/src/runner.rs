@@ -8,9 +8,9 @@ use serde::{Deserialize, Serialize};
 use stencilcl::suite::BenchmarkSpec;
 use stencilcl::{Framework, FrameworkError, SynthesisReport};
 use stencilcl_exec::{
-    run_blocked_parallel_opts, run_pipe_shared, run_reference, run_reference_opts, run_supervised,
-    run_supervised_opts, run_threaded_opts, run_threaded_with, CheckpointPolicy, DirStore,
-    EngineKind, ExecError, ExecOptions, ExecPolicy, HealthPolicy, Recorder,
+    run_pipe_shared, run_reference, run_supervised, run_supervised_opts, run_threaded_opts,
+    run_threaded_with, CheckpointPolicy, DirStore, EngineKind, ExecError, ExecOptions, ExecPolicy,
+    HealthPolicy, Recorder,
 };
 use stencilcl_grid::{Design, Partition, Point};
 use stencilcl_hls::ResourceUsage;
@@ -905,144 +905,6 @@ pub fn time_checkpoint_ab(
     })
 }
 
-/// One row of the blocking ablation: the plain reference sweep, the serial
-/// trapezoid-blocked reference (with its model-driven auto-disable live),
-/// and the tile-parallel work-stealing executor, all on the same program —
-/// plus the bit-exactness checks that make the timings meaningful.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BlockingTiming {
-    /// Benchmark display name.
-    pub name: String,
-    /// Grid edge (square grids).
-    pub n: usize,
-    /// Iteration count.
-    pub iterations: u64,
-    /// Spatial tile edge for the blocked executors.
-    pub tile: usize,
-    /// Worker-pool width for the parallel executor.
-    pub threads: usize,
-    /// Best-of-N wall time of the plain reference sweep.
-    pub reference_ms: f64,
-    /// Best-of-N wall time of the serial blocked reference (the auto
-    /// heuristic may route this to the plain loop — that *is* the
-    /// shipping behavior being measured).
-    pub blocked_ms: f64,
-    /// Best-of-N wall time of `run_blocked_parallel`.
-    pub parallel_ms: f64,
-    /// Redundant-cell fraction of the parallel run (from telemetry):
-    /// `redundant / cells_computed`.
-    pub redundant_frac: f64,
-    /// Tiles lifted off another worker's deque during the counted run.
-    pub tiles_stolen: u64,
-    /// Maximum absolute difference of the parallel grid vs the reference
-    /// grid (must be 0).
-    pub max_abs_diff: f64,
-}
-
-impl BlockingTiming {
-    /// Speedup of the parallel executor over the plain reference sweep
-    /// (best-of-N over best-of-N: one clean run per mode suffices).
-    pub fn speedup_vs_reference(&self) -> f64 {
-        self.reference_ms / self.parallel_ms
-    }
-
-    /// Speedup of the parallel executor over the best serial executor
-    /// (plain or blocked, whichever won).
-    pub fn speedup_vs_best_serial(&self) -> f64 {
-        self.reference_ms.min(self.blocked_ms) / self.parallel_ms
-    }
-}
-
-/// A/B/C-times the plain reference, the serial blocked reference, and the
-/// tile-parallel executor on one program. Samples are interleaved across
-/// the three modes and each reports its best-of-N (interference only
-/// inflates a run, so the minimum is the cleanest evidence per mode — see
-/// [`CheckpointTiming::overhead_frac`]). One extra untimed parallel run
-/// with a recorder collects the redundancy and steal counters.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_blocking_ab(
-    name: &str,
-    program: &Program,
-    samples: usize,
-    tile: usize,
-    threads: usize,
-) -> Result<BlockingTiming, ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    let plain_opts = ExecOptions::new();
-    let blocked_opts = ExecOptions::new().policy(ExecPolicy {
-        tile: Some(tile),
-        ..ExecPolicy::default()
-    });
-    let parallel_opts = ExecOptions::new().policy(ExecPolicy {
-        tile: Some(tile),
-        threads: Some(threads),
-        ..ExecPolicy::default()
-    });
-    // Untimed warm-up per mode; final grids feed the bit-exactness check.
-    let mut reference_grid = GridState::new(program, init);
-    run_reference_opts(program, &mut reference_grid, &plain_opts)?;
-    let mut blocked_grid = GridState::new(program, init);
-    run_reference_opts(program, &mut blocked_grid, &blocked_opts)?;
-    let mut parallel_grid = GridState::new(program, init);
-    run_blocked_parallel_opts(program, &mut parallel_grid, &parallel_opts)?;
-    if reference_grid.max_abs_diff(&blocked_grid)? != 0.0 {
-        return Err(ExecError::config("blocked reference diverged"));
-    }
-    let mut reference_times = Vec::with_capacity(samples);
-    let mut blocked_times = Vec::with_capacity(samples);
-    let mut parallel_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_reference_opts(program, &mut s, &plain_opts)?;
-        reference_times.push(start.elapsed().as_secs_f64() * 1e3);
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_reference_opts(program, &mut s, &blocked_opts)?;
-        blocked_times.push(start.elapsed().as_secs_f64() * 1e3);
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_blocked_parallel_opts(program, &mut s, &parallel_opts)?;
-        parallel_times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    // Counter collection: one untimed traced parallel run.
-    let rec = Recorder::new();
-    let mut s = GridState::new(program, init);
-    run_blocked_parallel_opts(program, &mut s, &parallel_opts.clone().trace(rec.clone()))?;
-    let counters = rec.finish().counters;
-    let best = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let extent = program.extent();
-    Ok(BlockingTiming {
-        name: name.to_string(),
-        n: extent.as_slice()[0],
-        iterations: program.iterations,
-        tile,
-        threads,
-        reference_ms: best(&reference_times),
-        blocked_ms: best(&blocked_times),
-        parallel_ms: best(&parallel_times),
-        redundant_frac: if counters.cells_computed == 0 {
-            0.0
-        } else {
-            counters.redundant_cells as f64 / counters.cells_computed as f64
-        },
-        tiles_stolen: counters.tiles_stolen,
-        max_abs_diff: reference_grid.max_abs_diff(&parallel_grid)?,
-    })
-}
-
 /// Directory where experiment binaries drop their JSON
 /// (`$STENCILCL_RESULTS`, default `results/`, parsed once per process).
 pub fn results_dir() -> PathBuf {
@@ -1204,23 +1066,6 @@ mod tests {
             "dual estimate can only improve on the best-of-N quotient"
         );
         assert!(time_simd_ab("none", "reference", &p, 0, 8, |_, _, _| Ok(())).is_err());
-    }
-
-    #[test]
-    fn blocking_ab_is_bit_exact_and_counts_redundancy() {
-        use stencilcl_lang::programs;
-        let p = programs::jacobi_2d()
-            .with_extent(stencilcl_grid::Extent::new2(24, 24))
-            .with_iterations(6);
-        let row = time_blocking_ab("jacobi2d_24", &p, 2, 8, 2).unwrap();
-        assert_eq!(row.max_abs_diff, 0.0, "parallel executor diverged");
-        assert_eq!(row.n, 24);
-        assert_eq!(row.iterations, 6);
-        assert!(row.reference_ms > 0.0 && row.blocked_ms > 0.0 && row.parallel_ms > 0.0);
-        assert!(row.redundant_frac >= 0.0 && row.redundant_frac < 1.0);
-        assert!(row.speedup_vs_reference() > 0.0);
-        assert!(row.speedup_vs_best_serial() <= row.speedup_vs_reference());
-        assert!(time_blocking_ab("none", &p, 0, 8, 2).is_err());
     }
 
     #[test]

@@ -41,19 +41,6 @@
 //!     as JSON to `--report-json`, and exits nonzero if the run was
 //!     aborted.
 //!
-//! stencilcl blocked <file.stencil> [--tile N] [--block-depth N] [--threads N]
-//!                   [--lanes W] [--deadline-ms N] [--health-bound X]
-//!                   [--ckpt-dir DIR] [--ckpt-every N]
-//!     Execute with the tile-parallel combined spatial+temporal blocking
-//!     executor: the grid is cut into `--tile`-edged spatial tiles, each
-//!     fuses `--block-depth` iterations per pass (default: the model's
-//!     depth), and ready tiles run on a `--threads`-wide work-stealing
-//!     pool (default: all cores). The plain reference runs first as the
-//!     oracle; the command prints both timings, the steal/redundancy
-//!     counters, the grid digest, and fails if the results differ by one
-//!     bit. `STENCILCL_TILE` / `STENCILCL_BLOCK_DEPTH` /
-//!     `STENCILCL_THREADS` supply the defaults for absent flags.
-//!
 //! stencilcl resume <ckpt-dir> [--deadline-ms N] [--retries N]
 //!                  [--report-json FILE]
 //!     Resume a killed run from the newest valid checkpoint generation in
@@ -122,8 +109,6 @@ const USAGE: &str = "usage:
                      [--deadline-ms N] [--health-bound X] [--health-stride N]
                      [--integrity on|off] [--retries N] [--lanes W]
                      [--ckpt-dir DIR] [--ckpt-every N] [--report-json FILE]
-  stencilcl blocked  <file.stencil> [--tile N] [--block-depth N] [--threads N] [--lanes W]
-                     [--deadline-ms N] [--health-bound X] [--ckpt-dir DIR] [--ckpt-every N]
   stencilcl resume   <ckpt-dir> [--deadline-ms N] [--retries N] [--report-json FILE]
   stencilcl serve    [--addr HOST:PORT] [--max-jobs N] [--max-queue N] [--quota N]
                      [--state-dir DIR] [--stall-timeout-ms N] [--max-auto-resumes N]";
@@ -137,7 +122,6 @@ fn run(args: &[String]) -> Result<String, String> {
         "validate" => validate(rest),
         "trace" => trace_cmd(rest),
         "run" => run_cmd(rest),
-        "blocked" => blocked_cmd(rest),
         "resume" => resume_cmd(rest),
         "serve" => serve_cmd(rest),
         other => Err(format!("unknown command `{other}`")),
@@ -645,119 +629,6 @@ fn run_cmd(args: &[String]) -> Result<String, String> {
     }
 }
 
-fn blocked_cmd(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
-    let program = opts.program()?;
-    if program.extent().volume() > 1 << 22 {
-        return Err("input too large for host-side execution; shrink the grid".into());
-    }
-
-    let mut exec_opts = supervised_options(EnvConfig::get(), &opts)?;
-    if let Some(v) = opts.get("tile") {
-        let t: usize = v.parse().map_err(|_| format!("bad --tile `{v}`"))?;
-        if t == 0 {
-            return Err("--tile must be at least 1".into());
-        }
-        exec_opts.policy.tile = Some(t);
-    }
-    if let Some(v) = opts.get("block-depth") {
-        let d: u64 = v.parse().map_err(|_| format!("bad --block-depth `{v}`"))?;
-        if d == 0 {
-            return Err("--block-depth must be at least 1".into());
-        }
-        exec_opts.policy.block_depth = Some(d);
-    }
-    if let Some(v) = opts.get("threads") {
-        let w: usize = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-        if w == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        exec_opts.policy.threads = Some(w);
-    }
-    let rec = Recorder::new();
-    exec_opts.trace = Some(rec.clone());
-
-    let init = |name: &str, p: &Point| {
-        let mut v = name.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-
-    // The plain sweep is the oracle: same engine and lane width, none of
-    // the supervised machinery (its checkpoints/trace belong to the
-    // blocked run alone).
-    let mut oracle_opts = ExecOptions::new();
-    oracle_opts.engine = exec_opts.engine;
-    oracle_opts.lanes = exec_opts.lanes;
-    let mut expect = GridState::new(&program, init);
-    let t0 = std::time::Instant::now();
-    run_reference_opts(&program, &mut expect, &oracle_opts).map_err(|e| e.to_string())?;
-    let reference_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let mut state = GridState::new(&program, init);
-    let t0 = std::time::Instant::now();
-    let result = run_blocked_parallel_opts(&program, &mut state, &exec_opts);
-    let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let trace = rec.finish();
-    let c = &trace.counters;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "blocked `{}`: {} iterations on {} (tile {}, depth {}, threads {})",
-        program.name,
-        program.iterations,
-        program.extent(),
-        exec_opts
-            .policy
-            .tile
-            .map_or("default".to_string(), |t| t.to_string()),
-        exec_opts
-            .policy
-            .block_depth
-            .map_or("model".to_string(), |d| d.to_string()),
-        exec_opts
-            .policy
-            .threads
-            .map_or("all cores".to_string(), |w| w.to_string()),
-    );
-    let _ = writeln!(out, "reference: {reference_ms:9.3} ms");
-    let _ = writeln!(
-        out,
-        "parallel : {parallel_ms:9.3} ms ({:.2}x)",
-        reference_ms / parallel_ms.max(f64::MIN_POSITIVE)
-    );
-    if c.cells_computed == 0 && program.iterations > 0 {
-        let _ = writeln!(
-            out,
-            "path     : plain sweep (the model gate predicted tiling loses on \
-             this host; force --block-depth to override)"
-        );
-    } else {
-        let redundant_pct = if c.cells_computed > 0 {
-            c.redundant_cells as f64 / c.cells_computed as f64 * 100.0
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            out,
-            "counters : {} cells ({:.1}% redundant cone recompute), {} stolen, {} retries",
-            c.cells_computed, redundant_pct, c.tiles_stolen, c.retries,
-        );
-    }
-    result.map_err(|e| format!("{out}blocked run aborted: {e}"))?;
-    let diff = expect.max_abs_diff(&state).map_err(|e| e.to_string())?;
-    let verdict = if diff == 0.0 { "EXACT" } else { "DIVERGED" };
-    let _ = writeln!(out, "max |diff| vs reference: {diff} [{verdict}]");
-    let _ = writeln!(out, "grid digest: {:#018x}", state.digest());
-    if diff != 0.0 {
-        return Err(format!("{out}blocked executor diverged from the reference"));
-    }
-    Ok(out)
-}
-
 fn resume_cmd(args: &[String]) -> Result<String, String> {
     let opts = Opts::parse(args)?;
     let dir = opts.path.clone();
@@ -938,8 +809,10 @@ mod tests {
 
     #[test]
     fn unknown_command_reports_usage_error() {
-        let args = vec!["fly".to_string()];
-        assert!(run(&args).is_err());
+        for cmd in ["fly", "blocked"] {
+            let err = run(&[cmd.to_string()]).unwrap_err();
+            assert!(err.contains("unknown command"), "{err}");
+        }
     }
 
     fn stencil_args(cmd: &str, path: &str, extra: &[&str]) -> Vec<String> {
@@ -1189,49 +1062,6 @@ mod tests {
         assert!(out.contains("resume completed"), "{out}");
         assert_eq!(digest_line(&out), expect);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn blocked_command_is_bit_exact_and_prints_the_digest() {
-        let path = temp_stencil("blocked.stencil");
-        // Default config: the model gate is live, and on any host the
-        // result must match the oracle bit-for-bit.
-        let out = run(&["blocked".to_string(), path.clone()]).unwrap();
-        assert!(out.contains("[EXACT]"), "{out}");
-        assert!(out.contains("grid digest:"), "{out}");
-
-        // Forced depth: the tiled machinery itself runs (gate bypassed),
-        // still bit-exact, and the cone counters are live.
-        let out = run(&[
-            "blocked".to_string(),
-            path,
-            "--tile".into(),
-            "8".into(),
-            "--block-depth".into(),
-            "2".into(),
-            "--threads".into(),
-            "2".into(),
-        ])
-        .unwrap();
-        assert!(out.contains("[EXACT]"), "{out}");
-        assert!(out.contains("redundant cone recompute"), "{out}");
-        assert!(out.contains("depth 2, threads 2"), "{out}");
-    }
-
-    #[test]
-    fn blocked_command_rejects_malformed_knobs() {
-        let path = temp_stencil("blockedbad.stencil");
-        for extra in [
-            &["--tile", "0"][..],
-            &["--tile", "wide"][..],
-            &["--block-depth", "0"][..],
-            &["--threads", "0"][..],
-        ] {
-            let mut args = vec!["blocked".to_string(), path.clone()];
-            args.extend(extra.iter().map(|s| s.to_string()));
-            let err = run(&args).unwrap_err();
-            assert!(err.contains("--"), "no flag named in: {err}");
-        }
     }
 
     #[test]

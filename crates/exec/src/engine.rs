@@ -20,20 +20,17 @@ use stencilcl_telemetry::EnvConfig;
 
 use crate::ExecError;
 
-/// Compiles `program` with the process-wide unroll factor
-/// (`STENCILCL_UNROLL`, parsed once; default 1) and the run's lane width:
-/// `lanes` when the caller passed one explicitly (options always beat the
-/// frozen env snapshot), else `STENCILCL_LANES`, else the vector default.
-pub(crate) fn compile_with_env_unroll(
+/// Compiles `program` with the run's lane width: `lanes` when the caller
+/// passed one explicitly (options always beat the frozen env snapshot),
+/// else `STENCILCL_LANES` (parsed once), else the vector default.
+pub(crate) fn compile_with_env_lanes(
     program: &stencilcl_lang::Program,
     lanes: Option<usize>,
 ) -> Result<CompiledProgram, ExecError> {
-    let cfg = EnvConfig::get();
-    let unroll = cfg.unroll.unwrap_or(1);
-    let lanes = lanes.or(cfg.lanes).unwrap_or(stencilcl_lang::LANE_WIDTH);
-    Ok(CompiledProgram::compile(program)?
-        .with_unroll(unroll)
-        .with_lanes(lanes))
+    let lanes = lanes
+        .or(EnvConfig::get().lanes)
+        .unwrap_or(stencilcl_lang::LANE_WIDTH);
+    Ok(CompiledProgram::compile(program)?.with_lanes(lanes))
 }
 
 /// One run's statement evaluator: compiled tape or AST interpreter.

@@ -45,14 +45,9 @@
 //! bytecode kernels (`stencilcl_lang::CompiledProgram`) compiled once per
 //! run — per (region, kernel) for the pipe executors. Setting
 //! `STENCILCL_INTERPRET=1` switches the run back to the tree-walking AST
-//! interpreter (the differential-test oracle); `STENCILCL_UNROLL=<U>`
-//! selects the scalar row-sweep unroll factor and `STENCILCL_LANES=<W>`
-//! the lane width of the vectorized tape walk (cross-cell lanes, so every
-//! width is bit-exact — see `stencilcl_lang::CompiledProgram`). Setting
-//! [`ExecPolicy::tile`] (or `STENCILCL_TILE=<T>`) switches the reference
-//! executor to a temporally blocked trapezoid sweep, with the redundant
-//! halo recompute reported via [`Counter::RedundantCells`].
-//! All modes are bit-exact.
+//! interpreter (the differential-test oracle), and `STENCILCL_LANES=<W>`
+//! selects the lane width of the vectorized tape walk (cross-cell lanes, so
+//! every width is bit-exact — see `stencilcl_lang::CompiledProgram`).
 //! Environment variables are only the outermost default: every executor has
 //! a `*_opts` variant taking an explicit [`ExecOptions`] (engine, policy,
 //! telemetry sink), and the `STENCILCL_*` knobs are parsed exactly once per
@@ -102,8 +97,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod blocked_parallel;
-mod blocking;
 mod domains;
 mod engine;
 mod error;
@@ -121,9 +114,6 @@ mod threaded;
 mod verify;
 mod window;
 
-#[cfg(feature = "fault-injection")]
-pub use blocked_parallel::run_blocked_parallel_injected;
-pub use blocked_parallel::{run_blocked_parallel, run_blocked_parallel_opts};
 pub use domains::DomainPlan;
 pub use error::ExecError;
 pub use faults::{FaultKind, FaultPlan};

@@ -267,9 +267,6 @@ mod tests {
                 "STENCILCL_HEALTH_STRIDE" => Some("5"),
                 "STENCILCL_INTEGRITY" => Some("1"),
                 "STENCILCL_LANES" => Some("4"),
-                "STENCILCL_TILE" => Some("32"),
-                "STENCILCL_BLOCK_DEPTH" => Some("3"),
-                "STENCILCL_THREADS" => Some("2"),
                 "STENCILCL_CKPT_DIR" => Some("/tmp/stencilcl-ckpt"),
                 "STENCILCL_CKPT_EVERY" => Some("6"),
                 _ => None,
@@ -287,9 +284,6 @@ mod tests {
         assert_eq!(opts.health.stride, 5);
         assert!(opts.integrity);
         assert_eq!(opts.lanes, Some(4));
-        assert_eq!(opts.policy.tile, Some(32));
-        assert_eq!(opts.policy.block_depth, Some(3));
-        assert_eq!(opts.policy.threads, Some(2));
         assert!(opts.checkpoint.enabled());
         assert_eq!(
             opts.checkpoint.dir.as_deref(),

@@ -3,7 +3,7 @@ use stencilcl_lang::{GridState, Interpreter, Program, StencilFeatures};
 use stencilcl_telemetry::{Counter, Disabled, TracePhase, TraceSink};
 
 use crate::domains::DomainPlan;
-use crate::engine::{compile_with_env_unroll, Engine};
+use crate::engine::{compile_with_env_lanes, Engine};
 use crate::integrity::{scan_state, RunLimits};
 use crate::options::{EngineKind, ExecOptions};
 use crate::window::{extract_window, write_back};
@@ -135,7 +135,7 @@ pub(crate) fn run_fused<S: TraceSink>(
                         Engine::Interpreted(Interpreter::new(&local_program))
                     }
                     EngineKind::Compiled => {
-                        compiled = compile_with_env_unroll(&local_program, lanes)?;
+                        compiled = compile_with_env_lanes(&local_program, lanes)?;
                         Engine::Compiled(&compiled)
                     }
                 };

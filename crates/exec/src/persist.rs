@@ -252,7 +252,7 @@ pub fn program_hash(program: &Program) -> u64 {
 /// seed (noise, not semantics). Recorded for diagnostics only.
 pub fn policy_fingerprint(policy: &ExecPolicy) -> u64 {
     let repr = format!(
-        "{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}",
+        "{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}",
         policy.watchdog,
         policy.drain,
         policy.teardown_grace,
@@ -260,7 +260,6 @@ pub fn policy_fingerprint(policy: &ExecPolicy) -> u64 {
         policy.backoff_base,
         policy.backoff_max,
         policy.sequential_fallback,
-        policy.tile,
     );
     fnv1a_bytes(repr.as_bytes())
 }

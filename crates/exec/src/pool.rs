@@ -3,7 +3,7 @@ use stencilcl_lang::{CompiledProgram, GridState, Program, StencilFeatures};
 use stencilcl_telemetry::{Counter, TraceSink};
 
 use crate::domains::{reject_diagonals, DomainPlan};
-use crate::engine::{compile_with_env_unroll, Engine};
+use crate::engine::{compile_with_env_lanes, Engine};
 use crate::overlapped::window_extent;
 use crate::window::halo_ring;
 use crate::ExecError;
@@ -279,7 +279,7 @@ impl PipelinePlan {
                     .collect::<Result<_, ExecError>>()?;
                 let region_compiled: Vec<CompiledProgram> = region_programs
                     .iter()
-                    .map(|p| compile_with_env_unroll(p, lanes))
+                    .map(|p| compile_with_env_lanes(p, lanes))
                     .collect::<Result<_, _>>()?;
                 for e in &deepest.edges[r] {
                     if !pairs.contains(&(e.from, e.to)) {

@@ -1,7 +1,7 @@
 use stencilcl_lang::{GridState, Interpreter, Program};
 use stencilcl_telemetry::{Disabled, TraceSink};
 
-use crate::engine::compile_with_env_unroll;
+use crate::engine::compile_with_env_lanes;
 use crate::integrity::{scan_state, RunLimits};
 use crate::options::{EngineKind, ExecOptions};
 use crate::ExecError;
@@ -52,30 +52,13 @@ pub fn run_reference_opts(
     state: &mut GridState,
     opts: &ExecOptions,
 ) -> Result<(), ExecError> {
-    if opts.policy.tile.is_some() {
-        // Temporal blocking requested ([`crate::ExecPolicy::tile`] /
-        // `STENCILCL_TILE`): hand the run to the trapezoid-blocked driver.
-        // (It may hand it right back through [`run_plain_reference`] when
-        // the cost model predicts blocking would lose.)
-        return crate::blocking::run_blocked_reference(program, state, opts);
-    }
-    run_plain_reference(program, state, opts)
-}
-
-/// The un-blocked reference loop — [`run_reference_opts`] minus the tile
-/// dispatch, so the blocked driver can fall back here without recursing.
-pub(crate) fn run_plain_reference(
-    program: &Program,
-    state: &mut GridState,
-    opts: &ExecOptions,
-) -> Result<(), ExecError> {
     let limits = opts.limits();
     if !limits.any_active() {
         // Unguarded fast path: hand the whole run to the engine at once.
         match opts.engine {
             EngineKind::Interpreted => Interpreter::new(program).run(state, program.iterations)?,
             EngineKind::Compiled => {
-                compile_with_env_unroll(program, opts.lanes)?.run(state, program.iterations)?
+                compile_with_env_lanes(program, opts.lanes)?.run(state, program.iterations)?
             }
         }
         return Ok(());
@@ -113,7 +96,7 @@ fn guarded_reference<S: TraceSink>(
         .collect();
     let interp = Interpreter::new(program);
     let compiled = match engine {
-        EngineKind::Compiled => Some(compile_with_env_unroll(program, lanes)?),
+        EngineKind::Compiled => Some(compile_with_env_lanes(program, lanes)?),
         EngineKind::Interpreted => None,
     };
     let mut checkpoint = limits.health.enabled().then(|| state.clone());

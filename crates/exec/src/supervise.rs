@@ -87,25 +87,6 @@ pub struct ExecPolicy {
     /// [`ExecError::DeadlineExceeded`](crate::ExecError) carrying the
     /// completed-iteration count. `None` (the default) means unbounded.
     pub deadline: Option<Duration>,
-    /// Spatial tile edge (cells) for the temporally blocked reference
-    /// driver: `Some(t)` makes [`run_reference_opts`](crate::run_reference_opts)
-    /// sweep trapezoid tiles of roughly `t` cells per axis, fusing as many
-    /// iterations per tile as the stencil cone allows. `None` (the
-    /// default) runs the plain whole-grid sweep.
-    pub tile: Option<usize>,
-    /// Fused iterations per temporal block for the blocked executors:
-    /// `Some(h)` fuses exactly `h` iterations per time-tile (clamped to
-    /// the run length) **and forces blocking on** — the model-derived
-    /// auto-disable of
-    /// [`run_reference_opts`](crate::run_reference_opts) only applies
-    /// when the depth is picked automatically. `None` (the default) lets
-    /// the stencil's cone math choose.
-    pub block_depth: Option<u64>,
-    /// Worker-thread count of the blocked-parallel tile pool
-    /// ([`run_blocked_parallel`](crate::run_blocked_parallel)): `None`
-    /// (the default) sizes the pool from the host's available
-    /// parallelism.
-    pub threads: Option<usize>,
     /// Seed for the decorrelated-jitter retry backoff. `None` (the
     /// default) seeds from process entropy — concurrent supervisors desync
     /// their retry storms; `Some(seed)` makes the sleep sequence
@@ -124,9 +105,6 @@ impl Default for ExecPolicy {
             backoff_max: Duration::from_secs(1),
             sequential_fallback: true,
             deadline: None,
-            tile: None,
-            block_depth: None,
-            threads: None,
             jitter_seed: None,
         }
     }
@@ -142,7 +120,7 @@ impl ExecPolicy {
 
     /// Defaults overridden by the process environment (parsed once):
     /// `STENCILCL_WATCHDOG_MS`, `STENCILCL_DRAIN_MS`,
-    /// `STENCILCL_MAX_RETRIES`, `STENCILCL_DEADLINE_MS`, `STENCILCL_TILE`.
+    /// `STENCILCL_MAX_RETRIES`, `STENCILCL_DEADLINE_MS`.
     ///
     /// The snapshot is frozen on first read, so callers layering CLI flags
     /// on top must apply them *after* this call (see
@@ -169,15 +147,6 @@ impl ExecPolicy {
         }
         if let Some(ms) = cfg.deadline_ms {
             policy.deadline = Some(Duration::from_millis(ms));
-        }
-        if let Some(t) = cfg.tile {
-            policy.tile = Some(t);
-        }
-        if let Some(h) = cfg.block_depth {
-            policy.block_depth = Some(h);
-        }
-        if let Some(n) = cfg.threads {
-            policy.threads = Some(n);
         }
         policy
     }

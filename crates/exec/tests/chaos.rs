@@ -24,16 +24,10 @@ fn quiet_injected_panics() {
     QUIET.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            // Pipe workers panic with a formatted String, tile workers with
-            // a static str — quiet both, and only the injected ones.
-            let payload = info
+            let injected = info
                 .payload()
                 .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&'static str>().copied());
-            let injected = payload.is_some_and(|s| {
-                s.contains("injected worker panic") || s.contains("injected tile-worker panic")
-            });
+                .is_some_and(|s| s.contains("injected worker panic"));
             if !injected {
                 default(info);
             }
@@ -53,9 +47,6 @@ fn chaos_policy() -> ExecPolicy {
         backoff_max: Duration::from_millis(8),
         sequential_fallback: true,
         deadline: None,
-        tile: None,
-        block_depth: None,
-        threads: None,
         jitter_seed: Some(7),
     }
 }
@@ -475,75 +466,53 @@ fn without_fallback_the_retry_budget_surfaces_as_retries_exhausted() {
     assert!(source.to_string().contains("stalled"));
 }
 
-// ---------------------------------------------------------------------------
-// Tile-parallel blocked executor: per-task fault containment.
-// ---------------------------------------------------------------------------
-
 #[test]
-fn tile_pool_worker_panic_mid_time_tile_is_retried_bit_exact() {
+fn worker_panic_mid_run_is_retried_from_the_checkpoint_and_counted() {
     quiet_injected_panics();
-    let p = programs::jacobi_2d()
-        .with_extent(Extent::new2(32, 32))
-        .with_iterations(8);
+    let (p, partition) = scenario();
     let expect = reference_grid(&p);
-    // Kill tile 3's task in time-tile 1 — mid-run, with neighbors already
-    // past it. The collector must re-extract from the (still pristine)
-    // read buffer and re-enqueue only that task; the explicit block_depth
-    // bypasses the model gate so the pool machinery is what runs.
+    // Kill kernel 3 in fused block 1 — mid-run, with block 0 already
+    // committed. The retry must resume from that barrier, not from scratch.
     let faults = Arc::new(FaultPlan::new().inject(3, 1, FaultKind::WorkerPanic));
     let rec = Recorder::new();
-    let opts = ExecOptions::new().trace(rec.clone()).policy(ExecPolicy {
-        tile: Some(8),
-        threads: Some(3),
-        block_depth: Some(2),
-        max_retries: 2,
-        ..ExecPolicy::default()
-    });
+    let opts = ExecOptions::new().policy(chaos_policy()).trace(rec.clone());
     let mut got = GridState::new(&p, init);
-    stencilcl_exec::run_blocked_parallel_injected(&p, &mut got, &opts, &faults).unwrap();
+    let report = run_supervised_injected_opts(&p, &partition, &mut got, &opts, &faults).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
+    assert_eq!(report.path, RecoveryPath::Retried);
+    assert_eq!(report.attempts[0].iterations_completed, 2);
+    assert_eq!(report.attempts[1].start_iteration, 2);
     let t = rec.finish();
     assert!(
         t.counters.retries >= 1,
         "no retry recorded: {:?}",
         t.counters
     );
-    // The retried task honestly re-pays its cone at dispatch: useful work
-    // stays invariant (30x30 core x 8 iterations) while the total exceeds
-    // a clean run's by the replayed cells.
-    assert!(t.counters.cells_computed - t.counters.redundant_cells > 30 * 30 * 8);
 }
 
 #[test]
-fn tile_pool_retry_exhaustion_leaves_a_whole_barrier_state() {
+fn retry_exhaustion_leaves_a_whole_barrier_state() {
     quiet_injected_panics();
-    // One tile (the tile edge covers the grid), depth 2: time-tile 0
-    // commits its barrier, then every attempt at time-tile 1 panics until
-    // the budget dies. The surviving state must be the exact grid after
-    // the last committed barrier — 2 whole iterations, not a torn mix.
-    let p = programs::jacobi_2d()
-        .with_extent(Extent::new2(32, 32))
-        .with_iterations(6);
+    // Block 0 commits its barrier, then every attempt at block 1 panics
+    // until the budget dies. The surviving state must be the exact grid
+    // after the last committed barrier — 2 whole iterations, not a torn mix.
+    let (p, partition) = scenario();
+    let policy = ExecPolicy {
+        sequential_fallback: false,
+        ..chaos_policy()
+    };
     let mut plan = FaultPlan::new();
-    for _ in 0..=2 {
+    for _ in 0..=policy.max_retries {
         plan = plan.inject(0, 1, FaultKind::WorkerPanic);
     }
     let faults = Arc::new(plan);
-    let opts = ExecOptions::new().policy(ExecPolicy {
-        tile: Some(64),
-        threads: Some(2),
-        block_depth: Some(2),
-        max_retries: 2,
-        ..ExecPolicy::default()
-    });
     let mut got = GridState::new(&p, init);
-    let err =
-        stencilcl_exec::run_blocked_parallel_injected(&p, &mut got, &opts, &faults).unwrap_err();
+    let err = run_supervised_injected(&p, &partition, &mut got, &policy, &faults).unwrap_err();
     let ExecError::RetriesExhausted { attempts, last } = &err else {
         panic!("expected RetriesExhausted, got {err}");
     };
-    assert_eq!(*attempts, 3);
+    assert_eq!(*attempts, policy.max_retries + 1);
     assert!(matches!(**last, ExecError::WorkerPanic { .. }));
     assert_eq!(faults.fired(), 3);
     let mut barrier = GridState::new(&p, init);

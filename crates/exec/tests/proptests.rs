@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use stencilcl_exec::{
-    run_blocked_parallel_opts, run_pipe_shared, run_pipe_shared_opts, run_reference,
-    run_reference_opts, run_supervised, run_threaded, run_threaded_opts, verify_design, ExecMode,
-    ExecOptions, ExecPolicy, HealthPolicy, RecoveryPath,
+    run_pipe_shared, run_pipe_shared_opts, run_reference, run_reference_opts, run_supervised,
+    run_threaded, run_threaded_opts, verify_design, ExecMode, ExecOptions, ExecPolicy,
+    HealthPolicy, RecoveryPath,
 };
 use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point, Rect};
 use stencilcl_lang::{
@@ -181,6 +181,7 @@ proptest! {
         skew in 0usize..2,
         fused in 1u64..=3,
         iters in 1u64..=6,
+        lanes in 1usize..=9,
         seed in 0i64..1000,
     ) {
         if li + hi + lj + hj == 0 {
@@ -210,10 +211,11 @@ proptest! {
             (v * 0.0013).cos()
         };
         let mut reference = GridState::new(&program, init);
-        run_reference(&program, &mut reference).unwrap();
+        run_reference_opts(&program, &mut reference, &ExecOptions::new().lanes(lanes)).unwrap();
         // The executors run compiled bytecode by default; the tree-walking
         // AST interpreter is the independent oracle they must match bit for
-        // bit (same f64 operations in the same order per cell).
+        // bit (same f64 operations in the same order per cell) at every
+        // lane width.
         let mut oracle = GridState::new(&program, init);
         Interpreter::new(&program).run(&mut oracle, program.iterations).unwrap();
         prop_assert_eq!(oracle.max_abs_diff(&reference).unwrap(), 0.0);
@@ -225,20 +227,8 @@ proptest! {
         let report =
             run_supervised(&program, &partition, &mut supervised, &ExecPolicy::default())
                 .unwrap();
-        // The tile-parallel blocked executor joins the same agreement set.
-        // An explicit block_depth bypasses its model gate so the tiled
-        // machinery (pool, stealing, DAG) is what actually runs here.
-        let mut blocked_parallel = GridState::new(&program, init);
-        let blocked_opts = ExecOptions::new().policy(ExecPolicy {
-            tile: Some(t),
-            threads: Some(regions + 1),
-            block_depth: Some(fused),
-            ..ExecPolicy::default()
-        });
-        run_blocked_parallel_opts(&program, &mut blocked_parallel, &blocked_opts).unwrap();
         prop_assert_eq!(reference.max_abs_diff(&pipe).unwrap(), 0.0);
         prop_assert_eq!(pipe.max_abs_diff(&threaded).unwrap(), 0.0);
-        prop_assert_eq!(reference.max_abs_diff(&blocked_parallel).unwrap(), 0.0);
         // Supervision is transparent when nothing goes wrong: same grid,
         // one clean threaded attempt, nothing leaked.
         prop_assert_eq!(reference.max_abs_diff(&supervised).unwrap(), 0.0);
@@ -297,14 +287,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // The compiled bytecode path is **bit-exact** with the AST interpreter:
-    // full runs agree for every unroll factor, and partial-domain
+    // full runs agree for every lane width, and partial-domain
     // applications (the shapes the tiled executors feed it) agree too.
     // Equality is `to_bits`-level (max_abs_diff == 0.0), not epsilon.
     #[test]
     fn compiled_kernels_bit_exact_with_ast_interpreter(
         li in 0i64..=2, hi in 0i64..=2, lj in 0i64..=2, hj in 0i64..=2,
         nx in 8usize..=20, ny in 8usize..=20,
-        unroll in 1usize..=9,
         lanes in 1usize..=9,
         iters in 1u64..=4,
         sx in 0u64..6, sy in 0u64..6, wx in 1u64..8, wy in 1u64..8,
@@ -328,10 +317,7 @@ proptest! {
             (v * 0.0017).sin() + 1.5
         };
         let interp = Interpreter::new(&program);
-        let compiled = CompiledProgram::compile(&program)
-            .unwrap()
-            .with_unroll(unroll)
-            .with_lanes(lanes);
+        let compiled = CompiledProgram::compile(&program).unwrap().with_lanes(lanes);
 
         // Full runs, every iteration and statement.
         let mut a = GridState::new(&program, init);
@@ -362,13 +348,12 @@ proptest! {
 
     // Degenerate domains never corrupt state or diverge from the oracle:
     // zero-area clips are a no-op, 1-cell rows and tiny grids force the
-    // whole sweep through the scalar tail, and unroll/lane widths larger
+    // whole sweep through the scalar tail, and lane widths larger
     // than the row still land on exactly the windowed cells. Windows may
     // start before the grid or run past it — both engines clip identically.
     #[test]
     fn degenerate_windows_and_tiny_grids_stay_bit_exact(
         nx in 1usize..=5, ny in 1usize..=5,
-        unroll in 1usize..=12,
         lanes in 1usize..=12,
         sx in -2i64..=6, sy in -2i64..=6,
         wx in 0i64..=8, wy in 0i64..=8,
@@ -388,10 +373,7 @@ proptest! {
             (v * 0.0023).sin() + 0.5
         };
         let interp = Interpreter::new(&program);
-        let compiled = CompiledProgram::compile(&program)
-            .unwrap()
-            .with_unroll(unroll)
-            .with_lanes(lanes);
+        let compiled = CompiledProgram::compile(&program).unwrap().with_lanes(lanes);
 
         // Full runs on grids down to 1x1.
         let mut a = GridState::new(&program, init);
@@ -416,54 +398,6 @@ proptest! {
         if wx == 0 || wy == 0 {
             prop_assert_eq!(b.max_abs_diff(&untouched).unwrap(), 0.0);
         }
-    }
-
-    // The temporally blocked drivers — the serial reference and the
-    // tile-parallel pool — stay bit-exact under degenerate tilings: tiles
-    // of a single cell, tiles larger than the grid, pools wider than the
-    // tile count, and every lane width — all against the unblocked sweep.
-    #[test]
-    fn blocked_reference_survives_degenerate_tiles(
-        n in 3usize..=17,
-        tile in 1usize..=24,
-        lanes in 1usize..=9,
-        threads in 1usize..=4,
-        depth in 1u64..=5,
-        iters in 1u64..=5,
-        seed in 0i64..1000,
-    ) {
-        let program = programs::jacobi_2d()
-            .with_extent(Extent::new2(n, n))
-            .with_iterations(iters);
-        let init = |name: &str, p: &Point| {
-            let mut v = (name.len() as i64 + seed) as f64;
-            for d in 0..p.dim() {
-                v = v * 29.0 + p.coord(d) as f64;
-            }
-            (v * 0.0011).cos()
-        };
-        let mut plain = GridState::new(&program, init);
-        run_reference(&program, &mut plain).unwrap();
-        let mut blocked = GridState::new(&program, init);
-        let opts = ExecOptions::new()
-            .lanes(lanes)
-            .policy(ExecPolicy { tile: Some(tile), ..ExecPolicy::default() });
-        run_reference_opts(&program, &mut blocked, &opts).unwrap();
-        prop_assert_eq!(plain.max_abs_diff(&blocked).unwrap(), 0.0);
-
-        // Same degenerate shapes through the work-stealing pool, with the
-        // depth forced so the model gate never routes around the machinery.
-        let mut parallel = GridState::new(&program, init);
-        let popts = ExecOptions::new()
-            .lanes(lanes)
-            .policy(ExecPolicy {
-                tile: Some(tile),
-                threads: Some(threads),
-                block_depth: Some(depth),
-                ..ExecPolicy::default()
-            });
-        run_blocked_parallel_opts(&program, &mut parallel, &popts).unwrap();
-        prop_assert_eq!(plain.max_abs_diff(&parallel).unwrap(), 0.0);
     }
 }
 

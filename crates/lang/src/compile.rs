@@ -23,9 +23,7 @@
 //! Execution sweeps each statement's clipped domain row by row (last axis
 //! contiguous), evaluating the tape on a reusable value stack with no
 //! per-cell `Point` construction or bounds checks beyond slice indexing that
-//! is proven in range once per row. An optional `U`-way unroll chunks the
-//! scalar row loop, mirroring the paper's unroll knob; per-cell arithmetic
-//! is unchanged, so every unroll factor is bit-exact with `U = 1`.
+//! is proven in range once per row.
 //!
 //! # Lane-parallel tape walk
 //!
@@ -234,7 +232,6 @@ pub struct CompiledProgram {
     /// Total cell count of the compiled extent; linear indices are valid
     /// in `0..cells`.
     cells: usize,
-    unroll: usize,
     lanes: usize,
 }
 
@@ -324,23 +321,8 @@ impl CompiledProgram {
             domains,
             fused_groups,
             cells,
-            unroll: 1,
             lanes: LANE_WIDTH,
         })
-    }
-
-    /// Returns the program recompiled with a `U`-way unrolled row loop.
-    /// Values are identical for every `unroll` (per-cell arithmetic is
-    /// unchanged); zero is treated as one.
-    #[must_use]
-    pub fn with_unroll(mut self, unroll: usize) -> Self {
-        self.unroll = unroll.max(1);
-        self
-    }
-
-    /// The unroll factor of the interior row sweep.
-    pub fn unroll(&self) -> usize {
-        self.unroll
     }
 
     /// Returns the program with a `lanes`-wide vectorized tape walk.
@@ -666,8 +648,8 @@ impl CompiledProgram {
     /// Evaluates one contiguous row of `row_len` cells starting at linear
     /// index `base`, appending the results to `values`. The main loop
     /// walks the tape once per `W` lanes (scalar tail); with lanes = 1 it
-    /// is chunked by the unroll factor instead. Per-cell arithmetic is
-    /// identical in every mode, so results depend on neither `W` nor `U`.
+    /// walks the tape once per cell. Per-cell arithmetic is identical in
+    /// every mode, so results do not depend on `W`.
     /// Callers must have validated the row via [`Self::check_row`].
     fn eval_row(
         &self,
@@ -686,22 +668,8 @@ impl CompiledProgram {
             4 => eval_row_lanes::<4>(kernel, views, base, row_len, scratch, values),
             2 => eval_row_lanes::<2>(kernel, views, base, row_len, scratch, values),
             _ => {
-                let u = self.unroll;
-                let mut j = 0usize;
-                while j + u <= row_len {
-                    for step in 0..u {
-                        values.push(eval_tape(
-                            &kernel.tape,
-                            views,
-                            base + j + step,
-                            &mut scratch.stack,
-                        ));
-                    }
-                    j += u;
-                }
-                while j < row_len {
+                for j in 0..row_len {
                     values.push(eval_tape(&kernel.tape, views, base + j, &mut scratch.stack));
-                    j += 1;
                 }
             }
         }
@@ -1118,26 +1086,6 @@ mod tests {
         let mut slow = GridState::new(&p, ramp);
         Interpreter::new(&p).run(&mut slow, p.iterations).unwrap();
         assert_eq!(fast, slow); // bit-exact, not ≤ε
-    }
-
-    #[test]
-    fn unroll_factors_are_bit_exact() {
-        let p = parse(
-            "stencil u { grid A[9][11] : f32; iterations 2;
-             A[i][j] = 0.25 * (A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1]); }",
-        )
-        .unwrap();
-        let base = CompiledProgram::compile(&p).unwrap();
-        let mut expect = GridState::new(&p, ramp);
-        base.run(&mut expect, p.iterations).unwrap();
-        for u in [2usize, 3, 4, 8, 64] {
-            let cp = CompiledProgram::compile(&p).unwrap().with_unroll(u);
-            assert_eq!(cp.unroll(), u);
-            let mut got = GridState::new(&p, ramp);
-            cp.run(&mut got, p.iterations).unwrap();
-            assert_eq!(got, expect, "unroll {u} diverged");
-        }
-        assert_eq!(base.with_unroll(0).unroll(), 1);
     }
 
     #[test]

@@ -62,7 +62,6 @@
 mod compute;
 mod error;
 mod glossary;
-mod host;
 mod memory;
 mod params;
 mod share;
@@ -73,9 +72,6 @@ pub(crate) mod testutil;
 pub use compute::{compute_latency, iter_latency};
 pub use error::ModelError;
 pub use glossary::{parameter_glossary, ParamInfo, Provenance};
-pub use host::{
-    blocked_model, blocked_redundancy, parallel_total, plain_model, should_block, HostParams,
-};
 pub use memory::{memory_latency, read_latency, write_latency};
 pub use params::ModelInputs;
 pub use share::{overlap_lambda, share_latency};

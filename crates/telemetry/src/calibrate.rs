@@ -52,10 +52,6 @@ impl PhaseTotals {
             TracePhase::CheckpointWrite | TracePhase::CheckpointLoad => {
                 self.checkpoint += amount;
             }
-            // Tile-pool phases fold into the closest Figure-4 buckets: a
-            // fused tile task is compute, a steal is idle rebalancing.
-            TracePhase::TileCompute { .. } => self.compute += amount,
-            TracePhase::TileSteal => self.barrier += amount,
             // Service-job lifecycle spans are host-side launch overhead —
             // the same bucket the paper's §5.6 attributes its
             // predicted-vs-measured gap to.

@@ -18,9 +18,6 @@ pub struct EnvConfig {
     /// `STENCILCL_INTERPRET`: run the AST interpreter instead of compiled
     /// bytecode kernels. Truthy = set, non-empty, and not `"0"`.
     pub interpret: bool,
-    /// `STENCILCL_UNROLL`: compiled-kernel row unroll factor (1–16);
-    /// `None` lets the compiler pick.
-    pub unroll: Option<usize>,
     /// `STENCILCL_WATCHDOG_MS`: supervised watchdog timeout override.
     pub watchdog_ms: Option<u64>,
     /// `STENCILCL_DRAIN_MS`: supervised drain window override.
@@ -45,18 +42,6 @@ pub struct EnvConfig {
     /// `STENCILCL_LANES`: compiled-kernel tape lane width (1–16); 1 forces
     /// the scalar walk, `None` lets the compiler pick the vector default.
     pub lanes: Option<usize>,
-    /// `STENCILCL_TILE`: spatial tile edge (cells, ≥ 1) for the temporally
-    /// blocked reference driver; `None` disables temporal blocking.
-    pub tile: Option<usize>,
-    /// `STENCILCL_BLOCK_DEPTH`: fused iterations per temporal block (≥ 1)
-    /// for the blocked executors. Setting it also *forces* blocking: the
-    /// model-derived auto-disable only applies when the depth is picked
-    /// automatically. `None` lets the cone math pick.
-    pub block_depth: Option<u64>,
-    /// `STENCILCL_THREADS`: tile-pool worker count (≥ 1) for the
-    /// blocked-parallel executor; `None` sizes the pool from the host's
-    /// available parallelism.
-    pub threads: Option<usize>,
     /// `STENCILCL_CKPT_DIR`: directory durable checkpoint generations are
     /// sealed into; `None` disables checkpointing.
     pub ckpt_dir: Option<PathBuf>,
@@ -69,7 +54,6 @@ impl Default for EnvConfig {
     fn default() -> Self {
         EnvConfig {
             interpret: false,
-            unroll: None,
             watchdog_ms: None,
             drain_ms: None,
             max_retries: None,
@@ -80,9 +64,6 @@ impl Default for EnvConfig {
             health_stride: None,
             integrity: false,
             lanes: None,
-            tile: None,
-            block_depth: None,
-            threads: None,
             ckpt_dir: None,
             ckpt_every: None,
         }
@@ -106,14 +87,6 @@ impl EnvConfig {
         }
         if let Some(v) = lookup("STENCILCL_TRACE") {
             cfg.trace = truthy(v.trim());
-        }
-        if let Some(v) = lookup("STENCILCL_UNROLL") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if (1..=16).contains(&n) => cfg.unroll = Some(n),
-                _ => warnings.push(format!(
-                    "STENCILCL_UNROLL: ignoring {v:?} (want an integer in 1..=16)"
-                )),
-            }
         }
         let mut ms = |var: &str, slot: &mut Option<u64>| {
             if let Some(v) = lookup(var) {
@@ -152,30 +125,6 @@ impl EnvConfig {
                 Ok(n) if (1..=16).contains(&n) => cfg.lanes = Some(n),
                 _ => warnings.push(format!(
                     "STENCILCL_LANES: ignoring {v:?} (want an integer in 1..=16)"
-                )),
-            }
-        }
-        if let Some(v) = lookup("STENCILCL_TILE") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => cfg.tile = Some(n),
-                _ => warnings.push(format!(
-                    "STENCILCL_TILE: ignoring {v:?} (want an integer >= 1)"
-                )),
-            }
-        }
-        if let Some(v) = lookup("STENCILCL_BLOCK_DEPTH") {
-            match v.trim().parse::<u64>() {
-                Ok(n) if n >= 1 => cfg.block_depth = Some(n),
-                _ => warnings.push(format!(
-                    "STENCILCL_BLOCK_DEPTH: ignoring {v:?} (want an integer >= 1)"
-                )),
-            }
-        }
-        if let Some(v) = lookup("STENCILCL_THREADS") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => cfg.threads = Some(n),
-                _ => warnings.push(format!(
-                    "STENCILCL_THREADS: ignoring {v:?} (want an integer >= 1)"
                 )),
             }
         }
@@ -265,14 +214,14 @@ mod tests {
     #[test]
     fn well_formed_values_parse() {
         let (cfg, warnings) = EnvConfig::parse(env(&[
-            ("STENCILCL_UNROLL", "8"),
+            ("STENCILCL_LANES", "8"),
             ("STENCILCL_WATCHDOG_MS", "1500"),
             ("STENCILCL_DRAIN_MS", "250"),
             ("STENCILCL_MAX_RETRIES", "0"),
             ("STENCILCL_RESULTS", "/tmp/out"),
         ]));
         assert!(warnings.is_empty());
-        assert_eq!(cfg.unroll, Some(8));
+        assert_eq!(cfg.lanes, Some(8));
         assert_eq!(cfg.watchdog_ms, Some(1500));
         assert_eq!(cfg.drain_ms, Some(250));
         assert_eq!(cfg.max_retries, Some(0));
@@ -282,16 +231,16 @@ mod tests {
     #[test]
     fn malformed_values_warn_by_name_and_fall_back() {
         let (cfg, warnings) = EnvConfig::parse(env(&[
-            ("STENCILCL_UNROLL", "64"),
             ("STENCILCL_WATCHDOG_MS", "soon"),
+            ("STENCILCL_LANES", "32"),
             ("STENCILCL_MAX_RETRIES", "-1"),
         ]));
-        assert_eq!(cfg.unroll, None);
+        assert_eq!(cfg.lanes, None);
         assert_eq!(cfg.watchdog_ms, None);
         assert_eq!(cfg.max_retries, None);
         assert_eq!(warnings.len(), 3);
-        assert!(warnings[0].contains("STENCILCL_UNROLL") && warnings[0].contains("64"));
-        assert!(warnings[1].contains("STENCILCL_WATCHDOG_MS") && warnings[1].contains("soon"));
+        assert!(warnings[0].contains("STENCILCL_WATCHDOG_MS") && warnings[0].contains("soon"));
+        assert!(warnings[1].contains("STENCILCL_LANES") && warnings[1].contains("32"));
         assert!(warnings[2].contains("STENCILCL_MAX_RETRIES") && warnings[2].contains("-1"));
     }
 
@@ -332,36 +281,32 @@ mod tests {
 
     #[test]
     fn lane_and_tile_knobs_parse() {
-        let (cfg, warnings) = EnvConfig::parse(env(&[
-            ("STENCILCL_LANES", "8"),
-            ("STENCILCL_TILE", "64"),
-            ("STENCILCL_BLOCK_DEPTH", "4"),
-            ("STENCILCL_THREADS", "6"),
-        ]));
-        assert!(warnings.is_empty());
-        assert_eq!(cfg.lanes, Some(8));
-        assert_eq!(cfg.tile, Some(64));
-        assert_eq!(cfg.block_depth, Some(4));
-        assert_eq!(cfg.threads, Some(6));
+        // The tile knobs are retired: setting them is silently ignored.
+        for lanes in ["1", "8", "16"] {
+            let (cfg, warnings) = EnvConfig::parse(env(&[
+                ("STENCILCL_LANES", lanes),
+                ("STENCILCL_TILE", "64"),
+                ("STENCILCL_BLOCK_DEPTH", "4"),
+                ("STENCILCL_THREADS", "6"),
+            ]));
+            assert!(warnings.is_empty());
+            assert_eq!(cfg.lanes, Some(lanes.parse().unwrap()));
+        }
     }
 
     #[test]
     fn malformed_lane_and_tile_knobs_warn_and_fall_back() {
-        let (cfg, warnings) = EnvConfig::parse(env(&[
-            ("STENCILCL_LANES", "32"),
-            ("STENCILCL_TILE", "0"),
-            ("STENCILCL_BLOCK_DEPTH", "0"),
-            ("STENCILCL_THREADS", "many"),
-        ]));
-        assert_eq!(cfg.lanes, None);
-        assert_eq!(cfg.tile, None);
-        assert_eq!(cfg.block_depth, None);
-        assert_eq!(cfg.threads, None);
-        assert_eq!(warnings.len(), 4);
-        assert!(warnings.iter().any(|w| w.contains("STENCILCL_LANES")));
-        assert!(warnings.iter().any(|w| w.contains("STENCILCL_TILE")));
-        assert!(warnings.iter().any(|w| w.contains("STENCILCL_BLOCK_DEPTH")));
-        assert!(warnings.iter().any(|w| w.contains("STENCILCL_THREADS")));
+        for lanes in ["0", "17", "32", "wide"] {
+            let (cfg, warnings) = EnvConfig::parse(env(&[
+                ("STENCILCL_LANES", lanes),
+                ("STENCILCL_TILE", "0"),
+                ("STENCILCL_BLOCK_DEPTH", "0"),
+                ("STENCILCL_THREADS", "many"),
+            ]));
+            assert_eq!(cfg.lanes, None);
+            assert_eq!(warnings.len(), 1);
+            assert!(warnings[0].contains("STENCILCL_LANES") && warnings[0].contains(lanes));
+        }
     }
 
     #[test]
@@ -390,8 +335,8 @@ mod tests {
 
     #[test]
     fn whitespace_is_trimmed() {
-        let (cfg, warnings) = EnvConfig::parse(env(&[("STENCILCL_UNROLL", " 4 ")]));
+        let (cfg, warnings) = EnvConfig::parse(env(&[("STENCILCL_LANES", " 4 ")]));
         assert!(warnings.is_empty());
-        assert_eq!(cfg.unroll, Some(4));
+        assert_eq!(cfg.lanes, Some(4));
     }
 }

@@ -41,14 +41,6 @@ pub enum TracePhase {
     CheckpointWrite,
     /// Validating and loading a checkpoint generation from disk.
     CheckpointLoad,
-    /// A tile-pool worker computing one spatial tile's fused time-tile
-    /// (the blocked-parallel executor's unit of work).
-    TileCompute {
-        /// 1-based first global iteration of the fused time-tile.
-        iteration: u64,
-    },
-    /// A tile-pool worker lifting a task off another worker's deque.
-    TileSteal,
     /// A submitted service job waiting in the scheduler's admission queue
     /// (span runs from admission to dequeue).
     JobQueued,
@@ -76,8 +68,6 @@ impl TracePhase {
             TracePhase::Barrier => ' ',
             TracePhase::CheckpointWrite => 'C',
             TracePhase::CheckpointLoad => 'L',
-            TracePhase::TileCompute { .. } => 'T',
-            TracePhase::TileSteal => 's',
             TracePhase::JobQueued => 'Q',
             TracePhase::JobStart => 'J',
             TracePhase::JobDone => 'D',
@@ -98,8 +88,6 @@ impl TracePhase {
             TracePhase::Barrier => "Barrier",
             TracePhase::CheckpointWrite => "CheckpointWrite",
             TracePhase::CheckpointLoad => "CheckpointLoad",
-            TracePhase::TileCompute { .. } => "TileCompute",
-            TracePhase::TileSteal => "TileSteal",
             TracePhase::JobQueued => "JobQueued",
             TracePhase::JobStart => "JobStart",
             TracePhase::JobDone => "JobDone",
@@ -301,16 +289,14 @@ mod tests {
             TracePhase::Barrier,
             TracePhase::CheckpointWrite,
             TracePhase::CheckpointLoad,
-            TracePhase::TileCompute { iteration: 1 },
-            TracePhase::TileSteal,
             TracePhase::JobQueued,
             TracePhase::JobStart,
             TracePhase::JobDone,
         ];
         let glyphs: HashSet<char> = phases.iter().map(|p| p.glyph()).collect();
-        assert_eq!(glyphs.len(), 14);
+        assert_eq!(glyphs.len(), 12);
         let names: HashSet<&str> = phases.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), 14);
+        assert_eq!(names.len(), 12);
     }
 
     #[test]

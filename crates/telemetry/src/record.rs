@@ -30,12 +30,10 @@ const PH_WRITE: u64 = 5;
 const PH_BARRIER: u64 = 6;
 const PH_CKPT_WRITE: u64 = 7;
 const PH_CKPT_LOAD: u64 = 8;
-const PH_TILE_COMPUTE: u64 = 9;
-const PH_TILE_STEAL: u64 = 10;
-const PH_JOB_QUEUED: u64 = 11;
-const PH_JOB_START: u64 = 12;
-const PH_JOB_DONE: u64 = 13;
-const PH_JOB_RECOVER: u64 = 14;
+const PH_JOB_QUEUED: u64 = 9;
+const PH_JOB_START: u64 = 10;
+const PH_JOB_DONE: u64 = 11;
+const PH_JOB_RECOVER: u64 = 12;
 
 fn pack_phase(phase: TracePhase) -> (u64, u64) {
     match phase {
@@ -48,8 +46,6 @@ fn pack_phase(phase: TracePhase) -> (u64, u64) {
         TracePhase::Barrier => (PH_BARRIER, 0),
         TracePhase::CheckpointWrite => (PH_CKPT_WRITE, 0),
         TracePhase::CheckpointLoad => (PH_CKPT_LOAD, 0),
-        TracePhase::TileCompute { iteration } => (PH_TILE_COMPUTE, iteration),
-        TracePhase::TileSteal => (PH_TILE_STEAL, 0),
         TracePhase::JobQueued => (PH_JOB_QUEUED, 0),
         TracePhase::JobStart => (PH_JOB_START, 0),
         TracePhase::JobDone => (PH_JOB_DONE, 0),
@@ -67,8 +63,6 @@ fn unpack_phase(disc: u64, iteration: u64) -> TracePhase {
         PH_WRITE => TracePhase::Write,
         PH_CKPT_WRITE => TracePhase::CheckpointWrite,
         PH_CKPT_LOAD => TracePhase::CheckpointLoad,
-        PH_TILE_COMPUTE => TracePhase::TileCompute { iteration },
-        PH_TILE_STEAL => TracePhase::TileSteal,
         PH_JOB_QUEUED => TracePhase::JobQueued,
         PH_JOB_START => TracePhase::JobStart,
         PH_JOB_DONE => TracePhase::JobDone,
@@ -196,7 +190,6 @@ impl Recorder {
             redundant_cells: self.counter(Counter::RedundantCells),
             ckpt_bytes: self.counter(Counter::CkptBytes),
             ckpt_generations: self.counter(Counter::CkptGenerations),
-            tiles_stolen: self.counter(Counter::TilesStolen),
             jobs_admitted: self.counter(Counter::JobsAdmitted),
             jobs_rejected: self.counter(Counter::JobsRejected),
             queue_depth: self.counter(Counter::QueueDepth),
@@ -326,15 +319,13 @@ pub struct CounterSnapshot {
     pub cells_scanned: u64,
     /// Nanoseconds spent inside health scans.
     pub scan_ns: u64,
-    /// Cell updates recomputed redundantly in halo/trapezoid overlaps
+    /// Cell updates recomputed redundantly in halo overlaps
     /// (subset of `cells_computed`).
     pub redundant_cells: u64,
     /// Bytes written into sealed checkpoint generations.
     pub ckpt_bytes: u64,
     /// Checkpoint generations successfully sealed on disk.
     pub ckpt_generations: u64,
-    /// Tile tasks stolen across tile-pool worker deques.
-    pub tiles_stolen: u64,
     /// Service jobs accepted past admission control.
     pub jobs_admitted: u64,
     /// Service jobs refused at admission (queue full / quota exhausted).
@@ -371,7 +362,6 @@ impl Deserialize for CounterSnapshot {
                 redundant_cells: field("redundant_cells")?,
                 ckpt_bytes: field("ckpt_bytes")?,
                 ckpt_generations: field("ckpt_generations")?,
-                tiles_stolen: field("tiles_stolen")?,
                 jobs_admitted: field("jobs_admitted")?,
                 jobs_rejected: field("jobs_rejected")?,
                 queue_depth: field("queue_depth")?,

@@ -32,17 +32,14 @@ pub enum Counter {
     CellsScanned,
     /// Wall-clock nanoseconds spent inside health scans.
     ScanNs,
-    /// Cell updates recomputed redundantly: halo/trapezoid overlap cells
-    /// evaluated outside the tile's own output rect (overlapped baseline
-    /// and temporal blocking). Always a subset of `CellsComputed`.
+    /// Cell updates recomputed redundantly: halo overlap cells evaluated
+    /// outside the tile's own output rect (overlapped baseline). Always a
+    /// subset of `CellsComputed`.
     RedundantCells,
     /// Bytes written into sealed checkpoint generations on disk.
     CkptBytes,
     /// Checkpoint generations successfully sealed (atomic rename done).
     CkptGenerations,
-    /// Tile tasks a tile-pool worker stole from another worker's deque
-    /// (load-balance traffic of the blocked-parallel executor).
-    TilesStolen,
     /// Service jobs accepted past admission control into the scheduler's
     /// queue.
     JobsAdmitted,
@@ -67,7 +64,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::HaloBytes,
         Counter::SlabsSent,
         Counter::SlabsReceived,
@@ -80,7 +77,6 @@ impl Counter {
         Counter::RedundantCells,
         Counter::CkptBytes,
         Counter::CkptGenerations,
-        Counter::TilesStolen,
         Counter::JobsAdmitted,
         Counter::JobsRejected,
         Counter::QueueDepth,
@@ -104,13 +100,12 @@ impl Counter {
             Counter::RedundantCells => 9,
             Counter::CkptBytes => 10,
             Counter::CkptGenerations => 11,
-            Counter::TilesStolen => 12,
-            Counter::JobsAdmitted => 13,
-            Counter::JobsRejected => 14,
-            Counter::QueueDepth => 15,
-            Counter::JobsRecovered => 16,
-            Counter::JobsStalled => 17,
-            Counter::RunnerRespawns => 18,
+            Counter::JobsAdmitted => 12,
+            Counter::JobsRejected => 13,
+            Counter::QueueDepth => 14,
+            Counter::JobsRecovered => 15,
+            Counter::JobsStalled => 16,
+            Counter::RunnerRespawns => 17,
         }
     }
 
@@ -129,7 +124,6 @@ impl Counter {
             Counter::RedundantCells => "redundant_cells",
             Counter::CkptBytes => "ckpt_bytes",
             Counter::CkptGenerations => "ckpt_generations",
-            Counter::TilesStolen => "tiles_stolen",
             Counter::JobsAdmitted => "jobs_admitted",
             Counter::JobsRejected => "jobs_rejected",
             Counter::QueueDepth => "queue_depth",

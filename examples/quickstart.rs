@@ -91,9 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    slots, neighbor offsets folded to linear-index deltas) and executed
     //    with branch-free row sweeps. Set STENCILCL_INTERPRET=1 to fall back
     //    to the tree-walking AST interpreter — the differential-testing
-    //    oracle — and STENCILCL_UNROLL=<U> to pick the row-sweep unroll
-    //    factor. Both engines are bit-exact, as the compiled tape performs
-    //    the same f64 operations in the same order per cell:
+    //    oracle — and STENCILCL_LANES=<W> to pick the tape lane width. Both
+    //    engines are bit-exact, as the compiled tape performs the same f64
+    //    operations in the same order per cell:
     let compiled = CompiledProgram::compile(&tiny)?;
     println!(
         "compiled `{}`: {} kernel tape(s), e.g. statement 0 = {} ops over {} grid slot(s)",
