@@ -42,31 +42,32 @@ fn setup_deep() -> (Program, Partition) {
 
 fn bench_executors(c: &mut Criterion) {
     let (program, base, pipe) = setup();
+    let opts = ExecOptions::new();
     c.bench_function("exec/reference/jacobi2d_64x64_h8", |b| {
         b.iter(|| {
             let mut s = GridState::new(&program, init);
-            run_reference(black_box(&program), &mut s).unwrap();
+            run_reference_opts(black_box(&program), &mut s, &opts).unwrap();
             s
         })
     });
     c.bench_function("exec/overlapped/jacobi2d_64x64_h8", |b| {
         b.iter(|| {
             let mut s = GridState::new(&program, init);
-            run_overlapped(black_box(&program), &base, &mut s).unwrap();
+            run_overlapped_opts(black_box(&program), &base, &mut s, &opts).unwrap();
             s
         })
     });
     c.bench_function("exec/pipe_shared/jacobi2d_64x64_h8", |b| {
         b.iter(|| {
             let mut s = GridState::new(&program, init);
-            run_pipe_shared(black_box(&program), &pipe, &mut s).unwrap();
+            run_pipe_shared_opts(black_box(&program), &pipe, &mut s, &opts).unwrap();
             s
         })
     });
     c.bench_function("exec/threaded/jacobi2d_64x64_h8", |b| {
         b.iter(|| {
             let mut s = GridState::new(&program, init);
-            run_threaded(black_box(&program), &pipe, &mut s).unwrap();
+            run_threaded_opts(black_box(&program), &pipe, &mut s, &opts).unwrap();
             s
         })
     });
@@ -74,14 +75,14 @@ fn bench_executors(c: &mut Criterion) {
     c.bench_function("exec/pipe_shared/jacobi2d_64x64_i32_h4", |b| {
         b.iter(|| {
             let mut s = GridState::new(&deep, init);
-            run_pipe_shared(black_box(&deep), &deep_pipe, &mut s).unwrap();
+            run_pipe_shared_opts(black_box(&deep), &deep_pipe, &mut s, &opts).unwrap();
             s
         })
     });
     c.bench_function("exec/threaded/jacobi2d_64x64_i32_h4", |b| {
         b.iter(|| {
             let mut s = GridState::new(&deep, init);
-            run_threaded(black_box(&deep), &deep_pipe, &mut s).unwrap();
+            run_threaded_opts(black_box(&deep), &deep_pipe, &mut s, &opts).unwrap();
             s
         })
     });

@@ -2,11 +2,11 @@
 //! `chaos` feature: `cargo run -p stencilcl-bench --features chaos --bin
 //! ablation_chaos`).
 //!
-//! Exercises the robustness ladder of `run_supervised` on Jacobi-2D:
+//! Exercises the robustness ladder of `run_supervised_opts` on Jacobi-2D:
 //! a clean threaded run, fault-free supervision (its overhead), a
 //! checkpointed retry after a pipe stall, recovery from a worker panic,
 //! and forced degradation to the sequential executor — each checked
-//! bit-exactly against `run_reference` and timed.
+//! bit-exactly against `run_reference_opts` and timed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 use stencilcl_bench::runner::write_json;
 use stencilcl_bench::table::Table;
 use stencilcl_exec::{
-    run_reference, run_supervised_injected, ExecPolicy, FaultKind, FaultPlan, RunReport,
+    run_reference_opts, run_supervised_opts, ExecOptions, ExecPolicy, FaultKind, FaultPlan,
+    RunReport,
 };
 use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point};
 use stencilcl_lang::{programs, GridState, StencilFeatures};
@@ -70,7 +71,7 @@ fn main() {
         Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![24, 24]).expect("build design");
     let partition = Partition::new(program.extent(), &design, &features.growth).expect("partition");
     let mut expect = GridState::new(&program, init);
-    run_reference(&program, &mut expect).expect("reference run");
+    run_reference_opts(&program, &mut expect, &ExecOptions::new()).expect("reference run");
 
     let stall_every_attempt = || {
         let mut plan = FaultPlan::new();
@@ -107,12 +108,13 @@ fn main() {
     ]);
     for (name, plan) in scenarios {
         eprintln!("[ablation_chaos] {name} ...");
-        let faults = Arc::new(plan);
+        let opts = ExecOptions::new()
+            .policy(policy.clone())
+            .faults(Arc::new(plan));
         let mut got = GridState::new(&program, init);
         let start = Instant::now();
         let report: RunReport =
-            run_supervised_injected(&program, &partition, &mut got, &policy, &faults)
-                .expect("supervised run");
+            run_supervised_opts(&program, &partition, &mut got, &opts).expect("supervised run");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let bit_exact = expect.max_abs_diff(&got).expect("comparable grids") == 0.0;
         let row = ChaosRow {

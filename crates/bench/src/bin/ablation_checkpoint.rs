@@ -30,12 +30,12 @@
 //! is the acceptance number itself; on much smaller grids fixed costs
 //! dominate and the 5% bar is not meaningful.
 
-use stencilcl_bench::runner::{
-    exec_policy_from_env, time_checkpoint_ab, write_json, CheckpointTiming,
-};
+use stencilcl_bench::runner::{time_checkpoint_ab, write_json, CheckpointTiming};
 use stencilcl_bench::table::Table;
+use stencilcl_exec::ExecPolicy;
 use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 use stencilcl_lang::{programs, Program, StencilFeatures};
+use stencilcl_telemetry::EnvConfig;
 
 fn env_usize(var: &str, default: usize) -> usize {
     std::env::var(var)
@@ -50,7 +50,7 @@ fn main() {
     let iters = env_usize("STENCILCL_BENCH_ITERS", 48) as u64;
     let samples = env_usize("STENCILCL_BENCH_SAMPLES", 9);
     let every = env_usize("STENCILCL_BENCH_CKPT_EVERY", 4) as u64;
-    let policy = exec_policy_from_env();
+    let policy = ExecPolicy::from_config(EnvConfig::get());
 
     let benches: Vec<(&str, Program)> = vec![
         (

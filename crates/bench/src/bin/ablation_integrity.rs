@@ -24,12 +24,12 @@
 //! the defaults, so the asserted budget is the acceptance number itself; on
 //! much smaller grids fixed costs dominate and the 3% bar is not meaningful.
 
-use stencilcl_bench::runner::{
-    exec_policy_from_env, time_integrity_ab, write_json, IntegrityTiming,
-};
+use stencilcl_bench::runner::{time_integrity_ab, write_json, IntegrityTiming};
 use stencilcl_bench::table::Table;
+use stencilcl_exec::ExecPolicy;
 use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 use stencilcl_lang::{programs, Program, StencilFeatures};
+use stencilcl_telemetry::EnvConfig;
 
 fn env_usize(var: &str, default: usize) -> usize {
     std::env::var(var)
@@ -44,7 +44,7 @@ fn main() {
     let iters = env_usize("STENCILCL_BENCH_ITERS", 48) as u64;
     let samples = env_usize("STENCILCL_BENCH_SAMPLES", 5);
     let stride = env_usize("STENCILCL_BENCH_SCAN_STRIDE", 4);
-    let policy = exec_policy_from_env();
+    let policy = ExecPolicy::from_config(EnvConfig::get());
 
     let benches: Vec<(&str, Program)> = vec![
         (

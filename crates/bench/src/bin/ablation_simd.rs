@@ -13,11 +13,14 @@
 //! `STENCILCL_BENCH_LANES` (vector width, default 8) — lowered by CI to
 //! smoke-test the binary on small grids.
 
-use stencilcl_bench::runner::{exec_policy_from_env, time_simd_ab, write_json, SimdTiming};
+use stencilcl_bench::runner::{time_simd_ab, write_json, SimdTiming};
 use stencilcl_bench::table::{ratio, Table};
-use stencilcl_exec::{run_pipe_shared_opts, run_reference_opts, run_threaded_opts, ExecOptions};
+use stencilcl_exec::{
+    run_pipe_shared_opts, run_reference_opts, run_threaded_opts, ExecOptions, ExecPolicy,
+};
 use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 use stencilcl_lang::{programs, Program, StencilFeatures};
+use stencilcl_telemetry::EnvConfig;
 
 fn env_usize(var: &str, default: usize) -> usize {
     std::env::var(var)
@@ -32,11 +35,11 @@ fn main() {
     let iters = env_usize("STENCILCL_BENCH_ITERS", 16) as u64;
     let samples = env_usize("STENCILCL_BENCH_SAMPLES", 5);
     let lanes = env_usize("STENCILCL_BENCH_LANES", 8).clamp(2, 16);
-    let policy = exec_policy_from_env();
+    let policy = ExecPolicy::from_config(EnvConfig::get());
 
     // The paper's 2-D heat benchmark (HotSpot) and the Jacobi blur — the
-    // same pair `ablation_compiled` times, so the JSON rows are directly
-    // comparable with `results/BENCH_compiled.json`.
+    // same pair the compiled-kernel table in EXPERIMENTS.md times, so the
+    // rows are directly comparable with it.
     let benches: Vec<(&str, Program)> = vec![
         (
             "hotspot_2d (heat)",

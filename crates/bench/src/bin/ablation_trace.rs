@@ -20,15 +20,14 @@
 //! smoke-test the binary on small grids.
 
 use stencilcl::Framework;
-use stencilcl_bench::runner::{
-    exec_policy_from_env, time_traced_ab, write_json, write_text, TraceTiming,
-};
+use stencilcl_bench::runner::{time_traced_ab, write_json, write_text, TraceTiming};
 use stencilcl_bench::table::Table;
+use stencilcl_exec::ExecPolicy;
 use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 use stencilcl_lang::{programs, Program, StencilFeatures};
 use stencilcl_opt::evaluate;
 use stencilcl_sim::{build_plans, simulate_pass_traced};
-use stencilcl_telemetry::CalibrationReport;
+use stencilcl_telemetry::{CalibrationReport, EnvConfig};
 
 fn env_usize(var: &str, default: usize) -> usize {
     std::env::var(var)
@@ -42,7 +41,7 @@ fn main() {
     let n = env_usize("STENCILCL_BENCH_N", 256);
     let iters = env_usize("STENCILCL_BENCH_ITERS", 16) as u64;
     let samples = env_usize("STENCILCL_BENCH_SAMPLES", 5);
-    let policy = exec_policy_from_env();
+    let policy = ExecPolicy::from_config(EnvConfig::get());
     let fw = Framework::new();
 
     let benches: Vec<(&str, &str, Program)> = vec![

@@ -17,7 +17,6 @@
 //! | `ablation_balance`| —         | workload balancing on/off |
 //! | `ablation_launch` | —         | launch-delay modeling (Figure 7's gap) |
 //! | `ablation_chaos`  | —         | supervised recovery under injected faults (needs `--features chaos`) |
-//! | `ablation_compiled` | —       | compiled bytecode kernels vs the AST interpreter (`BENCH_compiled.json`) |
 //! | `ablation_trace`  | Figure 7 analogue | measured telemetry vs model terms vs simulated schedule (`BENCH_trace.json`, Chrome traces) |
 //! | `ablation_integrity` | —      | slab checksums + health watchdog + deadline vs no guards, asserted ≤ 3% overhead and bit-exact (`BENCH_integrity.json`) |
 //! | `motivation`      | Figure 1b | redundancy growth vs cone depth and dimension |

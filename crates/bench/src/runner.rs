@@ -8,9 +8,8 @@ use serde::{Deserialize, Serialize};
 use stencilcl::suite::BenchmarkSpec;
 use stencilcl::{Framework, FrameworkError, SynthesisReport};
 use stencilcl_exec::{
-    run_pipe_shared, run_reference, run_supervised, run_supervised_opts, run_threaded_opts,
-    run_threaded_with, CheckpointPolicy, DirStore, EngineKind, ExecError, ExecOptions, ExecPolicy,
-    HealthPolicy, Recorder,
+    run_pipe_shared_opts, run_reference_opts, run_supervised_opts, run_threaded_opts,
+    CheckpointPolicy, DirStore, ExecError, ExecOptions, ExecPolicy, HealthPolicy, Recorder,
 };
 use stencilcl_grid::{Design, Partition, Point};
 use stencilcl_hls::ResourceUsage;
@@ -285,24 +284,15 @@ pub fn ablation_hiding(spec: &BenchmarkSpec) -> Result<Ablation, FrameworkError>
 pub struct ExecTiming {
     /// Label for the timed configuration.
     pub name: String,
-    /// Median wall time of `run_reference`.
+    /// Median wall time of `run_reference_opts`.
     pub reference_ms: f64,
-    /// Median wall time of `run_pipe_shared`.
+    /// Median wall time of `run_pipe_shared_opts`.
     pub pipe_shared_ms: f64,
-    /// Median wall time of `run_threaded` (under the caller's policy).
+    /// Median wall time of `run_threaded_opts` (under the caller's policy).
     pub threaded_ms: f64,
-    /// Median wall time of `run_supervised` — the fault-free supervision
-    /// overhead over `threaded_ms`.
+    /// Median wall time of `run_supervised_opts` — the fault-free
+    /// supervision overhead over `threaded_ms`.
     pub supervised_ms: f64,
-}
-
-/// Builds the [`ExecPolicy`] for bench runs: the defaults with the
-/// parsed-once `STENCILCL_WATCHDOG_MS` / `STENCILCL_DRAIN_MS` /
-/// `STENCILCL_MAX_RETRIES` overrides applied (see
-/// `stencilcl_telemetry::EnvConfig`). Unset or malformed variables keep the
-/// defaults, so plain invocations need no setup.
-pub fn exec_policy_from_env() -> ExecPolicy {
-    ExecPolicy::from_env()
 }
 
 fn median_ms(samples: &mut [f64]) -> f64 {
@@ -325,8 +315,8 @@ fn time_ms(
 
 /// Times the exact executors (reference, pipe-shared, threaded, supervised)
 /// over `samples` runs each and returns the per-executor median wall time.
-/// The threaded and supervised runs use `policy` — see
-/// [`exec_policy_from_env`] for the bench binaries' policy source.
+/// Every run uses `policy`; the bench binaries build it with
+/// `ExecPolicy::from_config(EnvConfig::get())`.
 ///
 /// # Errors
 ///
@@ -348,21 +338,22 @@ pub fn time_executors(
         }
         (v * 0.001).sin()
     };
+    let opts = ExecOptions::new().policy(policy.clone());
     let reference_ms = time_ms(samples, || {
         let mut s = GridState::new(program, init);
-        run_reference(program, &mut s)
+        run_reference_opts(program, &mut s, &opts)
     })?;
     let pipe_shared_ms = time_ms(samples, || {
         let mut s = GridState::new(program, init);
-        run_pipe_shared(program, partition, &mut s)
+        run_pipe_shared_opts(program, partition, &mut s, &opts)
     })?;
     let threaded_ms = time_ms(samples, || {
         let mut s = GridState::new(program, init);
-        run_threaded_with(program, partition, &mut s, policy)
+        run_threaded_opts(program, partition, &mut s, &opts)
     })?;
     let supervised_ms = time_ms(samples, || {
         let mut s = GridState::new(program, init);
-        run_supervised(program, partition, &mut s, policy).map(|_| ())
+        run_supervised_opts(program, partition, &mut s, &opts).map(|_| ())
     })?;
     Ok(ExecTiming {
         name: name.to_string(),
@@ -370,81 +361,6 @@ pub fn time_executors(
         pipe_shared_ms,
         threaded_ms,
         supervised_ms,
-    })
-}
-
-/// One A/B row of the compiled-bytecode ablation: the same program driven
-/// through the same executor, once with the AST interpreter
-/// (`STENCILCL_INTERPRET=1`) and once with the compiled flat-bytecode
-/// kernels (the default). `max_abs_diff` must be exactly `0.0` — the two
-/// engines perform the same `f64` operations in the same order per cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompiledTiming {
-    /// Benchmark display name.
-    pub name: String,
-    /// Executor driven for this row (`reference`, `pipe_shared`, ...).
-    pub executor: String,
-    /// Median wall time through the AST interpreter.
-    pub interpreted_ms: f64,
-    /// Median wall time through the compiled bytecode kernels.
-    pub compiled_ms: f64,
-    /// Maximum absolute difference between the two final grids (must be 0).
-    pub max_abs_diff: f64,
-}
-
-impl CompiledTiming {
-    /// Speedup of the compiled path over the interpreter.
-    pub fn speedup(&self) -> f64 {
-        self.interpreted_ms / self.compiled_ms
-    }
-}
-
-/// Times `run` in both engine modes, passing the [`EngineKind`] explicitly
-/// (interpreter first, then compiled) — no process environment is mutated,
-/// so this helper is safe from parallel tests. One untimed warm-up per mode
-/// feeds the bit-exactness check; only the executor call is inside the
-/// timer, state construction is not.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_compiled_ab(
-    name: &str,
-    executor: &str,
-    program: &Program,
-    samples: usize,
-    mut run: impl FnMut(&Program, &mut GridState, EngineKind) -> Result<(), ExecError>,
-) -> Result<CompiledTiming, ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    let mut time_mode = |engine: EngineKind| -> Result<(f64, GridState), ExecError> {
-        let mut result = GridState::new(program, init);
-        run(program, &mut result, engine)?;
-        let mut times = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut s = GridState::new(program, init);
-            let start = Instant::now();
-            run(program, &mut s, engine)?;
-            times.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        Ok((median_ms(&mut times), result))
-    };
-    let (interpreted_ms, a) = time_mode(EngineKind::Interpreted)?;
-    let (compiled_ms, b) = time_mode(EngineKind::Compiled)?;
-    Ok(CompiledTiming {
-        name: name.to_string(),
-        executor: executor.to_string(),
-        interpreted_ms,
-        compiled_ms,
-        max_abs_diff: a.max_abs_diff(&b)?,
     })
 }
 
@@ -992,9 +908,8 @@ mod tests {
 
     #[test]
     fn env_policy_falls_back_to_defaults() {
-        // The override variables are unset in the test environment, so the
-        // builder must reproduce the library defaults exactly.
-        let policy = exec_policy_from_env();
+        // An empty env snapshot must reproduce the library defaults exactly.
+        let policy = ExecPolicy::from_config(&EnvConfig::default());
         let default = ExecPolicy::default();
         assert_eq!(policy.watchdog, default.watchdog);
         assert_eq!(policy.drain, default.drain);

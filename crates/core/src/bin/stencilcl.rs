@@ -379,8 +379,9 @@ fn validate(args: &[String]) -> Result<String, String> {
             ("threaded", ExecMode::Threaded),
         ]
     };
+    let exec_opts = ExecOptions::from_config(EnvConfig::get());
     for (label, mode) in modes {
-        let diff = verify_design(&program, &partition, *mode, |name, p| {
+        let diff = verify_design(&program, &partition, *mode, &exec_opts, |name, p| {
             let mut v = name.len() as f64;
             for d in 0..p.dim() {
                 v = v * 31.0 + p.coord(d) as f64;
@@ -642,7 +643,7 @@ fn resume_cmd(args: &[String]) -> Result<String, String> {
     let program = manifest.program.clone();
     let spec = manifest.design.clone().ok_or(
         "checkpoint manifest records no design (a library-driven run?); \
-         resume it programmatically via resume_supervised",
+         resume it programmatically via resume_supervised_full",
     )?;
     let kind = parse_kind(&spec.kind)?;
     if kind == DesignKind::Baseline {
@@ -868,7 +869,6 @@ mod tests {
             ("STENCILCL_DEADLINE_MS", "1000"),
             ("STENCILCL_MAX_RETRIES", "7"),
             ("STENCILCL_LANES", "2"),
-            ("STENCILCL_INTEGRITY", "1"),
         ]);
         let opts = flag_opts(&[
             "--deadline-ms",
@@ -908,7 +908,7 @@ mod tests {
         assert!(exec.health.enabled());
         assert_eq!(exec.health.stride, 3);
         assert_eq!(exec.lanes, Some(4));
-        // `run` seals slabs by default even when env leaves them off.
+        // `run` seals slabs by default.
         assert!(exec.integrity);
     }
 

@@ -89,7 +89,8 @@ impl Framework {
         mode: stencilcl_exec::ExecMode,
     ) -> Result<(), FrameworkError> {
         let partition = self.partition(program, point)?;
-        let diff = stencilcl_exec::verify_design(program, &partition, mode, |name, p| {
+        let opts = stencilcl_exec::ExecOptions::new();
+        let diff = stencilcl_exec::verify_design(program, &partition, mode, &opts, |name, p| {
             let mut v = name.len() as f64;
             for d in 0..p.dim() {
                 v = v * 31.0 + p.coord(d) as f64;

@@ -52,12 +52,11 @@ pub use report::{DesignEval, SynthesisReport};
 pub mod prelude {
     pub use stencilcl_codegen::{generate, CodegenOptions, GeneratedCode};
     pub use stencilcl_exec::{
-        live_workers, load_latest, resume_supervised, resume_supervised_full, run_overlapped,
-        run_overlapped_opts, run_pipe_shared, run_pipe_shared_opts, run_reference,
-        run_reference_opts, run_supervised, run_supervised_full, run_supervised_opts, run_threaded,
-        run_threaded_opts, run_threaded_with, verify_design, CheckpointManifest, CheckpointPolicy,
-        CheckpointStore, DesignSpec, DirStore, EngineKind, ExecMode, ExecOptions, ExecPolicy,
-        HealthMode, HealthPolicy, LoadedCheckpoint, RecoveryPath, RunReport,
+        live_workers, load_latest, resume_supervised_full, run_overlapped_opts,
+        run_pipe_shared_opts, run_reference_opts, run_supervised_full, run_supervised_opts,
+        run_threaded_opts, verify_design, CheckpointManifest, CheckpointPolicy, CheckpointStore,
+        DesignSpec, DirStore, ExecMode, ExecOptions, ExecPolicy, HealthMode, HealthPolicy,
+        LoadedCheckpoint, RecoveryPath, RunReport,
     };
     pub use stencilcl_grid::{
         Cone, Design, DesignKind, Extent, Grid, Growth, Partition, Point, Rect,

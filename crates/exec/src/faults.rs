@@ -5,7 +5,7 @@
 //! every run, which is what makes supervised-recovery tests meaningful.
 //! Each injected fault fires exactly **once**: a retried attempt observes
 //! the fault on first encounter and a clean pipeline afterwards, the
-//! transient-fault shape [`run_supervised`](crate::run_supervised) is
+//! transient-fault shape [`run_supervised_opts`](crate::run_supervised_opts) is
 //! built to absorb (inject the same trigger several times to fail several
 //! consecutive attempts).
 //!
@@ -138,9 +138,9 @@ mod plan {
 
     /// A deterministic schedule of executor faults (see the module docs).
     ///
-    /// Built with [`FaultPlan::inject`] and handed to
-    /// [`run_supervised_injected`](crate::run_supervised_injected); workers
-    /// consult it at every fused-block start. Duplicate triggers are
+    /// Built with [`FaultPlan::inject`] and handed to an executor through
+    /// [`ExecOptions::faults`](crate::ExecOptions::faults); workers consult
+    /// it at every fused-block start. Duplicate triggers are
     /// legitimate: each entry fires once, in insertion order.
     #[derive(Debug, Default)]
     pub struct FaultPlan {

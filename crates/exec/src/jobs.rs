@@ -36,7 +36,7 @@ use stencilcl_lang::{GridState, Program};
 
 use crate::faults::FaultKind;
 use crate::options::ExecOptions;
-use crate::supervise::{dispatch_with, RecoveryPath, ResumeBase, RunReport};
+use crate::supervise::{dispatch, RecoveryPath, ResumeBase, RunReport};
 use crate::ExecError;
 
 /// External cooperative cancellation of one run. Clone freely: every clone
@@ -99,7 +99,7 @@ pub struct JobSpec {
     pub partition: Partition,
     /// Initial grid state; the outcome returns it advanced.
     pub state: GridState,
-    /// Per-job options — engine, policy (deadline!), cancel handle,
+    /// Per-job options — policy (deadline!), cancel handle,
     /// progress hook, per-job trace recorder, checkpoint policy.
     pub opts: ExecOptions,
     /// When set, the runner first tries to resume from the newest sealed
@@ -443,10 +443,8 @@ fn run_one(guard: &mut RunGuard) {
 /// carries a `resume_dir`, falling back to a fresh run when nothing there
 /// is resumable yet.
 fn execute(spec: &mut JobSpec) -> (RunReport, Result<(), ExecError>) {
-    let faults = Arc::clone(&spec.opts.faults);
     if let Some(dir) = spec.resume_dir.clone() {
-        match crate::persist::resume_impl(&spec.program, &spec.partition, &dir, &spec.opts, &faults)
-        {
+        match crate::resume_supervised_full(&spec.program, &spec.partition, &dir, &spec.opts) {
             Ok((state, report, result)) => {
                 spec.state = state;
                 return (report, result);
@@ -456,12 +454,11 @@ fn execute(spec: &mut JobSpec) -> (RunReport, Result<(), ExecError>) {
             }
         }
     }
-    dispatch_with(
+    dispatch(
         &spec.program,
         &spec.partition,
         &mut spec.state,
         &spec.opts,
-        &faults,
         ResumeBase::default(),
     )
 }

@@ -1,10 +1,11 @@
-//! Per-run executor options: engine selection, supervision policy, and the
-//! telemetry sink — all decided **at plan time**, before any worker spawns.
+//! Per-run executor options: supervision policy, guards, fault plan, and
+//! the telemetry sink — all decided **at plan time**, before any worker
+//! spawns.
 //!
-//! Environment variables are only the outermost default (parsed once per
-//! process by `stencilcl_telemetry::EnvConfig`); anything driving executors
-//! programmatically — the bench A/B harness, tests, the CLI — passes an
-//! explicit [`ExecOptions`] instead of mutating process env.
+//! [`ExecOptions`] is the only way to configure an executor: the library
+//! never reads the process environment. A binary maps the `STENCILCL_*`
+//! knobs once, through [`ExecOptions::from_config`] over the parsed-once
+//! `stencilcl_telemetry::EnvConfig` snapshot, and layers its flags on top.
 
 use std::sync::Arc;
 
@@ -16,50 +17,19 @@ use crate::jobs::{CancelHandle, Progress};
 use crate::persist::CheckpointPolicy;
 use crate::supervise::ExecPolicy;
 
-/// Which statement evaluator a run uses. Both are bit-exact; see the
-/// crate-level docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Flat bytecode kernels compiled once per (region, kernel) — the
-    /// default.
-    #[default]
-    Compiled,
-    /// The tree-walking AST interpreter — the differential-test oracle.
-    Interpreted,
-}
-
-impl EngineKind {
-    /// The process default: [`EngineKind::Interpreted`] when
-    /// `STENCILCL_INTERPRET` is truthy (non-empty and not `"0"`), read once
-    /// per process.
-    pub fn from_env() -> EngineKind {
-        if EnvConfig::get().interpret {
-            EngineKind::Interpreted
-        } else {
-            EngineKind::Compiled
-        }
-    }
-}
-
 /// Everything an executor run can be configured with. Build with the
 /// chained setters:
 ///
 /// ```
-/// use stencilcl_exec::{EngineKind, ExecOptions};
+/// use stencilcl_exec::ExecOptions;
 /// use stencilcl_telemetry::Recorder;
 ///
 /// let rec = Recorder::new();
-/// let opts = ExecOptions::new()
-///     .engine(EngineKind::Compiled)
-///     .trace(rec.clone());
+/// let opts = ExecOptions::new().lanes(4).trace(rec.clone());
 /// assert!(opts.trace.is_some());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Statement evaluator ([`EngineKind::from_env`] default comes via
-    /// [`ExecOptions::from_env`]; plain `default()` is the compiled
-    /// engine).
-    pub engine: EngineKind,
     /// Deadlines and retry limits for the threaded/supervised executors.
     pub policy: ExecPolicy,
     /// Telemetry sink: `Some(recorder)` records spans and counters into it;
@@ -78,12 +48,13 @@ pub struct ExecOptions {
     /// default (zero cost when off — the checksum is never computed).
     pub integrity: bool,
     /// Lane width of the compiled vectorized tape walk: `Some(1)` forces
-    /// the scalar walk, `Some(w)` a `w`-lane sweep, `None` defers to
-    /// `STENCILCL_LANES` / the compiler default. Every width is bit-exact.
+    /// the scalar walk, `Some(w)` a `w`-lane sweep, `None` takes the
+    /// compiler default. Every width is bit-exact.
     pub lanes: Option<usize>,
     /// Durable-checkpoint persistence: when armed with a directory, every
     /// k-th fused-block barrier seals a crash-safe generation that
-    /// [`resume_supervised`](crate::resume_supervised) can restart from.
+    /// [`resume_supervised_full`](crate::resume_supervised_full) can
+    /// restart from.
     /// Disarmed by default (zero cost when off).
     pub checkpoint: CheckpointPolicy,
     /// External cooperative cancellation for submitted jobs: checked at
@@ -95,36 +66,30 @@ pub struct ExecOptions {
     /// iteration count each time a fused-block barrier lands — the feed
     /// behind the service's streamed job events. `None` by default.
     pub progress: Option<Progress>,
-    /// Deterministic fault schedule riding with the job into
-    /// [`ExecPool`](crate::ExecPool) runners — the chaos-testing seam for
-    /// job-level faults (runner panics, silent stalls). Empty by default;
-    /// without the `fault-injection` feature this is a zero-sized no-op.
+    /// Deterministic fault schedule — the chaos-testing seam. Worker
+    /// faults reach the threaded pool, I/O faults the checkpoint store,
+    /// and job-level faults (runner panics, silent stalls) the
+    /// [`ExecPool`](crate::ExecPool) runners. Empty by default; without the
+    /// `fault-injection` feature this is a zero-sized no-op.
     pub faults: Arc<FaultPlan>,
 }
 
 impl ExecOptions {
-    /// Options with library defaults: compiled engine, default policy, no
+    /// Options with library defaults: default policy, no guards, no
     /// tracing.
     pub fn new() -> ExecOptions {
         ExecOptions::default()
     }
 
-    /// Options seeded from the process environment (parsed once):
-    /// `STENCILCL_INTERPRET` selects the engine, `STENCILCL_WATCHDOG_MS` /
-    /// `STENCILCL_DRAIN_MS` / `STENCILCL_MAX_RETRIES` /
-    /// `STENCILCL_DEADLINE_MS` override the policy, `STENCILCL_TRACE` arms
-    /// a fresh [`Recorder`], `STENCILCL_HEALTH_BOUND` /
-    /// `STENCILCL_HEALTH_STRIDE` arm the health watchdog, and
-    /// `STENCILCL_INTEGRITY` arms slab checksums.
-    pub fn from_env() -> ExecOptions {
-        ExecOptions::from_config(EnvConfig::get())
-    }
-
-    /// Options seeded from an explicit [`EnvConfig`] — the testable seam
-    /// behind [`ExecOptions::from_env`]. The process snapshot is frozen on
-    /// first read, so callers layering CLI flags on top (the `stencilcl`
-    /// binary) build from the snapshot here and then overwrite fields from
-    /// their flags: a flag always beats the frozen env.
+    /// Options seeded from an [`EnvConfig`] snapshot:
+    /// `STENCILCL_WATCHDOG_MS` / `STENCILCL_DRAIN_MS` /
+    /// `STENCILCL_MAX_RETRIES` / `STENCILCL_DEADLINE_MS` override the
+    /// policy, `STENCILCL_TRACE` arms a fresh [`Recorder`],
+    /// `STENCILCL_HEALTH_BOUND` / `STENCILCL_HEALTH_STRIDE` arm the health
+    /// watchdog, `STENCILCL_LANES` sets the lane width, and
+    /// `STENCILCL_CKPT_DIR` / `STENCILCL_CKPT_EVERY` arm checkpoints.
+    /// Binaries call this once on the process snapshot and then overwrite
+    /// fields from their flags, so a flag always beats the env.
     pub fn from_config(cfg: &EnvConfig) -> ExecOptions {
         let mut health = match cfg.health_bound {
             Some(bound) => HealthPolicy::bounded(bound),
@@ -134,28 +99,13 @@ impl ExecOptions {
             health = health.stride(stride);
         }
         ExecOptions {
-            engine: if cfg.interpret {
-                EngineKind::Interpreted
-            } else {
-                EngineKind::Compiled
-            },
             policy: ExecPolicy::from_config(cfg),
             trace: cfg.trace.then(Recorder::new),
             health,
-            integrity: cfg.integrity,
             lanes: cfg.lanes,
             checkpoint: CheckpointPolicy::from_config(cfg),
-            cancel: None,
-            progress: None,
-            faults: Arc::new(FaultPlan::new()),
+            ..ExecOptions::default()
         }
-    }
-
-    /// Replaces the engine.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineKind) -> ExecOptions {
-        self.engine = engine;
-        self
     }
 
     /// Replaces the supervision policy.
@@ -238,7 +188,7 @@ mod tests {
     #[test]
     fn defaults_are_compiled_untraced() {
         let opts = ExecOptions::new();
-        assert_eq!(opts.engine, EngineKind::Compiled);
+        assert_eq!(opts.lanes, None);
         assert_eq!(opts.policy, ExecPolicy::default());
         assert!(opts.trace.is_none());
         assert!(!opts.health.enabled());
@@ -261,11 +211,9 @@ mod tests {
     fn from_config_maps_every_knob() {
         let (cfg, warnings) = EnvConfig::parse(|var| {
             match var {
-                "STENCILCL_INTERPRET" => Some("1"),
                 "STENCILCL_DEADLINE_MS" => Some("1500"),
                 "STENCILCL_HEALTH_BOUND" => Some("1e9"),
                 "STENCILCL_HEALTH_STRIDE" => Some("5"),
-                "STENCILCL_INTEGRITY" => Some("1"),
                 "STENCILCL_LANES" => Some("4"),
                 "STENCILCL_CKPT_DIR" => Some("/tmp/stencilcl-ckpt"),
                 "STENCILCL_CKPT_EVERY" => Some("6"),
@@ -275,14 +223,12 @@ mod tests {
         });
         assert!(warnings.is_empty());
         let opts = ExecOptions::from_config(&cfg);
-        assert_eq!(opts.engine, EngineKind::Interpreted);
         assert_eq!(
             opts.policy.deadline,
             Some(std::time::Duration::from_millis(1500))
         );
         assert!(opts.health.enabled());
         assert_eq!(opts.health.stride, 5);
-        assert!(opts.integrity);
         assert_eq!(opts.lanes, Some(4));
         assert!(opts.checkpoint.enabled());
         assert_eq!(
@@ -305,10 +251,8 @@ mod tests {
     #[test]
     fn setters_chain() {
         let rec = Recorder::with_capacity(4);
-        let opts = ExecOptions::new()
-            .engine(EngineKind::Interpreted)
-            .trace(rec);
-        assert_eq!(opts.engine, EngineKind::Interpreted);
+        let opts = ExecOptions::new().lanes(3).trace(rec);
+        assert_eq!(opts.lanes, Some(3));
         assert!(opts.trace.is_some());
     }
 }

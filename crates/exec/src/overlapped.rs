@@ -1,11 +1,11 @@
 use stencilcl_grid::{DesignKind, Extent, Partition, Rect};
-use stencilcl_lang::{GridState, Interpreter, Program, StencilFeatures};
+use stencilcl_lang::{GridState, Program, StencilFeatures};
 use stencilcl_telemetry::{Counter, Disabled, TracePhase, TraceSink};
 
 use crate::domains::DomainPlan;
-use crate::engine::{compile_with_env_lanes, Engine};
 use crate::integrity::{scan_state, RunLimits};
-use crate::options::{EngineKind, ExecOptions};
+use crate::options::ExecOptions;
+use crate::pool::compile_with_lanes;
 use crate::window::{extract_window, write_back};
 use crate::ExecError;
 
@@ -13,36 +13,22 @@ use crate::ExecError;
 /// per fused pass, every tile independently loads its expanded cone
 /// footprint from the pass snapshot, computes all fused iterations locally
 /// (recomputing the halo overlap its neighbors also compute), and writes its
-/// tile back.
+/// tile back. With [`ExecOptions::trace`] set, tile rows in the trace are
+/// numbered in region-major tile order.
 ///
-/// The result must equal [`run_reference`](crate::run_reference) exactly —
-/// redundant computation changes *where* values are computed, never *what*
-/// they are.
+/// The result must equal [`run_reference_opts`](crate::run_reference_opts)
+/// exactly — redundant computation changes *where* values are computed,
+/// never *what* they are.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::BadConfiguration`] unless the partition's design is
-/// [`DesignKind::Baseline`], and propagates geometry/interpreter errors.
+/// [`DesignKind::Baseline`], and propagates geometry/evaluation errors.
 ///
 /// # Example
 ///
-/// See the crate-level documentation (`run_pipe_shared` is used the same
-/// way).
-pub fn run_overlapped(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-) -> Result<(), ExecError> {
-    run_overlapped_opts(program, partition, state, &ExecOptions::from_env())
-}
-
-/// [`run_overlapped`] with explicit [`ExecOptions`]: engine choice and
-/// (optionally) a telemetry recorder. Tile rows in the trace are numbered in
-/// region-major tile order.
-///
-/// # Errors
-///
-/// Same conditions as [`run_overlapped`].
+/// See the crate-level documentation (`run_pipe_shared_opts` is used the
+/// same way).
 pub fn run_overlapped_opts(
     program: &Program,
     partition: &Partition,
@@ -57,24 +43,8 @@ pub fn run_overlapped_opts(
     }
     let limits = opts.limits();
     match &opts.trace {
-        Some(rec) => run_fused(
-            program,
-            partition,
-            state,
-            opts.engine,
-            opts.lanes,
-            limits,
-            &rec.clone(),
-        ),
-        None => run_fused(
-            program,
-            partition,
-            state,
-            opts.engine,
-            opts.lanes,
-            limits,
-            &Disabled,
-        ),
+        Some(rec) => run_fused(program, partition, state, opts.lanes, limits, rec),
+        None => run_fused(program, partition, state, opts.lanes, limits, &Disabled),
     }
 }
 
@@ -85,7 +55,6 @@ pub(crate) fn run_fused<S: TraceSink>(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
-    engine_kind: EngineKind,
     lanes: Option<usize>,
     limits: RunLimits,
     sink: &S,
@@ -129,16 +98,7 @@ pub(crate) fn run_fused<S: TraceSink>(
                     );
                     sink.span(k, 0, TracePhase::Read, read_t0, sink.now());
                 }
-                let compiled;
-                let engine = match engine_kind {
-                    EngineKind::Interpreted => {
-                        Engine::Interpreted(Interpreter::new(&local_program))
-                    }
-                    EngineKind::Compiled => {
-                        compiled = compile_with_env_lanes(&local_program, lanes)?;
-                        Engine::Compiled(&compiled)
-                    }
-                };
+                let kernels = compile_with_lanes(&local_program, lanes)?;
                 let origin = buffer.lo();
                 for i in 1..=h_eff {
                     let compute_t0 = sink.now();
@@ -153,7 +113,7 @@ pub(crate) fn run_fused<S: TraceSink>(
                             let own = global_domain.intersect(&tile.rect())?.volume();
                             sink.add(Counter::RedundantCells, domain.volume() - own);
                         }
-                        engine.apply_statement(&mut local, s, &domain)?;
+                        kernels.apply_statement(&mut local, s, &domain)?;
                     }
                     if S::ACTIVE {
                         sink.span(
@@ -195,7 +155,7 @@ pub(crate) fn window_extent(rect: &Rect) -> Result<Extent, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_reference;
+    use crate::run_reference_opts;
     use stencilcl_grid::{Design, Point};
     use stencilcl_lang::programs;
 
@@ -211,9 +171,9 @@ mod tests {
             (v * 0.001).sin()
         };
         let mut expect = GridState::new(program, init);
-        run_reference(program, &mut expect).unwrap();
+        run_reference_opts(program, &mut expect, &ExecOptions::new()).unwrap();
         let mut got = GridState::new(program, init);
-        run_overlapped(program, &partition, &mut got).unwrap();
+        run_overlapped_opts(program, &partition, &mut got, &ExecOptions::new()).unwrap();
         assert_eq!(
             expect.max_abs_diff(&got).unwrap(),
             0.0,
@@ -275,6 +235,6 @@ mod tests {
         let d = Design::equal(DesignKind::PipeShared, 2, vec![2], vec![8]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut s = GridState::uniform(&p, 0.0);
-        assert!(run_overlapped(&p, &partition, &mut s).is_err());
+        assert!(run_overlapped_opts(&p, &partition, &mut s, &ExecOptions::new()).is_err());
     }
 }

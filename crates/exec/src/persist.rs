@@ -24,7 +24,7 @@
 //!   its iterations-normalized hash, the iteration cursor, the fused-block
 //!   sequence base, the remaining wall-clock deadline budget, and a
 //!   telemetry counter snapshot.
-//! - [`resume_supervised`] walks the generations newest → oldest: a
+//! - [`resume_supervised_full`] walks the generations newest → oldest: a
 //!   generation that fails digest or decode validation is skipped with a
 //!   diagnostic and the next-older one is tried; an *intact* manifest whose
 //!   program hash does not match the resuming program is a permanent
@@ -60,7 +60,7 @@ use crate::error::ExecError;
 use crate::faults::{FaultKind, FaultPlan, IoOp};
 use crate::integrity::fnv1a_bytes;
 use crate::options::ExecOptions;
-use crate::supervise::{dispatch_with, globalize, ExecPolicy, RecoveryPath, ResumeBase, RunReport};
+use crate::supervise::{dispatch, globalize, ExecPolicy, RecoveryPath, ResumeBase, RunReport};
 
 /// File magic of a checkpoint generation.
 const MAGIC: &[u8; 8] = b"STCLCKPT";
@@ -159,10 +159,9 @@ impl CheckpointPolicy {
         self.dir.is_some()
     }
 
-    /// Defaults overridden by an explicit [`EnvConfig`] snapshot
-    /// (`STENCILCL_CKPT_DIR`, `STENCILCL_CKPT_EVERY`) — the injectable seam
-    /// behind [`ExecOptions::from_env`](crate::ExecOptions::from_env);
-    /// CLI flags layered on top always beat the frozen env.
+    /// Defaults overridden by an [`EnvConfig`] snapshot
+    /// (`STENCILCL_CKPT_DIR`, `STENCILCL_CKPT_EVERY`); CLI flags layered on
+    /// top always beat the env.
     pub fn from_config(cfg: &EnvConfig) -> Self {
         let mut policy = CheckpointPolicy::default();
         if let Some(dir) = &cfg.ckpt_dir {
@@ -746,16 +745,16 @@ pub(crate) struct CheckpointWriter {
 impl CheckpointWriter {
     /// Builds the writer when `opts.checkpoint` is armed; `None` otherwise.
     /// `program` is the remainder handed to the supervisor; `base` rebases
-    /// it onto the global run when resuming.
+    /// it onto the global run when resuming. The store fires I/O faults
+    /// from `opts.faults`.
     pub(crate) fn from_options(
         program: &Program,
         opts: &ExecOptions,
         base: &ResumeBase,
         deadline: Option<Instant>,
-        faults: &Arc<FaultPlan>,
     ) -> Option<CheckpointWriter> {
         let dir = opts.checkpoint.dir.clone()?;
-        let store = DirStore::with_faults(dir, Arc::clone(faults));
+        let store = DirStore::with_faults(dir, Arc::clone(&opts.faults));
         let total = base.iterations + program.iterations;
         let target = program.with_iterations(total);
         // Continue the store's numbering so resumed runs never reuse a
@@ -914,62 +913,26 @@ impl CheckpointWriter {
 /// under the same supervision ladder. The final grid is bit-exact with an
 /// uninterrupted run. Further checkpoints continue into the same store.
 ///
-/// # Errors
-///
-/// [`ExecError::CheckpointMismatch`] when no generation is resumable (see
-/// [`load_latest`]); [`ExecError::DeadlineExceeded`] when the original
-/// run's absolute deadline has already passed — resuming never grants new
-/// wall-clock budget; plus anything the resumed run itself can fail with.
-pub fn resume_supervised(
-    program: &Program,
-    partition: &Partition,
-    dir: &Path,
-    opts: &ExecOptions,
-) -> Result<(GridState, RunReport), ExecError> {
-    let (state, report, result) = resume_supervised_full(program, partition, dir, opts)?;
-    result.map(|()| (state, report))
-}
-
-/// [`resume_supervised`] that separates load failures from run failures:
-/// the outer error means no checkpoint could be loaded (nothing ran); an
-/// inner error comes with the restored state and the attempt history of
-/// the resumed run.
+/// Load failures are separated from run failures: the outer error means no
+/// checkpoint could be loaded (nothing ran); an inner error comes with the
+/// restored state and the attempt history of the resumed run — including
+/// [`ExecError::DeadlineExceeded`] when the original run's absolute
+/// deadline has already passed, since resuming never grants new wall-clock
+/// budget. [`ExecOptions::faults`] reaches both the worker pool and the
+/// checkpoint store.
 ///
 /// # Errors
 ///
-/// Outer: [`ExecError::CheckpointMismatch`] only.
+/// Outer: [`ExecError::CheckpointMismatch`] only, when no generation is
+/// resumable (see [`load_latest`]).
 pub fn resume_supervised_full(
     program: &Program,
     partition: &Partition,
     dir: &Path,
     opts: &ExecOptions,
 ) -> Result<(GridState, RunReport, Result<(), ExecError>), ExecError> {
-    resume_impl(program, partition, dir, opts, &Arc::new(FaultPlan::new()))
-}
-
-/// [`resume_supervised_full`] with a deterministic [`FaultPlan`] reaching
-/// both the worker pool and the checkpoint store — the chaos-testing entry
-/// point for I/O faults.
-#[cfg(feature = "fault-injection")]
-pub fn resume_supervised_injected_full(
-    program: &Program,
-    partition: &Partition,
-    dir: &Path,
-    opts: &ExecOptions,
-    faults: &Arc<FaultPlan>,
-) -> Result<(GridState, RunReport, Result<(), ExecError>), ExecError> {
-    resume_impl(program, partition, dir, opts, faults)
-}
-
-pub(crate) fn resume_impl(
-    program: &Program,
-    partition: &Partition,
-    dir: &Path,
-    opts: &ExecOptions,
-    faults: &Arc<FaultPlan>,
-) -> Result<(GridState, RunReport, Result<(), ExecError>), ExecError> {
     let t0 = opts.trace.as_ref().map(TraceSink::now);
-    let store = DirStore::with_faults(dir, Arc::clone(faults));
+    let store = DirStore::with_faults(dir, Arc::clone(&opts.faults));
     let loaded = load_latest(&store, Some(program_hash(program)))?;
     for note in &loaded.fallback_notes {
         eprintln!("[stencilcl] checkpoint fallback: {note}");
@@ -1020,7 +983,7 @@ pub(crate) fn resume_impl(
         iterations: done,
         blocks: loaded.manifest.blocks_done,
     };
-    let (mut report, result) = dispatch_with(&rest, partition, &mut state, &opts, faults, base);
+    let (mut report, result) = dispatch(&rest, partition, &mut state, &opts, base);
     // Attempt and error coordinates become run-global, matching what an
     // uninterrupted run would have reported.
     for attempt in &mut report.attempts {
@@ -1036,9 +999,20 @@ pub(crate) fn resume_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_reference, run_supervised_full};
+    use crate::{run_reference_opts, run_supervised_full};
     use stencilcl_grid::{Design, DesignKind, Extent, Point};
     use stencilcl_lang::{programs, StencilFeatures};
+
+    /// [`resume_supervised_full`] with load and run failures flattened.
+    fn resume(
+        program: &Program,
+        partition: &Partition,
+        dir: &Path,
+        opts: &ExecOptions,
+    ) -> Result<(GridState, RunReport), ExecError> {
+        let (state, report, result) = resume_supervised_full(program, partition, dir, opts)?;
+        result.map(|()| (state, report))
+    }
 
     fn init(name: &str, p: &Point) -> f64 {
         let mut v = name.len() as f64 + 2.0;
@@ -1183,7 +1157,7 @@ mod tests {
         let (p, partition) = blur();
         let dir = scratch("run");
         let mut expect = GridState::new(&p, init);
-        run_reference(&p, &mut expect).unwrap();
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
 
         let opts = ExecOptions::new().checkpoint(
             CheckpointPolicy::at(&dir)
@@ -1215,7 +1189,7 @@ mod tests {
         let (p, partition) = blur();
         let dir = scratch("resume");
         let mut expect = GridState::new(&p, init);
-        run_reference(&p, &mut expect).unwrap();
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
 
         // Run to completion with a deep generation history, then discard the
         // newest generations — exactly what a mid-run SIGKILL leaves behind.
@@ -1238,7 +1212,7 @@ mod tests {
         let done = mid.manifest.completed_iterations;
         assert!(done > 0 && done < p.iterations, "cut mid-run, got {done}");
 
-        let (state, report) = resume_supervised(&p, &partition, &dir, &opts).unwrap();
+        let (state, report) = resume(&p, &partition, &dir, &opts).unwrap();
         assert_eq!(expect.max_abs_diff(&state).unwrap(), 0.0);
         assert_eq!(report.attempts[0].start_iteration, done);
         assert_eq!(report.attempts[0].iterations_completed, p.iterations - done);
@@ -1257,7 +1231,7 @@ mod tests {
         run_supervised_full(&p, &partition, &mut got, &opts)
             .1
             .unwrap();
-        let (state, report) = resume_supervised(&p, &partition, &dir, &opts).unwrap();
+        let (state, report) = resume(&p, &partition, &dir, &opts).unwrap();
         assert!(report.attempts.is_empty());
         assert_eq!(got.max_abs_diff(&state).unwrap(), 0.0);
         let _ = fs::remove_dir_all(&dir);
@@ -1325,7 +1299,7 @@ mod tests {
         let f = StencilFeatures::extract(&other).unwrap();
         let d = Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![4, 4]).unwrap();
         let part2 = Partition::new(other.extent(), &d, &f.growth).unwrap();
-        let err = resume_supervised(&other, &part2, &dir, &opts).unwrap_err();
+        let err = resume(&other, &part2, &dir, &opts).unwrap_err();
         let ExecError::CheckpointMismatch { detail } = &err else {
             panic!("wrong error: {err:?}");
         };
@@ -1383,10 +1357,14 @@ mod tests {
         // Sequentially compute the expected tail: reference from the
         // checkpoint state for the remaining iterations.
         let mut expect = GridState::uniform(&p, 0.5);
-        run_reference(&p.with_iterations(p.iterations - 4), &mut expect).unwrap();
+        run_reference_opts(
+            &p.with_iterations(p.iterations - 4),
+            &mut expect,
+            &ExecOptions::new(),
+        )
+        .unwrap();
 
-        let (resumed, report) =
-            resume_supervised(&p, &partition, &dir, &ExecOptions::new()).unwrap();
+        let (resumed, report) = resume(&p, &partition, &dir, &ExecOptions::new()).unwrap();
         assert_eq!(expect.max_abs_diff(&resumed).unwrap(), 0.0);
         assert_eq!(report.attempts[0].start_iteration, 4);
         let _ = fs::remove_dir_all(&dir);

@@ -2,9 +2,8 @@ use stencilcl_grid::{Partition, Rect};
 use stencilcl_lang::{GridState, Program};
 use stencilcl_telemetry::{Counter, Disabled, TracePhase, TraceSink};
 
-use crate::engine::Engine;
 use crate::integrity::{scan_state, slab_checksum, verify_slab, RunLimits};
-use crate::options::{EngineKind, ExecOptions};
+use crate::options::ExecOptions;
 use crate::pool::{apply_statement_split, Edge, PipelinePlan, SplitScratch};
 use crate::window::{extract_window, refresh_ring, write_back};
 use crate::ExecError;
@@ -16,37 +15,23 @@ use crate::ExecError;
 /// neighbors, which splice it into their local halos.
 ///
 /// This is the sequential (deterministic) rendition of the dataflow;
-/// [`run_threaded`](crate::run_threaded) executes the same protocol with a
-/// persistent pool of worker threads and channels. Both must match
-/// [`run_reference`](crate::run_reference) exactly.
+/// [`run_threaded_opts`](crate::run_threaded_opts) executes the same
+/// protocol with a persistent pool of worker threads and channels. Both
+/// must match [`run_reference_opts`](crate::run_reference_opts) exactly.
+/// Because this executor is sequential, a trace
+/// ([`ExecOptions::trace`]) shows the dataflow's logical order — slab
+/// splices appear as `Dependent` spans on the receiving kernel's row.
 ///
-/// All geometry is planned once per run ([`PipelinePlan`]); each tile's
-/// local window persists across fused blocks with only its halo ring
-/// refreshed, and the global grid is double-buffered (reads from `cur`,
-/// tile write-backs into `next`, swap per block) instead of cloned per
-/// block.
+/// All geometry is planned once per run; each tile's local window persists
+/// across fused blocks with only its halo ring refreshed, and the global
+/// grid is double-buffered (reads from `cur`, tile write-backs into `next`,
+/// swap per block) instead of cloned per block.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::BadConfiguration`] for baseline partitions,
 /// [`ExecError::DiagonalAccess`] for non-star stencils, and propagates
-/// geometry/interpreter errors.
-pub fn run_pipe_shared(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-) -> Result<(), ExecError> {
-    run_pipe_shared_opts(program, partition, state, &ExecOptions::from_env())
-}
-
-/// [`run_pipe_shared`] with explicit [`ExecOptions`]: engine choice and
-/// (optionally) a telemetry recorder. Because this executor is sequential,
-/// its trace shows the dataflow's logical order — slab splices appear as
-/// `Dependent` spans on the receiving kernel's row.
-///
-/// # Errors
-///
-/// Same conditions as [`run_pipe_shared`].
+/// geometry/evaluation errors.
 pub fn run_pipe_shared_opts(
     program: &Program,
     partition: &Partition,
@@ -55,35 +40,18 @@ pub fn run_pipe_shared_opts(
 ) -> Result<(), ExecError> {
     let limits = opts.limits();
     match &opts.trace {
-        Some(rec) => pipe_shared_impl(
-            program,
-            partition,
-            state,
-            opts.engine,
-            opts.lanes,
-            limits,
-            &rec.clone(),
-        ),
-        None => pipe_shared_impl(
-            program,
-            partition,
-            state,
-            opts.engine,
-            opts.lanes,
-            limits,
-            &Disabled,
-        ),
+        Some(rec) => pipe_shared_impl(program, partition, state, opts.lanes, limits, rec),
+        None => pipe_shared_impl(program, partition, state, opts.lanes, limits, &Disabled),
     }
 }
 
 /// The monomorphized body shared by [`run_pipe_shared_opts`] and the
 /// supervisor's sequential-fallback path (which must keep the failing run's
-/// engine and sink).
+/// lane width and sink).
 pub(crate) fn pipe_shared_impl<S: TraceSink>(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
-    engine: EngineKind,
     lanes: Option<usize>,
     limits: RunLimits,
     sink: &S,
@@ -105,15 +73,6 @@ pub(crate) fn pipe_shared_impl<S: TraceSink>(
     // the first block and halo-refreshed afterwards.
     let mut locals: Vec<Vec<Option<GridState>>> =
         vec![(0..kernels).map(|_| None).collect(); region_count];
-    // One engine per (region, kernel): the region's compiled bytecode by
-    // default, the AST interpreter in oracle mode.
-    let engines: Vec<Vec<Engine<'_>>> = (0..region_count)
-        .map(|r| {
-            (0..kernels)
-                .map(|k| Engine::build(engine, &plan.local_programs[r][k], &plan.compiled[r][k]))
-                .collect()
-        })
-        .collect();
     let mut scratch = SplitScratch::new();
 
     // Per-kernel outgoing edges and their local-coordinate source rects are
@@ -214,7 +173,7 @@ pub(crate) fn pipe_shared_impl<S: TraceSink>(
                         let edges = &out_edges[k];
                         let compute_t0 = sink.now();
                         apply_statement_split(
-                            &engines[r][k],
+                            &plan.compiled[r][k],
                             local,
                             s,
                             domain,
@@ -320,7 +279,7 @@ pub(crate) fn pipe_shared_impl<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_reference;
+    use crate::run_reference_opts;
     use stencilcl_grid::{Design, DesignKind, Extent, Point};
     use stencilcl_lang::{programs, StencilFeatures};
 
@@ -336,9 +295,9 @@ mod tests {
         let features = StencilFeatures::extract(program).unwrap();
         let partition = Partition::new(program.extent(), design, &features.growth).unwrap();
         let mut expect = GridState::new(program, init);
-        run_reference(program, &mut expect).unwrap();
+        run_reference_opts(program, &mut expect, &ExecOptions::new()).unwrap();
         let mut got = GridState::new(program, init);
-        run_pipe_shared(program, &partition, &mut got).unwrap();
+        run_pipe_shared_opts(program, &partition, &mut got, &ExecOptions::new()).unwrap();
         assert_eq!(
             expect.max_abs_diff(&got).unwrap(),
             0.0,
@@ -421,7 +380,7 @@ mod tests {
         let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut s = GridState::uniform(&p, 0.0);
-        assert!(run_pipe_shared(&p, &partition, &mut s).is_err());
+        assert!(run_pipe_shared_opts(&p, &partition, &mut s, &ExecOptions::new()).is_err());
     }
 
     #[test]
@@ -436,7 +395,7 @@ mod tests {
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut s = GridState::uniform(&p, 0.0);
         assert!(matches!(
-            run_pipe_shared(&p, &partition, &mut s).unwrap_err(),
+            run_pipe_shared_opts(&p, &partition, &mut s, &ExecOptions::new()).unwrap_err(),
             ExecError::DiagonalAccess { .. }
         ));
     }
@@ -450,7 +409,7 @@ mod tests {
         let f = StencilFeatures::extract(&p).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut plain = GridState::new(&p, init);
-        run_pipe_shared(&p, &partition, &mut plain).unwrap();
+        run_pipe_shared_opts(&p, &partition, &mut plain, &ExecOptions::new()).unwrap();
         let rec = stencilcl_telemetry::Recorder::new();
         let opts = ExecOptions::new().trace(rec.clone());
         let mut traced = GridState::new(&p, init);

@@ -3,10 +3,19 @@ use stencilcl_lang::{CompiledProgram, GridState, Program, StencilFeatures};
 use stencilcl_telemetry::{Counter, TraceSink};
 
 use crate::domains::{reject_diagonals, DomainPlan};
-use crate::engine::{compile_with_env_lanes, Engine};
 use crate::overlapped::window_extent;
 use crate::window::halo_ring;
 use crate::ExecError;
+
+/// Lowers `program` to bytecode kernels walked `lanes` cells at a time
+/// (`None` = the compiler's vector default). Every width is bit-exact.
+pub(crate) fn compile_with_lanes(
+    program: &Program,
+    lanes: Option<usize>,
+) -> Result<CompiledProgram, ExecError> {
+    let lanes = lanes.unwrap_or(stencilcl_lang::LANE_WIDTH);
+    Ok(CompiledProgram::compile(program)?.with_lanes(lanes))
+}
 
 /// Bounded capacity of each pipe channel — the stand-in for the FPGA FIFO
 /// depth. Capacity 2 lets a producer run one statement ahead of a slow
@@ -150,7 +159,7 @@ pub(crate) struct PipelinePlan {
     /// `rings[region][kernel]`: `window ∖ tile` as disjoint rects.
     pub rings: Vec<Vec<Vec<Rect>>>,
     /// `local_programs[region][kernel]`: the program re-extented to the
-    /// window, for building interpreters over local windows.
+    /// window, the shape every local window is extracted in.
     pub local_programs: Vec<Vec<Program>>,
     /// `compiled[region][kernel]`: the local program lowered to bytecode
     /// kernels, once per run — the functional analogue of the code
@@ -189,8 +198,8 @@ pub(crate) fn pass_depths(fused: u64, iterations: u64) -> Vec<u64> {
 impl PipelinePlan {
     /// Builds the full per-run plan, validating the design kind and stencil
     /// shape exactly like the original per-pass executors did. `lanes` is
-    /// the run's explicit lane width for the compiled tape walk (`None`
-    /// defers to `STENCILCL_LANES` / the compiler default).
+    /// the run's lane width for the compiled tape walk (`None` = the
+    /// compiler default).
     pub fn new(
         program: &Program,
         partition: &Partition,
@@ -279,7 +288,7 @@ impl PipelinePlan {
                     .collect::<Result<_, ExecError>>()?;
                 let region_compiled: Vec<CompiledProgram> = region_programs
                     .iter()
-                    .map(|p| compile_with_env_lanes(p, lanes))
+                    .map(|p| compile_with_lanes(p, lanes))
                     .collect::<Result<_, _>>()?;
                 for e in &deepest.edges[r] {
                     if !pairs.contains(&(e.from, e.to)) {
@@ -296,10 +305,7 @@ impl PipelinePlan {
 
         // Second pass: translate every (depth, level, statement) domain into
         // its local window and clip it to the statement's updatable interior
-        // once, instead of per fused block. The local statement domains are
-        // identical between the compiled and interpreted engines (both are
-        // derived from the per-statement halo growth over the window
-        // extent), so the hoisted rects serve either mode.
+        // once, instead of per fused block.
         let stmts = program.updates.len();
         for depth in &mut depths {
             let mut domains = Vec::with_capacity(regions.len());
@@ -372,8 +378,8 @@ pub(crate) fn check_slab_step(
 
 /// Reusable per-run scratch for [`apply_statement_split`]: the boundary
 /// cache (values + occupancy, keyed by the cell's linear index inside the
-/// clipped domain), the committed-values buffer, and the compiled engine's
-/// value stack. Hoisting these into one allocation per run (instead of
+/// clipped domain), the committed-values buffer, and the tape walk's value
+/// stack. Hoisting these into one allocation per run (instead of
 /// fresh vectors per fused block and statement) removes the allocator from
 /// the inner loop.
 #[derive(Debug, Default)]
@@ -418,12 +424,11 @@ fn clipped_lin(clipped: &Rect, p: &stencilcl_grid::Point) -> usize {
 /// handed to `emit` before any interior work, so downstream kernels can
 /// start consuming while this kernel computes its interior. All writes
 /// commit only after every evaluation, preserving the snapshot semantics
-/// (and therefore bit-exactness with the reference execution in either
-/// engine mode).
+/// (and therefore bit-exactness with the reference execution).
 ///
-/// With a compiled engine both the boundary cache and the interior are
-/// evaluated through the statement's bytecode tape; the interior is a
-/// row-major sweep over contiguous rows through the lane-parallel walk
+/// Both the boundary cache and the interior are evaluated through the
+/// statement's bytecode tape; the interior is a row-major sweep over
+/// contiguous rows through the lane-parallel walk
 /// ([`CompiledProgram::eval_row_into`]), no `Point` construction, and
 /// bounds proven once per row. Boundary cells already in the cache are
 /// recomputed as part of their row — the cache is memoization over the
@@ -435,7 +440,7 @@ fn clipped_lin(clipped: &Rect, p: &stencilcl_grid::Point) -> usize {
 /// over that rect.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_statement_split<S: TraceSink>(
-    engine: &Engine<'_>,
+    cp: &CompiledProgram,
     local: &mut GridState,
     s: usize,
     clipped: &Rect,
@@ -448,94 +453,53 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
         sink.add(Counter::CellsComputed, clipped.volume());
     }
     scratch.reset(clipped.volume() as usize);
-    match engine {
-        Engine::Interpreted(interp) => {
-            let stmt = &interp.program().updates[s];
-            for (e, overlap) in outs.iter().enumerate() {
-                let mut values = local.grid(&stmt.target)?.read_window(overlap)?;
-                if !clipped.is_empty() {
-                    for (slot, p) in overlap.iter().enumerate() {
-                        if clipped.contains(&p) {
-                            let i = clipped_lin(clipped, &p);
-                            let v = if scratch.have[i] {
-                                scratch.cached[i]
-                            } else {
-                                let v = interp.eval(&stmt.rhs, local, &p)?;
-                                scratch.cached[i] = v;
-                                scratch.have[i] = true;
-                                v
-                            };
-                            values[slot] = v;
-                        }
+    let target = cp.kernel(s).target();
+    {
+        let views = cp.views(local)?;
+        for (e, overlap) in outs.iter().enumerate() {
+            let mut values = local.grid(target)?.read_window(overlap)?;
+            if !clipped.is_empty() {
+                for (slot, p) in overlap.iter().enumerate() {
+                    if clipped.contains(&p) {
+                        let i = clipped_lin(clipped, &p);
+                        let v = if scratch.have[i] {
+                            scratch.cached[i]
+                        } else {
+                            let idx = cp.extent().linearize(&p)?;
+                            let v = cp.eval_idx(s, &views, idx, &mut scratch.stack);
+                            scratch.cached[i] = v;
+                            scratch.have[i] = true;
+                            v
+                        };
+                        values[slot] = v;
                     }
                 }
-                emit(e, values)?;
             }
-            if clipped.is_empty() {
-                return Ok(());
-            }
-            for p in clipped.iter() {
-                let i = clipped_lin(clipped, &p);
-                let v = if scratch.have[i] {
-                    scratch.cached[i]
-                } else {
-                    interp.eval(&stmt.rhs, local, &p)?
-                };
-                scratch.values.push(v);
-            }
-            let target = local.grid_mut(&stmt.target)?;
-            target.write_window(clipped, &scratch.values)?;
+            emit(e, values)?;
         }
-        Engine::Compiled(cp) => {
-            let target = cp.kernel(s).target();
-            {
-                let views = cp.views(local)?;
-                for (e, overlap) in outs.iter().enumerate() {
-                    let mut values = local.grid(target)?.read_window(overlap)?;
-                    if !clipped.is_empty() {
-                        for (slot, p) in overlap.iter().enumerate() {
-                            if clipped.contains(&p) {
-                                let i = clipped_lin(clipped, &p);
-                                let v = if scratch.have[i] {
-                                    scratch.cached[i]
-                                } else {
-                                    let idx = cp.extent().linearize(&p)?;
-                                    let v = cp.eval_idx(s, &views, idx, &mut scratch.stack);
-                                    scratch.cached[i] = v;
-                                    scratch.have[i] = true;
-                                    v
-                                };
-                                values[slot] = v;
-                            }
-                        }
-                    }
-                    emit(e, values)?;
-                }
-                if clipped.is_empty() {
-                    return Ok(());
-                }
-                // Interior sweep: whole contiguous rows through the
-                // lane-parallel tape walk. The boundary cache above is pure
-                // memoization — `local` is unmutated until the write below —
-                // so re-evaluating cached cells as part of their row is
-                // bit-identical and keeps the sweep branch-free.
-                let row_len = clipped.len(clipped.dim() - 1) as usize;
-                for start in clipped.row_starts() {
-                    let base = cp.extent().linearize(&start)?;
-                    cp.eval_row_into(
-                        s,
-                        &views,
-                        base,
-                        row_len,
-                        &mut scratch.eval,
-                        &mut scratch.values,
-                    )?;
-                }
-            }
-            let target_grid = local.grid_mut(target)?;
-            target_grid.write_window(clipped, &scratch.values)?;
+        if clipped.is_empty() {
+            return Ok(());
+        }
+        // Interior sweep: whole contiguous rows through the
+        // lane-parallel tape walk. The boundary cache above is pure
+        // memoization — `local` is unmutated until the write below —
+        // so re-evaluating cached cells as part of their row is
+        // bit-identical and keeps the sweep branch-free.
+        let row_len = clipped.len(clipped.dim() - 1) as usize;
+        for start in clipped.row_starts() {
+            let base = cp.extent().linearize(&start)?;
+            cp.eval_row_into(
+                s,
+                &views,
+                base,
+                row_len,
+                &mut scratch.eval,
+                &mut scratch.values,
+            )?;
         }
     }
+    let target_grid = local.grid_mut(target)?;
+    target_grid.write_window(clipped, &scratch.values)?;
     Ok(())
 }
 

@@ -1,9 +1,9 @@
-use stencilcl_lang::{GridState, Interpreter, Program};
+use stencilcl_lang::{CompiledProgram, GridState, Program};
 use stencilcl_telemetry::{Disabled, TraceSink};
 
-use crate::engine::compile_with_env_lanes;
 use crate::integrity::{scan_state, RunLimits};
-use crate::options::{EngineKind, ExecOptions};
+use crate::options::ExecOptions;
+use crate::pool::compile_with_lanes;
 use crate::ExecError;
 
 /// Runs the naive reference execution: `program.iterations` full-grid stencil
@@ -11,68 +11,48 @@ use crate::ExecError;
 /// Figure 3's pseudo code, and the ground truth every accelerator design is
 /// checked against.
 ///
-/// By default the program is lowered to flat bytecode kernels once and
-/// executed with branch-free row sweeps; `STENCILCL_INTERPRET=1` selects the
-/// tree-walking AST interpreter instead. Both are bit-exact.
+/// The program is lowered to flat bytecode kernels once and executed with
+/// branch-free row sweeps, [`ExecOptions::lanes`] cells at a time. The
+/// pipes and workers the other executors have do not exist here, so
+/// [`ExecOptions::integrity`] is moot; the run deadline and the health
+/// watchdog apply. With either guard armed the loop runs one iteration at a
+/// time — checking the deadline before each iteration and scanning the
+/// grids after each — and a health abort rolls `state` back to the last
+/// healthy iteration.
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::Lang`] if the state lacks one of the program's grids.
+/// Returns [`ExecError::Lang`] if the state lacks one of the program's
+/// grids, plus [`ExecError::DeadlineExceeded`] and
+/// [`ExecError::NumericDivergence`] when the corresponding guard trips.
 ///
 /// # Example
 ///
 /// ```
-/// use stencilcl_exec::run_reference;
+/// use stencilcl_exec::{run_reference_opts, ExecOptions};
 /// use stencilcl_grid::Extent;
 /// use stencilcl_lang::{programs, GridState};
 ///
 /// let p = programs::jacobi_1d().with_extent(Extent::new1(32)).with_iterations(4);
 /// let mut s = GridState::uniform(&p, 1.0);
-/// run_reference(&p, &mut s)?;
+/// run_reference_opts(&p, &mut s, &ExecOptions::new())?;
 /// # Ok::<(), stencilcl_exec::ExecError>(())
 /// ```
-pub fn run_reference(program: &Program, state: &mut GridState) -> Result<(), ExecError> {
-    run_reference_opts(program, state, &ExecOptions::from_env())
-}
-
-/// [`run_reference`] with explicit [`ExecOptions`]. The reference loop has
-/// no pipes or workers, so [`ExecOptions::integrity`] is moot here; the
-/// engine choice, the run deadline, and the health watchdog all apply. With
-/// either guard armed the loop runs one iteration at a time — checking the
-/// deadline before each iteration and scanning the grids after each — and a
-/// health abort rolls `state` back to the last healthy iteration.
-///
-/// # Errors
-///
-/// Same conditions as [`run_reference`], plus
-/// [`ExecError::DeadlineExceeded`] and [`ExecError::NumericDivergence`]
-/// when the corresponding guard trips.
 pub fn run_reference_opts(
     program: &Program,
     state: &mut GridState,
     opts: &ExecOptions,
 ) -> Result<(), ExecError> {
     let limits = opts.limits();
+    let kernels = compile_with_lanes(program, opts.lanes)?;
     if !limits.any_active() {
-        // Unguarded fast path: hand the whole run to the engine at once.
-        match opts.engine {
-            EngineKind::Interpreted => Interpreter::new(program).run(state, program.iterations)?,
-            EngineKind::Compiled => {
-                compile_with_env_lanes(program, opts.lanes)?.run(state, program.iterations)?
-            }
-        }
+        // Unguarded fast path: hand the whole run to the kernels at once.
+        kernels.run(state, program.iterations)?;
         return Ok(());
     }
     match &opts.trace {
-        Some(rec) => guarded_reference(
-            program,
-            state,
-            opts.engine,
-            opts.lanes,
-            limits,
-            &rec.clone(),
-        ),
-        None => guarded_reference(program, state, opts.engine, opts.lanes, limits, &Disabled),
+        Some(rec) => guarded_reference(program, state, &kernels, limits, rec),
+        None => guarded_reference(program, state, &kernels, limits, &Disabled),
     }
 }
 
@@ -84,8 +64,7 @@ pub fn run_reference_opts(
 fn guarded_reference<S: TraceSink>(
     program: &Program,
     state: &mut GridState,
-    engine: EngineKind,
-    lanes: Option<usize>,
+    kernels: &CompiledProgram,
     limits: RunLimits,
     sink: &S,
 ) -> Result<(), ExecError> {
@@ -94,18 +73,10 @@ fn guarded_reference<S: TraceSink>(
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let interp = Interpreter::new(program);
-    let compiled = match engine {
-        EngineKind::Compiled => Some(compile_with_env_lanes(program, lanes)?),
-        EngineKind::Interpreted => None,
-    };
     let mut checkpoint = limits.health.enabled().then(|| state.clone());
     for it in 0..program.iterations {
         limits.check_deadline(it)?;
-        match &compiled {
-            Some(kernels) => kernels.run(state, 1)?,
-            None => interp.run(state, 1)?,
-        }
+        kernels.run(state, 1)?;
         if limits.health.enabled() {
             if let Err(e) = scan_state(&limits.health, state, &updated, &[], it, sink) {
                 if let Some(healthy) = checkpoint {
@@ -131,7 +102,7 @@ mod tests {
             .with_extent(Extent::new1(16))
             .with_iterations(2);
         let mut s = GridState::new(&p, |_, pt| if pt.coord(0) == 8 { 1.0 } else { 0.0 });
-        run_reference(&p, &mut s).unwrap();
+        run_reference_opts(&p, &mut s, &ExecOptions::new()).unwrap();
         // After two radius-1 iterations the spike has spread two cells.
         let a = s.grid("A").unwrap();
         assert!(*a.get(&Point::new1(6)).unwrap() > 0.0);
@@ -145,7 +116,7 @@ mod tests {
             .with_iterations(5);
         let init = |_: &str, pt: &Point| (pt.coord(0) * 17 + pt.coord(1)) as f64 * 0.01;
         let mut fast = GridState::new(&p, init);
-        run_reference(&p, &mut fast).unwrap();
+        run_reference_opts(&p, &mut fast, &ExecOptions::new()).unwrap();
         let mut guarded = GridState::new(&p, init);
         let opts = ExecOptions::new()
             .policy(crate::ExecPolicy {

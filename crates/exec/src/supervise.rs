@@ -1,17 +1,18 @@
 //! Supervised execution: checkpointed retry with graceful degradation.
 //!
-//! [`run_supervised`] wraps the threaded pipe executor in a recovery loop.
-//! The double-buffered global grid already *is* a checkpoint: workers only
-//! ever read the `cur` buffer of a fused block and write the spare one, so
-//! when a block fails, `cur` still holds the exact grid as of the last
-//! fused-block barrier. The supervisor tears the pool down through a
+//! [`run_supervised_opts`] wraps the threaded pipe executor in a recovery
+//! loop. The double-buffered global grid already *is* a checkpoint: workers
+//! only ever read the `cur` buffer of a fused block and write the spare
+//! one, so when a block fails, `cur` still holds the exact grid as of the
+//! last fused-block barrier. The supervisor tears the pool down through a
 //! cooperative [`CancelToken`] (no worker thread outlives the run), rolls
 //! back to that barrier, and retries the remaining iterations with bounded
 //! exponential backoff. After [`ExecPolicy::max_retries`] failed retries it
-//! degrades to the sequential [`run_pipe_shared`](crate::run_pipe_shared)
-//! executor — provably equivalent, since both executors are bit-exact
-//! against the reference for any iteration count, and stencil iteration
-//! composes: `reference(n − k) ∘ reference(k) = reference(n)`.
+//! degrades to the sequential
+//! [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) executor —
+//! provably equivalent, since both executors are bit-exact against the
+//! reference for any iteration count, and stencil iteration composes:
+//! `reference(n − k) ∘ reference(k) = reference(n)`.
 //!
 //! Every attempt is recorded in the returned [`RunReport`]: which executor
 //! ran, from which iteration, what fault ended it, wall time, and whether
@@ -27,9 +28,7 @@ use stencilcl_grid::Partition;
 use stencilcl_lang::{GridState, Program};
 use stencilcl_telemetry::{Counter, Disabled, EnvConfig, TraceSink};
 
-use crate::faults::FaultPlan;
-use crate::integrity::RunLimits;
-use crate::options::{EngineKind, ExecOptions};
+use crate::options::ExecOptions;
 use crate::persist::CheckpointWriter;
 use crate::pipeshare::pipe_shared_impl;
 use crate::threaded::pool_run;
@@ -55,8 +54,8 @@ impl CancelToken {
 }
 
 /// Deadlines and recovery limits governing the threaded executor and
-/// [`run_supervised`] — the replacement for the watchdog/drain constants
-/// that used to be hardcoded in the executor.
+/// [`run_supervised_opts`] — the replacement for the watchdog/drain
+/// constants that used to be hardcoded in the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// How long the collector waits for any worker to report a fused block
@@ -77,7 +76,7 @@ pub struct ExecPolicy {
     /// Ceiling on the exponential backoff.
     pub backoff_max: Duration,
     /// Whether to degrade to the sequential pipe executor once retries are
-    /// exhausted; when `false`, [`run_supervised`] returns
+    /// exhausted; when `false`, [`run_supervised_opts`] returns
     /// [`ExecError::RetriesExhausted`](crate::ExecError) instead.
     pub sequential_fallback: bool,
     /// Wall-clock budget for the whole run, shared across supervised
@@ -118,22 +117,11 @@ impl ExecPolicy {
         (self.backoff_base * (1u32 << retry.min(20))).min(self.backoff_max)
     }
 
-    /// Defaults overridden by the process environment (parsed once):
-    /// `STENCILCL_WATCHDOG_MS`, `STENCILCL_DRAIN_MS`,
-    /// `STENCILCL_MAX_RETRIES`, `STENCILCL_DEADLINE_MS`.
-    ///
-    /// The snapshot is frozen on first read, so callers layering CLI flags
-    /// on top must apply them *after* this call (see
-    /// [`ExecPolicy::from_config`] for an injectable variant) — flags
-    /// always beat the frozen env.
-    pub fn from_env() -> ExecPolicy {
-        ExecPolicy::from_config(EnvConfig::get())
-    }
-
-    /// Defaults overridden by an explicit [`EnvConfig`] — the testable
-    /// seam behind [`ExecPolicy::from_env`]: callers that must guarantee
-    /// CLI-flag precedence build the policy from the frozen snapshot here,
-    /// then overwrite fields from their flags.
+    /// Defaults overridden by an [`EnvConfig`] snapshot
+    /// (`STENCILCL_WATCHDOG_MS`, `STENCILCL_DRAIN_MS`,
+    /// `STENCILCL_MAX_RETRIES`, `STENCILCL_DEADLINE_MS`). Callers layering
+    /// CLI flags on top overwrite fields after this call, so a flag always
+    /// beats the env.
     pub fn from_config(cfg: &EnvConfig) -> ExecPolicy {
         let mut policy = ExecPolicy::default();
         if let Some(ms) = cfg.watchdog_ms {
@@ -256,7 +244,7 @@ pub enum RecoveryPath {
     Sequential,
 }
 
-/// The full story of one [`run_supervised`] call.
+/// The full story of one supervised run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Every attempt, in order; the last one completed the run.
@@ -372,54 +360,43 @@ impl serde::Serialize for RunReport {
     }
 }
 
-/// Runs the pipe design under supervision: threaded execution with
+/// Runs the pipe design under supervision and always returns the
+/// [`RunReport`], even when the run fails: threaded execution with
 /// checkpointed retry on transient faults, then graceful degradation to the
-/// sequential executor (see the module docs for the recovery ladder).
+/// sequential executor (see the module docs for the recovery ladder). The
+/// report's attempts record how far the run got and what ended it (e.g.
+/// the last healthy checkpoint preserved in `state` after a
+/// [`ExecError::NumericDivergence`](crate::ExecError) abort, or the
+/// progress made before [`ExecError::DeadlineExceeded`](crate::ExecError)).
 ///
 /// The grid in `state` is identical to what
-/// [`run_threaded`](crate::run_threaded) would have produced fault-free —
-/// recovery never changes the computed values, only how they are computed.
+/// [`run_threaded_opts`](crate::run_threaded_opts) would have produced
+/// fault-free — recovery never changes the computed values, only how they
+/// are computed. Each checkpointed retry bumps the recorder's `retries`
+/// counter; the degradation path keeps the same lane width and sink, so a
+/// traced run stays observable end to end. [`ExecOptions::faults`] reaches
+/// both the worker pool and the checkpoint store.
 ///
-/// # Errors
-///
-/// Non-transient errors (bad configuration, diagonal stencils, interpreter
-/// failures) are returned immediately — retrying cannot fix them. Transient
+/// Non-transient errors (bad configuration, diagonal stencils, evaluation
+/// failures) end the run immediately — retrying cannot fix them. Transient
 /// faults ([`ExecError::WorkerPanic`](crate::ExecError),
 /// [`ExecError::PipeStall`](crate::ExecError), pipe-protocol skew) only
 /// surface as [`ExecError::RetriesExhausted`](crate::ExecError) when the
 /// retry budget is spent and [`ExecPolicy::sequential_fallback`] is off.
-pub fn run_supervised(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    policy: &ExecPolicy,
-) -> Result<RunReport, ExecError> {
-    let opts = ExecOptions::from_env().policy(policy.clone());
-    run_supervised_opts(program, partition, state, &opts)
-}
-
-/// [`run_supervised_opts`] that always returns the [`RunReport`], even when
-/// the run fails: the report's attempts record how far the run got and what
-/// ended it (e.g. the last healthy checkpoint preserved in `state` after a
-/// [`ExecError::NumericDivergence`](crate::ExecError) abort, or the
-/// progress made before [`ExecError::DeadlineExceeded`](crate::ExecError)).
 pub fn run_supervised_full(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
     opts: &ExecOptions,
 ) -> (RunReport, Result<(), ExecError>) {
-    dispatch(program, partition, state, opts, &Arc::new(FaultPlan::new()))
+    dispatch(program, partition, state, opts, ResumeBase::default())
 }
 
-/// [`run_supervised`] with explicit [`ExecOptions`]: engine choice, policy,
-/// and (optionally) a telemetry recorder. Each checkpointed retry bumps the
-/// recorder's `retries` counter; the degradation path keeps the same engine
-/// and sink, so a traced run stays observable end to end.
+/// [`run_supervised_full`] that returns the [`RunReport`] only on success.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_supervised`].
+/// The run's error, as described on [`run_supervised_full`].
 pub fn run_supervised_opts(
     program: &Program,
     partition: &Partition,
@@ -427,58 +404,6 @@ pub fn run_supervised_opts(
     opts: &ExecOptions,
 ) -> Result<RunReport, ExecError> {
     let (report, result) = run_supervised_full(program, partition, state, opts);
-    result.map(|()| report)
-}
-
-/// [`run_supervised`] with a deterministic [`FaultPlan`] injected into the
-/// worker pool — the chaos-testing entry point. Pass the plan in an [`Arc`]
-/// and keep a clone to inspect [`FaultPlan::fired`] afterwards.
-///
-/// # Errors
-///
-/// Same conditions as [`run_supervised`].
-#[cfg(feature = "fault-injection")]
-pub fn run_supervised_injected(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    policy: &ExecPolicy,
-    faults: &Arc<FaultPlan>,
-) -> Result<RunReport, ExecError> {
-    let opts = ExecOptions::from_env().policy(policy.clone());
-    let (report, result) = dispatch(program, partition, state, &opts, faults);
-    result.map(|()| report)
-}
-
-/// [`run_supervised_injected`] that always returns the [`RunReport`] —
-/// chaos tests asserting on the attempt history of *failed* runs (aborted
-/// deadlines, permanent divergence) use this entry point.
-#[cfg(feature = "fault-injection")]
-pub fn run_supervised_injected_full(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    opts: &ExecOptions,
-    faults: &Arc<FaultPlan>,
-) -> (RunReport, Result<(), ExecError>) {
-    dispatch(program, partition, state, opts, faults)
-}
-
-/// [`run_supervised_injected`] with explicit [`ExecOptions`] — chaos tests
-/// that also record telemetry.
-///
-/// # Errors
-///
-/// Same conditions as [`run_supervised`].
-#[cfg(feature = "fault-injection")]
-pub fn run_supervised_injected_opts(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    opts: &ExecOptions,
-    faults: &Arc<FaultPlan>,
-) -> Result<RunReport, ExecError> {
-    let (report, result) = dispatch(program, partition, state, opts, faults);
     result.map(|()| report)
 }
 
@@ -494,86 +419,41 @@ pub(crate) struct ResumeBase {
     pub blocks: u64,
 }
 
-/// Monomorphizes the supervision loop against the chosen sink. The run's
-/// integrity envelope (deadline clock, health policy, checksum switch) is
-/// anchored here, once, so every retry shares the same wall-clock budget.
-fn dispatch(
+/// Monomorphizes the supervision loop against the chosen sink. `base` is
+/// zero for a fresh run; resumed runs re-enter here with the checkpoint's
+/// cursor.
+pub(crate) fn dispatch(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
     opts: &ExecOptions,
-    faults: &Arc<FaultPlan>,
-) -> (RunReport, Result<(), ExecError>) {
-    dispatch_with(
-        program,
-        partition,
-        state,
-        opts,
-        faults,
-        ResumeBase::default(),
-    )
-}
-
-/// [`dispatch`] with an explicit [`ResumeBase`] — the seam
-/// [`resume_supervised`](crate::resume_supervised) re-enters through.
-pub(crate) fn dispatch_with(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    opts: &ExecOptions,
-    faults: &Arc<FaultPlan>,
     base: ResumeBase,
 ) -> (RunReport, Result<(), ExecError>) {
-    let limits = opts.limits();
-    let writer = CheckpointWriter::from_options(program, opts, &base, limits.deadline, faults);
     match &opts.trace {
-        Some(rec) => supervised(
-            program,
-            partition,
-            state,
-            &opts.policy,
-            faults,
-            opts.engine,
-            opts.lanes,
-            limits,
-            base.blocks,
-            writer.as_ref(),
-            &rec.clone(),
-        ),
-        None => supervised(
-            program,
-            partition,
-            state,
-            &opts.policy,
-            faults,
-            opts.engine,
-            opts.lanes,
-            limits,
-            base.blocks,
-            writer.as_ref(),
-            &Disabled,
-        ),
+        Some(rec) => supervised(program, partition, state, opts, base, rec),
+        None => supervised(program, partition, state, opts, base, &Disabled),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The supervision loop. The run's integrity envelope (deadline clock,
+/// health policy, checksum switch) is anchored here, once, so every retry
+/// shares the same wall-clock budget.
 fn supervised<S: TraceSink>(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
-    policy: &ExecPolicy,
-    faults: &Arc<FaultPlan>,
-    engine: EngineKind,
-    lanes: Option<usize>,
-    limits: RunLimits,
-    block_base: u64,
-    ckpt: Option<&CheckpointWriter>,
+    opts: &ExecOptions,
+    base: ResumeBase,
     sink: &S,
 ) -> (RunReport, Result<(), ExecError>) {
+    let limits = opts.limits();
+    let writer = CheckpointWriter::from_options(program, opts, &base, limits.deadline);
+    let ckpt = writer.as_ref();
+    let policy = &opts.policy;
     let total = program.iterations;
     let mut attempts: Vec<Attempt> = Vec::new();
     let mut done = 0u64; // iterations completed and checkpointed in `state`
-    let mut blocks = block_base; // global fused-block index for fault triggers
+    let mut blocks = base.blocks; // global fused-block index for fault triggers
     let mut failures = 0u32;
     let mut jitter = DecorrelatedJitter::new(policy);
     loop {
@@ -586,11 +466,8 @@ fn supervised<S: TraceSink>(
             &rest,
             partition,
             state,
-            policy,
-            faults,
+            opts,
             blocks,
-            engine,
-            lanes,
             limits.clone(),
             ckpt,
             sink,
@@ -649,19 +526,12 @@ fn supervised<S: TraceSink>(
                         return (RunReport { attempts, path }, Err(err));
                     }
                     // Degrade: finish the remaining iterations sequentially
-                    // from the checkpoint, keeping the run's engine and
+                    // from the checkpoint, keeping the run's lane width and
                     // sink. No pool, no pipes to wedge.
                     let rest = program.with_iterations(total - done);
                     let start = Instant::now();
-                    let result = pipe_shared_impl(
-                        &rest,
-                        partition,
-                        state,
-                        engine,
-                        lanes,
-                        limits.clone(),
-                        sink,
-                    );
+                    let result =
+                        pipe_shared_impl(&rest, partition, state, opts.lanes, limits.clone(), sink);
                     let (fault, completed) = match result {
                         Ok(()) => (None, total - done),
                         Err(mut e) => {
@@ -749,7 +619,7 @@ fn transient(e: &ExecError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_reference;
+    use crate::run_reference_opts;
     use stencilcl_grid::{Design, DesignKind, Extent, Point};
     use stencilcl_lang::{programs, StencilFeatures};
 
@@ -770,9 +640,9 @@ mod tests {
         let d = Design::equal(DesignKind::PipeShared, 3, vec![2, 2], vec![8, 8]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut expect = GridState::new(&p, init);
-        run_reference(&p, &mut expect).unwrap();
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
         let mut got = GridState::new(&p, init);
-        let report = run_supervised(&p, &partition, &mut got, &ExecPolicy::default()).unwrap();
+        let report = run_supervised_opts(&p, &partition, &mut got, &ExecOptions::new()).unwrap();
         assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
         assert_eq!(report.path, RecoveryPath::Threaded);
         assert_eq!(report.attempts.len(), 1);
@@ -792,9 +662,9 @@ mod tests {
         let d = Design::equal(DesignKind::PipeShared, 2, vec![2], vec![8]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut expect = GridState::new(&p, init);
-        run_reference(&p, &mut expect).unwrap();
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
         let mut got = GridState::new(&p, init);
-        let report = run_supervised(&p, &partition, &mut got, &ExecPolicy::default()).unwrap();
+        let report = run_supervised_opts(&p, &partition, &mut got, &ExecOptions::new()).unwrap();
         assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
         assert_eq!(report.attempts[0].iterations_completed, 1);
     }
@@ -808,7 +678,7 @@ mod tests {
         let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut s = GridState::uniform(&p, 0.0);
-        let err = run_supervised(&p, &partition, &mut s, &ExecPolicy::default()).unwrap_err();
+        let err = run_supervised_opts(&p, &partition, &mut s, &ExecOptions::new()).unwrap_err();
         assert!(matches!(err, ExecError::BadConfiguration { .. }));
     }
 

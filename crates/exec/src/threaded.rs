@@ -10,15 +10,14 @@ use stencilcl_grid::{Partition, Rect};
 use stencilcl_lang::{GridState, Program};
 use stencilcl_telemetry::{Counter, Disabled, TracePhase, TraceSink};
 
-use crate::engine::Engine;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::integrity::{scan_state, verify_slab, RunLimits};
-use crate::options::{EngineKind, ExecOptions};
+use crate::options::ExecOptions;
 use crate::persist::CheckpointWriter;
 use crate::pool::{
     apply_statement_split, check_slab_step, PipelinePlan, Slab, SplitScratch, PIPE_CAPACITY,
 };
-use crate::supervise::{CancelToken, ExecPolicy};
+use crate::supervise::CancelToken;
 use crate::window::{extract_window, refresh_ring, write_back};
 use crate::ExecError;
 
@@ -104,9 +103,6 @@ struct WorkerCtx<S: TraceSink> {
     ins: Vec<PairEndpoint<Receiver<Slab>>>,
     token: CancelToken,
     faults: Arc<FaultPlan>,
-    /// Which evaluation engine this run uses — decided once on the main
-    /// thread at plan time, handed to workers as plain data.
-    engine: EngineKind,
     /// The run's integrity envelope: deadline, health policy, and whether
     /// slabs are sealed/verified. Carried by value into every worker.
     limits: RunLimits,
@@ -139,105 +135,54 @@ impl PoolRun {
 /// (created once per directed kernel pair and reused across every region
 /// and fused block).
 ///
-/// Per fused block the main thread broadcasts a single [`Command::Pass`];
-/// each worker then walks all of its regions — refreshing only the halo
-/// ring of its persistent local window, computing the block with a
-/// latency-hiding element order (boundary cells feeding the pipes are
-/// evaluated and sent before the interior, Section 3.1 of the paper), and
-/// writing its tile back into the spare global buffer. The two global
-/// buffers alternate roles per block (read `src`, write `1 - src`), so no
-/// full-grid snapshot is ever cloned.
+/// Per fused block the main thread broadcasts a single pass order; each
+/// worker then walks all of its regions — refreshing only the halo ring of
+/// its persistent local window, computing the block with a latency-hiding
+/// element order (boundary cells feeding the pipes are evaluated and sent
+/// before the interior, Section 3.1 of the paper), and writing its tile
+/// back into the spare global buffer. The two global buffers alternate
+/// roles per block (read `src`, write `1 - src`), so no full-grid snapshot
+/// is ever cloned.
 ///
-/// Results must be identical to [`run_pipe_shared`](crate::run_pipe_shared)
-/// (and therefore to the reference): the protocol only moves the same
-/// values through channels instead of memcpys.
+/// Results must be identical to
+/// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) (and therefore to
+/// the reference): the protocol only moves the same values through
+/// channels instead of memcpys.
 ///
-/// Uses the default [`ExecPolicy`] deadlines; see [`run_threaded_with`] to
-/// tune them and [`run_supervised`](crate::run_supervised) for automatic
-/// recovery.
+/// [`ExecOptions::policy`] sets the watchdog deadlines and
+/// [`ExecOptions::faults`] arms injected worker faults; see
+/// [`run_supervised_opts`](crate::run_supervised_opts) for automatic
+/// recovery. The telemetry sink is chosen here — at plan time — and the
+/// whole pool monomorphizes against it, so an untraced run pays nothing
+/// for the instrumentation.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_pipe_shared`](crate::run_pipe_shared), plus
-/// [`ExecError::WorkerPanic`] if a worker thread dies and
+/// Same conditions as [`run_pipe_shared_opts`](crate::run_pipe_shared_opts),
+/// plus [`ExecError::WorkerPanic`] if a worker thread dies and
 /// [`ExecError::PipeStall`] if the watchdog sees no progress within its
 /// deadline. On error the pool is cancelled cooperatively and joined —
 /// worker threads do not outlive the call — and `state` is rolled back to
 /// the last consistent fused-block barrier.
-pub fn run_threaded(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-) -> Result<(), ExecError> {
-    run_threaded_with(program, partition, state, &ExecPolicy::default())
-}
-
-/// [`run_threaded`] with explicit [`ExecPolicy`] deadlines.
-///
-/// # Errors
-///
-/// Same conditions as [`run_threaded`].
-pub fn run_threaded_with(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    policy: &ExecPolicy,
-) -> Result<(), ExecError> {
-    let opts = ExecOptions::from_env().policy(policy.clone());
-    run_threaded_opts(program, partition, state, &opts)
-}
-
-/// [`run_threaded`] with explicit [`ExecOptions`]: engine choice, policy
-/// deadlines, and (optionally) a telemetry recorder. The sink is chosen here
-/// — at plan time — and the whole pool monomorphizes against it, so an
-/// untraced run pays nothing for the instrumentation.
-///
-/// # Errors
-///
-/// Same conditions as [`run_threaded`].
 pub fn run_threaded_opts(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
     opts: &ExecOptions,
 ) -> Result<(), ExecError> {
-    let faults = Arc::new(FaultPlan::new());
     let limits = opts.limits();
     let result = match &opts.trace {
-        Some(rec) => pool_run(
-            program,
-            partition,
-            state,
-            &opts.policy,
-            &faults,
-            0,
-            opts.engine,
-            opts.lanes,
-            limits,
-            None,
-            &rec.clone(),
-        ),
-        None => pool_run(
-            program,
-            partition,
-            state,
-            &opts.policy,
-            &faults,
-            0,
-            opts.engine,
-            opts.lanes,
-            limits,
-            None,
-            &Disabled,
-        ),
+        Some(rec) => pool_run(program, partition, state, opts, 0, limits, None, rec),
+        None => pool_run(program, partition, state, opts, 0, limits, None, &Disabled),
     };
-    match result {
-        Ok(_) => Ok(()),
-        Err((e, _)) => Err(e),
-    }
+    result.map(|_| ()).map_err(|(e, _)| e)
 }
 
 /// One complete pool lifecycle: spawn, run every fused block, tear down.
+///
+/// `opts` supplies the watchdog policy, the fault plan, and the lane
+/// width; `limits` is passed separately because the supervisor anchors it
+/// once for all of its attempts.
 ///
 /// On failure the pool is cancelled via the [`CancelToken`], workers are
 /// joined (or, past `policy.teardown_grace`, abandoned and counted in
@@ -258,16 +203,15 @@ pub(crate) fn pool_run<S: TraceSink>(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
-    policy: &ExecPolicy,
-    faults: &Arc<FaultPlan>,
+    opts: &ExecOptions,
     block_base: u64,
-    engine: EngineKind,
-    lanes: Option<usize>,
     limits: RunLimits,
     ckpt: Option<&CheckpointWriter>,
     sink: &S,
 ) -> Result<PoolRun, (ExecError, PoolRun)> {
-    let plan = PipelinePlan::new(program, partition, lanes).map_err(|e| (e, PoolRun::empty()))?;
+    let policy = &opts.policy;
+    let plan =
+        PipelinePlan::new(program, partition, opts.lanes).map_err(|e| (e, PoolRun::empty()))?;
     if plan.depths.is_empty() {
         return Ok(PoolRun::empty());
     }
@@ -305,8 +249,7 @@ pub(crate) fn pool_run<S: TraceSink>(
             outs: k_outs,
             ins: k_ins,
             token: token.clone(),
-            faults: Arc::clone(faults),
-            engine,
+            faults: Arc::clone(&opts.faults),
             limits: limits.clone(),
             sink: sink.clone(),
         };
@@ -601,9 +544,8 @@ fn sleep_cancellable(token: &CancelToken, total: Duration) {
     }
 }
 
-/// Body of one pool worker: build its evaluation engines (the plan's
-/// compiled bytecode by default, AST interpreters in oracle mode) and
-/// routing tables once, then serve [`Command::Pass`] orders until the
+/// Body of one pool worker: build its routing tables once, then serve
+/// [`Command::Pass`] orders until the
 /// command channel closes. The first error is reported on the done channel
 /// and ends the worker; dropping its pipe endpoints unblocks any partners
 /// waiting on it. Every potentially-blocking operation observes the pool's
@@ -616,16 +558,7 @@ fn worker_loop<S: TraceSink>(
     let kernel = ctx.kernel;
     let plan = &ctx.plan;
     let regions = plan.regions.len();
-    let setup = || -> Result<(Vec<Engine<'_>>, Vec<Vec<Route>>), ExecError> {
-        let engines = (0..regions)
-            .map(|r| {
-                Engine::build(
-                    ctx.engine,
-                    &plan.local_programs[r][kernel],
-                    &plan.compiled[r][kernel],
-                )
-            })
-            .collect();
+    let setup = || -> Result<Vec<Vec<Route>>, ExecError> {
         let missing = || ExecError::config("no pipe endpoint for a planned edge");
         let mut routes = Vec::with_capacity(plan.depths.len());
         for depth in &plan.depths {
@@ -654,9 +587,9 @@ fn worker_loop<S: TraceSink>(
             }
             routes.push(per_region);
         }
-        Ok((engines, routes))
+        Ok(routes)
     };
-    let (engines, routes) = match setup() {
+    let routes = match setup() {
         Ok(v) => v,
         Err(e) => {
             let _ = done_tx.send((kernel, Err(e)));
@@ -726,7 +659,6 @@ fn worker_loop<S: TraceSink>(
         }
         let result = run_pass(
             ctx,
-            &engines,
             &routes[depth],
             &updated,
             &mut locals,
@@ -758,7 +690,6 @@ fn worker_loop<S: TraceSink>(
 #[allow(clippy::too_many_arguments)]
 fn run_pass<S: TraceSink>(
     ctx: &WorkerCtx<S>,
-    engines: &[Engine<'_>],
     routes: &[Route],
     updated: &[&str],
     locals: &mut [Option<GridState>],
@@ -818,7 +749,7 @@ fn run_pass<S: TraceSink>(
                 // pre-state), so downstream kernels are fed before we turn
                 // to the interior...
                 apply_statement_split(
-                    &engines[r],
+                    &plan.compiled[r][kernel],
                     local,
                     s,
                     domain,
@@ -904,7 +835,7 @@ fn run_pass<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_pipe_shared, run_reference};
+    use crate::{run_pipe_shared_opts, run_reference_opts, ExecPolicy};
     use stencilcl_grid::{Design, DesignKind, Extent, Point};
     use stencilcl_lang::{programs, StencilFeatures};
 
@@ -920,9 +851,10 @@ mod tests {
         let features = StencilFeatures::extract(program).unwrap();
         let partition = Partition::new(program.extent(), design, &features.growth).unwrap();
         let mut expect = GridState::new(program, init);
-        run_reference(program, &mut expect).unwrap();
+        let opts = ExecOptions::new();
+        run_reference_opts(program, &mut expect, &opts).unwrap();
         let mut threaded = GridState::new(program, init);
-        run_threaded(program, &partition, &mut threaded).unwrap();
+        run_threaded_opts(program, &partition, &mut threaded, &opts).unwrap();
         assert_eq!(
             expect.max_abs_diff(&threaded).unwrap(),
             0.0,
@@ -931,7 +863,7 @@ mod tests {
         );
         // Threaded and sequential pipe executions agree bit for bit.
         let mut sequential = GridState::new(program, init);
-        run_pipe_shared(program, &partition, &mut sequential).unwrap();
+        run_pipe_shared_opts(program, &partition, &mut sequential, &opts).unwrap();
         assert_eq!(sequential.max_abs_diff(&threaded).unwrap(), 0.0);
     }
 
@@ -996,9 +928,9 @@ mod tests {
             ..ExecPolicy::default()
         };
         let mut expect = GridState::new(&p, init);
-        run_reference(&p, &mut expect).unwrap();
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
         let mut got = GridState::new(&p, init);
-        run_threaded_with(&p, &partition, &mut got, &policy).unwrap();
+        run_threaded_opts(&p, &partition, &mut got, &ExecOptions::new().policy(policy)).unwrap();
         assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     }
 
@@ -1011,7 +943,7 @@ mod tests {
         let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut s = GridState::uniform(&p, 0.0);
-        assert!(run_threaded(&p, &partition, &mut s).is_err());
+        assert!(run_threaded_opts(&p, &partition, &mut s, &ExecOptions::new()).is_err());
     }
 
     #[test]

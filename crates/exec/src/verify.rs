@@ -1,7 +1,10 @@
 use stencilcl_grid::{Partition, Point};
 use stencilcl_lang::{GridState, Program};
 
-use crate::{run_overlapped, run_pipe_shared, run_reference, run_threaded, ExecError};
+use crate::{
+    run_overlapped_opts, run_pipe_shared_opts, run_reference_opts, run_threaded_opts, ExecError,
+    ExecOptions,
+};
 
 /// Which executor to validate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,7 +27,7 @@ impl ExecMode {
 }
 
 /// Runs `mode` under `partition` and the naive reference side by side from
-/// the same `init` state and returns the maximum absolute difference across
+/// the same `init` state, both under `opts`, and returns the maximum absolute difference across
 /// all grids — `0.0` for a correct design (all executors evaluate each cell's
 /// update with the same operation order, so agreement is exact, not just
 /// within tolerance).
@@ -36,7 +39,7 @@ impl ExecMode {
 /// # Example
 ///
 /// ```
-/// use stencilcl_exec::{verify_design, ExecMode};
+/// use stencilcl_exec::{verify_design, ExecMode, ExecOptions};
 /// use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 /// use stencilcl_lang::{programs, StencilFeatures};
 ///
@@ -44,7 +47,10 @@ impl ExecMode {
 /// let f = StencilFeatures::extract(&p)?;
 /// let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8])?;
 /// let partition = Partition::new(p.extent(), &d, &f.growth)?;
-/// let diff = verify_design(&p, &partition, ExecMode::Overlapped, |_, pt| pt.coord(0) as f64)?;
+/// let opts = ExecOptions::new();
+/// let diff = verify_design(&p, &partition, ExecMode::Overlapped, &opts, |_, pt| {
+///     pt.coord(0) as f64
+/// })?;
 /// assert_eq!(diff, 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -52,15 +58,16 @@ pub fn verify_design(
     program: &Program,
     partition: &Partition,
     mode: ExecMode,
+    opts: &ExecOptions,
     mut init: impl FnMut(&str, &Point) -> f64,
 ) -> Result<f64, ExecError> {
     let mut expect = GridState::new(program, &mut init);
-    run_reference(program, &mut expect)?;
+    run_reference_opts(program, &mut expect, opts)?;
     let mut got = GridState::new(program, &mut init);
     match mode {
-        ExecMode::Overlapped => run_overlapped(program, partition, &mut got)?,
-        ExecMode::PipeShared => run_pipe_shared(program, partition, &mut got)?,
-        ExecMode::Threaded => run_threaded(program, partition, &mut got)?,
+        ExecMode::Overlapped => run_overlapped_opts(program, partition, &mut got, opts)?,
+        ExecMode::PipeShared => run_pipe_shared_opts(program, partition, &mut got, opts)?,
+        ExecMode::Threaded => run_threaded_opts(program, partition, &mut got, opts)?,
     }
     Ok(expect.max_abs_diff(&got)?)
 }
@@ -84,7 +91,7 @@ mod tests {
             };
             let d = Design::equal(kind, 2, vec![2, 2], vec![4, 4]).unwrap();
             let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
-            let diff = verify_design(&p, &partition, mode, |_, pt| {
+            let diff = verify_design(&p, &partition, mode, &ExecOptions::new(), |_, pt| {
                 (pt.coord(0) + pt.coord(1)) as f64
             })
             .unwrap();
@@ -100,6 +107,7 @@ mod tests {
         let f = stencilcl_lang::StencilFeatures::extract(&p).unwrap();
         let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![4]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
-        assert!(verify_design(&p, &partition, ExecMode::PipeShared, |_, _| 0.0).is_err());
+        let opts = ExecOptions::new();
+        assert!(verify_design(&p, &partition, ExecMode::PipeShared, &opts, |_, _| 0.0).is_err());
     }
 }

@@ -9,10 +9,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use stencilcl_exec::{
-    load_latest, resume_supervised_injected_full, run_reference, run_supervised_full,
-    run_supervised_injected, run_supervised_injected_full, run_supervised_injected_opts,
-    AttemptMode, CheckpointPolicy, CheckpointStore, DirStore, ExecError, ExecOptions, ExecPolicy,
-    FaultKind, FaultPlan, HealthPolicy, Recorder, RecoveryPath,
+    load_latest, resume_supervised_full, run_reference_opts, run_supervised_full,
+    run_supervised_opts, run_threaded_opts, AttemptMode, CheckpointPolicy, CheckpointStore,
+    DirStore, ExecError, ExecOptions, ExecPolicy, FaultKind, FaultPlan, HealthPolicy, Recorder,
+    RecoveryPath,
 };
 use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point};
 use stencilcl_lang::{programs, GridState, Program, StencilFeatures};
@@ -51,6 +51,13 @@ fn chaos_policy() -> ExecPolicy {
     }
 }
 
+/// [`chaos_policy`] options carrying the fault schedule `faults`.
+fn chaos_opts(faults: &Arc<FaultPlan>) -> ExecOptions {
+    ExecOptions::new()
+        .policy(chaos_policy())
+        .faults(Arc::clone(faults))
+}
+
 fn init(name: &str, p: &Point) -> f64 {
     let mut v = name.len() as f64 + 3.0;
     for d in 0..p.dim() {
@@ -72,7 +79,7 @@ fn scenario() -> (Program, Partition) {
 
 fn reference_grid(p: &Program) -> GridState {
     let mut expect = GridState::new(p, init);
-    run_reference(p, &mut expect).unwrap();
+    run_reference_opts(p, &mut expect, &ExecOptions::new()).unwrap();
     expect
 }
 
@@ -103,8 +110,7 @@ fn pipe_stall_at_block_1_recovers_checkpointed_and_bit_exact() {
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(0, 1, FaultKind::PipeStall));
     let mut got = GridState::new(&p, init);
-    let report =
-        run_supervised_injected(&p, &partition, &mut got, &chaos_policy(), &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
     assert!(report.recoveries() >= 1, "no recovery recorded: {report:?}");
@@ -132,8 +138,7 @@ fn worker_panic_is_classified_and_recovered() {
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(2, 0, FaultKind::WorkerPanic));
     let mut got = GridState::new(&p, init);
-    let report =
-        run_supervised_injected(&p, &partition, &mut got, &chaos_policy(), &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(report.path, RecoveryPath::Retried);
     assert!(report
@@ -146,13 +151,27 @@ fn worker_panic_is_classified_and_recovered() {
 }
 
 #[test]
+fn the_options_fault_plan_reaches_the_unsupervised_threaded_pool() {
+    quiet_injected_panics();
+    let (p, partition) = scenario();
+    let faults = Arc::new(FaultPlan::new().inject(1, 1, FaultKind::WorkerPanic));
+    let mut got = GridState::new(&p, init);
+    let err = run_threaded_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap_err();
+    assert_eq!(err, ExecError::WorkerPanic { kernel: 1 });
+    assert_eq!(faults.fired(), 1);
+    // No supervisor: the pool rolls back to the block-0 barrier and stops.
+    let mut barrier = GridState::new(&p, init);
+    run_reference_opts(&p.with_iterations(2), &mut barrier, &ExecOptions::new()).unwrap();
+    assert_eq!(barrier.max_abs_diff(&got).unwrap(), 0.0);
+}
+
+#[test]
 fn delayed_slab_below_the_watchdog_is_absorbed_without_recovery() {
     let (p, partition) = scenario();
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(1, 1, FaultKind::DelayedSlab(60)));
     let mut got = GridState::new(&p, init);
-    let report =
-        run_supervised_injected(&p, &partition, &mut got, &chaos_policy(), &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
     // 60 ms < 250 ms watchdog: the delay is ordinary pipeline jitter.
@@ -172,9 +191,12 @@ fn injected_delay_is_conserved_as_recorded_pipe_idle() {
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(1, 1, FaultKind::DelayedSlab(delay_ms)));
     let rec = Recorder::new();
-    let opts = ExecOptions::new().policy(chaos_policy()).trace(rec.clone());
+    let opts = ExecOptions::new()
+        .policy(chaos_policy())
+        .trace(rec.clone())
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let report = run_supervised_injected_opts(&p, &partition, &mut got, &opts, &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
     // 120 ms < 250 ms watchdog: absorbed, no retry — the delay must show up
@@ -203,8 +225,7 @@ fn delayed_slab_past_the_watchdog_is_handled_as_a_stall() {
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(1, 1, FaultKind::DelayedSlab(2_000)));
     let mut got = GridState::new(&p, init);
-    let report =
-        run_supervised_injected(&p, &partition, &mut got, &chaos_policy(), &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(report.path, RecoveryPath::Retried);
     // Which kernel the watchdog blames depends on scheduling (neighbours of
@@ -223,8 +244,7 @@ fn corrupted_step_tag_trips_the_protocol_check_and_recovers() {
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(0, 0, FaultKind::CorruptStepTag));
     let mut got = GridState::new(&p, init);
-    let report =
-        run_supervised_injected(&p, &partition, &mut got, &chaos_policy(), &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(report.path, RecoveryPath::Retried);
     assert!(
@@ -243,9 +263,12 @@ fn corrupted_payload_is_caught_by_checksums_and_recovered_bit_exact() {
     let (p, partition) = scenario();
     let expect = reference_grid(&p);
     let faults = Arc::new(FaultPlan::new().inject(0, 1, FaultKind::CorruptPayload));
-    let opts = ExecOptions::new().policy(chaos_policy()).integrity(true);
+    let opts = ExecOptions::new()
+        .policy(chaos_policy())
+        .integrity(true)
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let report = run_supervised_injected_opts(&p, &partition, &mut got, &opts, &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap();
     // Detected, retried from the block-1 checkpoint, and bit-exact after.
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
@@ -279,9 +302,10 @@ fn supervised_retry_rebases_slab_sequences_with_no_integrity_false_positives() {
     let opts = ExecOptions::new()
         .policy(chaos_policy())
         .integrity(true)
-        .trace(rec.clone());
+        .trace(rec.clone())
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let report = run_supervised_injected_opts(&p, &partition, &mut got, &opts, &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
     assert_eq!(report.path, RecoveryPath::Retried);
@@ -316,8 +340,7 @@ fn corrupted_payload_without_integrity_goes_undetected() {
     let (p, partition) = scenario();
     let faults = Arc::new(FaultPlan::new().inject(0, 1, FaultKind::CorruptPayload));
     let mut got = GridState::new(&p, init);
-    let report =
-        run_supervised_injected(&p, &partition, &mut got, &chaos_policy(), &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &chaos_opts(&faults)).unwrap();
     assert_eq!(faults.fired(), 1);
     assert_eq!(report.recoveries(), 0);
     assert_eq!(report.path, RecoveryPath::Threaded);
@@ -361,7 +384,7 @@ fn numeric_divergence_aborts_at_the_right_coordinates_without_retries() {
     assert_eq!(report.leaked_workers(), 0);
     // The output buffer holds the last healthy checkpoint: 2 iterations.
     let mut expect = GridState::uniform(&p, 1.0);
-    run_reference(&p.with_iterations(2), &mut expect).unwrap();
+    run_reference_opts(&p.with_iterations(2), &mut expect, &ExecOptions::new()).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
 }
 
@@ -395,12 +418,14 @@ fn deadline_hit_inside_a_wedged_pipe_is_detected_by_the_tick_loop() {
     // (250 ms) or the delay to finish.
     let (p, partition) = scenario();
     let faults = Arc::new(FaultPlan::new().inject(1, 0, FaultKind::DelayedSlab(400)));
-    let opts = ExecOptions::new().policy(ExecPolicy {
-        deadline: Some(Duration::from_millis(60)),
-        ..chaos_policy()
-    });
+    let opts = ExecOptions::new()
+        .policy(ExecPolicy {
+            deadline: Some(Duration::from_millis(60)),
+            ..chaos_policy()
+        })
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let (report, result) = run_supervised_injected_full(&p, &partition, &mut got, &opts, &faults);
+    let (report, result) = run_supervised_full(&p, &partition, &mut got, &opts);
     assert_eq!(
         result.unwrap_err(),
         ExecError::DeadlineExceeded { completed: 0 }
@@ -425,8 +450,11 @@ fn persistent_stalls_degrade_gracefully_to_the_sequential_executor() {
         plan = plan.inject(3, 0, FaultKind::PipeStall);
     }
     let faults = Arc::new(plan);
+    let opts = ExecOptions::new()
+        .policy(policy.clone())
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let report = run_supervised_injected(&p, &partition, &mut got, &policy, &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(report.path, RecoveryPath::Sequential);
     assert!(report.degraded());
@@ -454,8 +482,11 @@ fn without_fallback_the_retry_budget_surfaces_as_retries_exhausted() {
         0,
         FaultKind::PipeStall,
     ));
+    let opts = ExecOptions::new()
+        .policy(policy.clone())
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let err = run_supervised_injected(&p, &partition, &mut got, &policy, &faults).unwrap_err();
+    let err = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap_err();
     let ExecError::RetriesExhausted { attempts, last } = &err else {
         panic!("expected RetriesExhausted, got {err}");
     };
@@ -475,9 +506,12 @@ fn worker_panic_mid_run_is_retried_from_the_checkpoint_and_counted() {
     // committed. The retry must resume from that barrier, not from scratch.
     let faults = Arc::new(FaultPlan::new().inject(3, 1, FaultKind::WorkerPanic));
     let rec = Recorder::new();
-    let opts = ExecOptions::new().policy(chaos_policy()).trace(rec.clone());
+    let opts = ExecOptions::new()
+        .policy(chaos_policy())
+        .trace(rec.clone())
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let report = run_supervised_injected_opts(&p, &partition, &mut got, &opts, &faults).unwrap();
+    let report = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.fired(), 1);
     assert_eq!(report.path, RecoveryPath::Retried);
@@ -507,8 +541,11 @@ fn retry_exhaustion_leaves_a_whole_barrier_state() {
         plan = plan.inject(0, 1, FaultKind::WorkerPanic);
     }
     let faults = Arc::new(plan);
+    let opts = ExecOptions::new()
+        .policy(policy.clone())
+        .faults(Arc::clone(&faults));
     let mut got = GridState::new(&p, init);
-    let err = run_supervised_injected(&p, &partition, &mut got, &policy, &faults).unwrap_err();
+    let err = run_supervised_opts(&p, &partition, &mut got, &opts).unwrap_err();
     let ExecError::RetriesExhausted { attempts, last } = &err else {
         panic!("expected RetriesExhausted, got {err}");
     };
@@ -516,7 +553,7 @@ fn retry_exhaustion_leaves_a_whole_barrier_state() {
     assert!(matches!(**last, ExecError::WorkerPanic { .. }));
     assert_eq!(faults.fired(), 3);
     let mut barrier = GridState::new(&p, init);
-    run_reference(&p.with_iterations(2), &mut barrier).unwrap();
+    run_reference_opts(&p.with_iterations(2), &mut barrier, &ExecOptions::new()).unwrap();
     assert_eq!(barrier.max_abs_diff(&got).unwrap(), 0.0);
 }
 
@@ -569,12 +606,12 @@ proptest! {
         // is on: payload corruption is only recoverable when it is
         // *detectable*, and checksums must never perturb a clean result.
         let policy = ExecPolicy { max_retries: 3, ..chaos_policy() };
-        let opts = ExecOptions::new().policy(policy).integrity(true);
+        let opts = ExecOptions::new().policy(policy).integrity(true).faults(Arc::clone(&faults));
         let mut expect = GridState::new(&p, init);
-        run_reference(&p, &mut expect).unwrap();
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
         let mut got = GridState::new(&p, init);
         let report =
-            run_supervised_injected_opts(&p, &partition, &mut got, &opts, &faults).unwrap();
+            run_supervised_opts(&p, &partition, &mut got, &opts).unwrap();
         prop_assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
         prop_assert_eq!(report.leaked_workers(), 0);
     }
@@ -594,8 +631,12 @@ fn fsync_failure_skips_one_generation_and_the_run_stays_bit_exact() {
     // numbering gap where the failed generation 0 would have been.
     let faults = Arc::new(FaultPlan::new().inject_io(FaultKind::FsyncFail));
     let mut got = GridState::new(&p, init);
-    let (report, result) =
-        run_supervised_injected_full(&p, &partition, &mut got, &ckpt_opts(&dir), &faults);
+    let (report, result) = run_supervised_full(
+        &p,
+        &partition,
+        &mut got,
+        &ckpt_opts(&dir).faults(Arc::clone(&faults)),
+    );
     result.unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.io_fired(), 1);
@@ -619,7 +660,13 @@ fn bit_rot_in_the_newest_generation_falls_back_and_resumes_bit_exact() {
     let prefix = p.with_iterations(4);
     let faults = Arc::new(FaultPlan::new().inject_io(FaultKind::CorruptCheckpoint(1)));
     let mut got = GridState::new(&p, init);
-    run_supervised_injected_opts(&prefix, &partition, &mut got, &ckpt_opts(&dir), &faults).unwrap();
+    run_supervised_opts(
+        &prefix,
+        &partition,
+        &mut got,
+        &ckpt_opts(&dir).faults(Arc::clone(&faults)),
+    )
+    .unwrap();
     assert_eq!(faults.io_fired(), 1);
     // The ladder detects the rot by digest and falls back one generation.
     let loaded = load_latest(&DirStore::new(&dir), None).unwrap();
@@ -634,9 +681,8 @@ fn bit_rot_in_the_newest_generation_falls_back_and_resumes_bit_exact() {
     assert!(loaded.fallback_notes[0].contains("generation 1"));
     // Resuming toward the full 6-iteration target redoes iterations 2..6
     // from generation 0 and lands bit-exact on the reference.
-    let clean = Arc::new(FaultPlan::new());
     let (state, report, result) =
-        resume_supervised_injected_full(&p, &partition, &dir, &ckpt_opts(&dir), &clean).unwrap();
+        resume_supervised_full(&p, &partition, &dir, &ckpt_opts(&dir)).unwrap();
     result.unwrap();
     assert_eq!(expect.max_abs_diff(&state).unwrap(), 0.0);
     assert_eq!(report.attempts[0].start_iteration, 2);
@@ -649,14 +695,18 @@ fn short_read_at_resume_drops_to_the_previous_generation() {
     let (p, partition) = scenario();
     let expect = reference_grid(&p);
     let dir = scratch("shortread");
-    let clean = Arc::new(FaultPlan::new());
     let mut got = GridState::new(&p, init);
-    run_supervised_injected_opts(&p, &partition, &mut got, &ckpt_opts(&dir), &clean).unwrap();
+    run_supervised_opts(&p, &partition, &mut got, &ckpt_opts(&dir)).unwrap();
     // The newest generation (2, finished) comes back truncated at read
     // time; the one-shot fault leaves generation 1 (4 iters) readable.
     let faults = Arc::new(FaultPlan::new().inject_io(FaultKind::ShortRead));
-    let (state, report, result) =
-        resume_supervised_injected_full(&p, &partition, &dir, &ckpt_opts(&dir), &faults).unwrap();
+    let (state, report, result) = resume_supervised_full(
+        &p,
+        &partition,
+        &dir,
+        &ckpt_opts(&dir).faults(Arc::clone(&faults)),
+    )
+    .unwrap();
     result.unwrap();
     assert_eq!(faults.io_fired(), 1);
     assert_eq!(expect.max_abs_diff(&state).unwrap(), 0.0);
@@ -681,14 +731,18 @@ fn a_fully_rotted_store_is_a_permanent_mismatch_with_diagnostics() {
     );
     let mut got = GridState::new(&p, init);
     // Bit rot happens after each seal, so the run itself is untouched.
-    run_supervised_injected_opts(&p, &partition, &mut got, &ckpt_opts(&dir), &faults).unwrap();
+    run_supervised_opts(
+        &p,
+        &partition,
+        &mut got,
+        &ckpt_opts(&dir).faults(Arc::clone(&faults)),
+    )
+    .unwrap();
     assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
     assert_eq!(faults.io_fired(), 3);
     // Every generation fails its digest: the resume is a permanent
     // mismatch carrying one diagnostic per generation tried.
-    let clean = Arc::new(FaultPlan::new());
-    let err = resume_supervised_injected_full(&p, &partition, &dir, &ckpt_opts(&dir), &clean)
-        .unwrap_err();
+    let err = resume_supervised_full(&p, &partition, &dir, &ckpt_opts(&dir)).unwrap_err();
     let ExecError::CheckpointMismatch { detail } = &err else {
         panic!("expected CheckpointMismatch, got {err}");
     };
@@ -706,7 +760,13 @@ fn a_torn_write_seals_a_generation_only_the_digest_can_reject() {
     let prefix = p.with_iterations(4);
     let faults = Arc::new(FaultPlan::new().inject_io(FaultKind::TornWrite(64)));
     let mut got = GridState::new(&p, init);
-    run_supervised_injected_opts(&prefix, &partition, &mut got, &ckpt_opts(&dir), &faults).unwrap();
+    run_supervised_opts(
+        &prefix,
+        &partition,
+        &mut got,
+        &ckpt_opts(&dir).faults(Arc::clone(&faults)),
+    )
+    .unwrap();
     assert_eq!(faults.io_fired(), 1);
     let store = DirStore::new(&dir);
     // Both generations exist on disk: the torn one was renamed into place.

@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 use stencilcl_exec::{
-    run_pipe_shared, run_pipe_shared_opts, run_reference, run_reference_opts, run_supervised,
-    run_threaded, run_threaded_opts, verify_design, ExecMode, ExecOptions, ExecPolicy,
-    HealthPolicy, RecoveryPath,
+    run_pipe_shared_opts, run_reference_opts, run_supervised_opts, run_threaded_opts,
+    verify_design, ExecMode, ExecOptions, ExecPolicy, HealthPolicy, RecoveryPath,
 };
 use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point, Rect};
 use stencilcl_lang::{
@@ -30,13 +29,19 @@ fn split(total: usize, k: usize, skew: usize) -> Vec<usize> {
 fn verify(program: &Program, design: &Design, mode: ExecMode, seed: i64) -> f64 {
     let f = StencilFeatures::extract(program).unwrap();
     let partition = Partition::new(program.extent(), design, &f.growth).unwrap();
-    verify_design(program, &partition, mode, |name, p: &Point| {
-        let mut v = (name.len() as i64 + seed) as f64;
-        for d in 0..p.dim() {
-            v = v * 13.0 + p.coord(d) as f64;
-        }
-        (v * 0.0021).sin()
-    })
+    verify_design(
+        program,
+        &partition,
+        mode,
+        &ExecOptions::new(),
+        |name, p: &Point| {
+            let mut v = (name.len() as i64 + seed) as f64;
+            for d in 0..p.dim() {
+                v = v * 13.0 + p.coord(d) as f64;
+            }
+            (v * 0.0021).sin()
+        },
+    )
     .unwrap()
 }
 
@@ -220,13 +225,12 @@ proptest! {
         Interpreter::new(&program).run(&mut oracle, program.iterations).unwrap();
         prop_assert_eq!(oracle.max_abs_diff(&reference).unwrap(), 0.0);
         let mut pipe = GridState::new(&program, init);
-        run_pipe_shared(&program, &partition, &mut pipe).unwrap();
+        let opts = ExecOptions::new();
+        run_pipe_shared_opts(&program, &partition, &mut pipe, &opts).unwrap();
         let mut threaded = GridState::new(&program, init);
-        run_threaded(&program, &partition, &mut threaded).unwrap();
+        run_threaded_opts(&program, &partition, &mut threaded, &opts).unwrap();
         let mut supervised = GridState::new(&program, init);
-        let report =
-            run_supervised(&program, &partition, &mut supervised, &ExecPolicy::default())
-                .unwrap();
+        let report = run_supervised_opts(&program, &partition, &mut supervised, &opts).unwrap();
         prop_assert_eq!(reference.max_abs_diff(&pipe).unwrap(), 0.0);
         prop_assert_eq!(pipe.max_abs_diff(&threaded).unwrap(), 0.0);
         // Supervision is transparent when nothing goes wrong: same grid,
@@ -273,7 +277,7 @@ proptest! {
                 ..ExecPolicy::default()
             });
         let mut plain = GridState::new(&program, init);
-        run_pipe_shared(&program, &partition, &mut plain).unwrap();
+        run_pipe_shared_opts(&program, &partition, &mut plain, &ExecOptions::new()).unwrap();
         let mut seq = GridState::new(&program, init);
         run_pipe_shared_opts(&program, &partition, &mut seq, &guarded).unwrap();
         prop_assert_eq!(plain.max_abs_diff(&seq).unwrap(), 0.0);
@@ -417,7 +421,7 @@ proptest! {
         kill in 0usize..=6,
         seed in 0i64..1000,
     ) {
-        use stencilcl_exec::{resume_supervised, run_supervised_full, CheckpointPolicy,
+        use stencilcl_exec::{resume_supervised_full, run_supervised_full, CheckpointPolicy,
                              CheckpointStore, DirStore};
         let n = 20usize;
         let src = format!(
@@ -438,7 +442,7 @@ proptest! {
             (v * 0.0027).sin()
         };
         let mut reference = GridState::new(&program, init);
-        run_reference(&program, &mut reference).unwrap();
+        run_reference_opts(&program, &mut reference, &ExecOptions::new()).unwrap();
 
         let dir = std::env::temp_dir().join(format!(
             "stencilcl-prop-ckpt-{}-{seed}-{fused}-{iters}-{every}-{kill}",
@@ -462,7 +466,9 @@ proptest! {
             store.remove(g).unwrap();
         }
 
-        let (resumed, report) = resume_supervised(&program, &partition, &dir, &opts).unwrap();
+        let (resumed, report, result) =
+            resume_supervised_full(&program, &partition, &dir, &opts).unwrap();
+        result.unwrap();
         prop_assert_eq!(reference.max_abs_diff(&resumed).unwrap(), 0.0);
         prop_assert_eq!(report.leaked_workers(), 0);
         let _ = std::fs::remove_dir_all(&dir);

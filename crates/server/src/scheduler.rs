@@ -16,9 +16,10 @@
 //! "you are over budget".
 //!
 //! Configuration layering follows the CLI's rule: the process env
-//! snapshot (`EnvConfig`, frozen at first read) supplies every default via
+//! snapshot (`EnvConfig`, frozen at first read) supplies the defaults via
 //! [`ExecOptions::from_config`], then per-request knobs overwrite their
-//! fields. The snapshot is read once at scheduler construction, so two
+//! fields. Checkpoint policy is the exception: it comes only from the
+//! request or the journal's per-job assignment, never from the env. The snapshot is read once at scheduler construction, so two
 //! concurrent jobs with different `lanes`/`deadline_ms` each get their own
 //! [`ExecOptions`] and never bleed configuration through process state.
 //!
@@ -56,8 +57,8 @@ use std::thread;
 use std::time::Duration;
 
 use stencilcl_exec::{
-    live_workers, ExecError, ExecOptions, ExecPool, FaultPlan, HealthPolicy, JobOutcome, JobSpec,
-    Progress,
+    live_workers, CheckpointPolicy, ExecError, ExecOptions, ExecPool, FaultPlan, HealthPolicy,
+    JobOutcome, JobSpec, Progress,
 };
 use stencilcl_grid::Partition;
 use stencilcl_lang::{GridState, Program};
@@ -253,51 +254,6 @@ impl Scheduler {
         &self.cfg
     }
 
-    /// Builds one job's [`ExecOptions`]: the frozen env snapshot supplies
-    /// every default, request knobs overwrite their fields (the same
-    /// layering as CLI flags), and the service baseline arms integrity.
-    fn job_options(&self, req: &SubmitRequest) -> Result<ExecOptions, String> {
-        let mut opts = ExecOptions::from_config(self.env);
-        let knobs = &req.options;
-        if let Some(ms) = knobs.deadline_ms {
-            opts.policy.deadline = Some(Duration::from_millis(ms));
-        }
-        if let Some(lanes) = knobs.lanes {
-            if !(1..=16).contains(&lanes) {
-                return Err(format!("lanes must be in 1..=16, got {lanes}"));
-            }
-            opts.lanes = Some(lanes);
-        }
-        if let Some(retries) = knobs.retries {
-            opts.policy.max_retries = retries;
-        }
-        if let Some(bound) = knobs.health_bound {
-            if bound.is_nan() || bound <= 0.0 {
-                return Err(format!("health_bound must be positive, got {bound}"));
-            }
-            opts.health = HealthPolicy::bounded(bound);
-        }
-        // The service mirrors `stencilcl run`: slabs are sealed by default.
-        opts.integrity = knobs.integrity.unwrap_or(true);
-        if let Some(dir) = &knobs.ckpt_dir {
-            opts.checkpoint.dir = Some(dir.into());
-        }
-        if let Some(every) = knobs.ckpt_every {
-            if every == 0 {
-                return Err("ckpt_every must be at least 1".into());
-            }
-            if !opts.checkpoint.enabled() {
-                return Err("ckpt_every needs ckpt_dir to arm checkpointing".into());
-            }
-            opts.checkpoint.every_barriers = every;
-        } else if opts.checkpoint.enabled() && knobs.ckpt_dir.is_some() {
-            // Service default: seal every barrier, so a drain mid-run
-            // always leaves a current resumable generation.
-            opts.checkpoint.every_barriers = 1;
-        }
-        Ok(opts)
-    }
-
     /// Admits and enqueues one job. The fast path is: validate, two gate
     /// checks under the admission lock, one channel send.
     ///
@@ -314,7 +270,7 @@ impl Scheduler {
         // Validation (parse + partition build) happens before any slot is
         // claimed, so a malformed request never consumes quota.
         let planned = plan(&req.source, &req.design).map_err(Reject::BadRequest)?;
-        let mut opts = self.job_options(req).map_err(Reject::BadRequest)?;
+        let mut opts = job_options(self.env, req).map_err(Reject::BadRequest)?;
 
         // Admission gates, both under the depth lock so depth accounting
         // and the queue bound cannot race.
@@ -616,7 +572,7 @@ impl Scheduler {
             .get(&record.id)
             .cloned()?;
         let planned = plan(&req.source, &req.design).ok()?;
-        let mut opts = self.job_options(&req).ok()?;
+        let mut opts = job_options(self.env, &req).ok()?;
         self.arm_assigned_checkpoint(&mut opts, record, &planned.spec);
         Some((planned.program, planned.partition, opts))
     }
@@ -640,7 +596,7 @@ impl Scheduler {
                 }
                 continue;
             };
-            let Ok(mut opts) = self.job_options(&open.request) else {
+            let Ok(mut opts) = job_options(self.env, &open.request) else {
                 continue;
             };
             let record = Arc::new(JobRecord::recovered(
@@ -809,6 +765,55 @@ impl Scheduler {
     }
 }
 
+/// Builds one job's [`ExecOptions`]: the frozen env snapshot supplies the
+/// defaults, request knobs overwrite their fields (the same layering as CLI
+/// flags), and the service baseline arms integrity. Checkpoint policy never
+/// comes from the env: one process-wide directory would have every job
+/// seal into the same store. It is armed only by the request's `ckpt_dir`
+/// here, or by the journal's per-job assignment afterwards.
+fn job_options(env: &EnvConfig, req: &SubmitRequest) -> Result<ExecOptions, String> {
+    let mut opts = ExecOptions::from_config(env);
+    opts.checkpoint = CheckpointPolicy::default();
+    let knobs = &req.options;
+    if let Some(ms) = knobs.deadline_ms {
+        opts.policy.deadline = Some(Duration::from_millis(ms));
+    }
+    if let Some(lanes) = knobs.lanes {
+        if !(1..=16).contains(&lanes) {
+            return Err(format!("lanes must be in 1..=16, got {lanes}"));
+        }
+        opts.lanes = Some(lanes);
+    }
+    if let Some(retries) = knobs.retries {
+        opts.policy.max_retries = retries;
+    }
+    if let Some(bound) = knobs.health_bound {
+        if bound.is_nan() || bound <= 0.0 {
+            return Err(format!("health_bound must be positive, got {bound}"));
+        }
+        opts.health = HealthPolicy::bounded(bound);
+    }
+    // The service mirrors `stencilcl run`: slabs are sealed by default.
+    opts.integrity = knobs.integrity.unwrap_or(true);
+    if let Some(dir) = &knobs.ckpt_dir {
+        opts.checkpoint.dir = Some(dir.into());
+    }
+    if let Some(every) = knobs.ckpt_every {
+        if every == 0 {
+            return Err("ckpt_every must be at least 1".into());
+        }
+        if !opts.checkpoint.enabled() {
+            return Err("ckpt_every needs ckpt_dir to arm checkpointing".into());
+        }
+        opts.checkpoint.every_barriers = every;
+    } else if opts.checkpoint.enabled() {
+        // Service default: seal every barrier, so a drain mid-run always
+        // leaves a current resumable generation.
+        opts.checkpoint.every_barriers = 1;
+    }
+    Ok(opts)
+}
+
 /// Arms the stuck-job watchdog: a detached thread that scans running jobs
 /// every quarter of the stall timeout (bounded to 10ms..=250ms) and
 /// cancels any whose progress heartbeat has been silent longer than the
@@ -844,4 +849,50 @@ fn spawn_watchdog(sched: &Arc<Scheduler>, stall: Duration) {
             }
         })
         .expect("spawn stencil-job-watchdog");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(options: &str) -> SubmitRequest {
+        serde_json::from_str(&format!(
+            r#"{{"source":"","design":{{"fused":1,"parallelism":[1],"tile":[1]}},
+                "options":{options}}}"#
+        ))
+        .expect("request parses")
+    }
+
+    #[test]
+    fn job_options_never_take_checkpoints_from_the_env() {
+        let (env, warnings) = EnvConfig::parse(|var| {
+            match var {
+                "STENCILCL_CKPT_DIR" => Some("/tmp/shared-ckpt"),
+                "STENCILCL_CKPT_EVERY" => Some("5"),
+                "STENCILCL_DEADLINE_MS" => Some("900"),
+                _ => None,
+            }
+            .map(String::from)
+        });
+        assert!(warnings.is_empty());
+        // Without a request directory the job is unarmed, so a journal
+        // daemon assigns it its own store.
+        let opts = job_options(&env, &request("{}")).unwrap();
+        assert!(!opts.checkpoint.enabled());
+        assert_eq!(opts.policy.deadline, Some(Duration::from_millis(900)));
+        assert!(opts.integrity);
+        // A request directory seals every barrier unless the request sets
+        // a cadence; the env cadence is ignored either way.
+        let opts = job_options(&env, &request(r#"{"ckpt_dir":"/tmp/mine"}"#)).unwrap();
+        assert_eq!(
+            opts.checkpoint.dir.as_deref(),
+            Some(std::path::Path::new("/tmp/mine"))
+        );
+        assert_eq!(opts.checkpoint.every_barriers, 1);
+        let opts =
+            job_options(&env, &request(r#"{"ckpt_dir":"/tmp/mine","ckpt_every":3}"#)).unwrap();
+        assert_eq!(opts.checkpoint.every_barriers, 3);
+        // `ckpt_every` alone cannot lean on the env directory.
+        assert!(job_options(&env, &request(r#"{"ckpt_every":3}"#)).is_err());
+    }
 }

@@ -4,10 +4,9 @@
 //! their own environment variables, silently falling back on malformed
 //! values. This module parses the whole knob set exactly once per process,
 //! warns (one line to stderr, naming the variable and the rejected value)
-//! on anything malformed, and hands out a `&'static EnvConfig`. Callers
-//! that want explicit control (tests, the bench A/B harness) bypass env
-//! entirely by passing options structs downward — env is only the
-//! outermost default.
+//! on anything malformed, and hands out a `&'static EnvConfig`. Only
+//! binaries read it: each maps the snapshot once into the options structs
+//! it passes downward, and the libraries never consult the environment.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -15,9 +14,6 @@ use std::sync::OnceLock;
 /// Every recognized environment knob, parsed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvConfig {
-    /// `STENCILCL_INTERPRET`: run the AST interpreter instead of compiled
-    /// bytecode kernels. Truthy = set, non-empty, and not `"0"`.
-    pub interpret: bool,
     /// `STENCILCL_WATCHDOG_MS`: supervised watchdog timeout override.
     pub watchdog_ms: Option<u64>,
     /// `STENCILCL_DRAIN_MS`: supervised drain window override.
@@ -26,8 +22,8 @@ pub struct EnvConfig {
     pub max_retries: Option<u32>,
     /// `STENCILCL_RESULTS`: directory bench bins write artifacts under.
     pub results_dir: PathBuf,
-    /// `STENCILCL_TRACE`: record telemetry spans (same truthy rule as
-    /// `interpret`).
+    /// `STENCILCL_TRACE`: record telemetry spans. Truthy = set, non-empty,
+    /// and not `"0"`.
     pub trace: bool,
     /// `STENCILCL_DEADLINE_MS`: wall-clock run deadline override.
     pub deadline_ms: Option<u64>,
@@ -36,9 +32,6 @@ pub struct EnvConfig {
     pub health_bound: Option<f64>,
     /// `STENCILCL_HEALTH_STRIDE`: health-scan sampling stride (≥ 1).
     pub health_stride: Option<usize>,
-    /// `STENCILCL_INTEGRITY`: seal and verify slab checksums (same truthy
-    /// rule as `interpret`).
-    pub integrity: bool,
     /// `STENCILCL_LANES`: compiled-kernel tape lane width (1–16); 1 forces
     /// the scalar walk, `None` lets the compiler pick the vector default.
     pub lanes: Option<usize>,
@@ -53,7 +46,6 @@ pub struct EnvConfig {
 impl Default for EnvConfig {
     fn default() -> Self {
         EnvConfig {
-            interpret: false,
             watchdog_ms: None,
             drain_ms: None,
             max_retries: None,
@@ -62,7 +54,6 @@ impl Default for EnvConfig {
             deadline_ms: None,
             health_bound: None,
             health_stride: None,
-            integrity: false,
             lanes: None,
             ckpt_dir: None,
             ckpt_every: None,
@@ -82,9 +73,6 @@ impl EnvConfig {
     pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> (EnvConfig, Vec<String>) {
         let mut cfg = EnvConfig::default();
         let mut warnings = Vec::new();
-        if let Some(v) = lookup("STENCILCL_INTERPRET") {
-            cfg.interpret = truthy(v.trim());
-        }
         if let Some(v) = lookup("STENCILCL_TRACE") {
             cfg.trace = truthy(v.trim());
         }
@@ -101,9 +89,6 @@ impl EnvConfig {
         ms("STENCILCL_WATCHDOG_MS", &mut cfg.watchdog_ms);
         ms("STENCILCL_DRAIN_MS", &mut cfg.drain_ms);
         ms("STENCILCL_DEADLINE_MS", &mut cfg.deadline_ms);
-        if let Some(v) = lookup("STENCILCL_INTEGRITY") {
-            cfg.integrity = truthy(v.trim());
-        }
         if let Some(v) = lookup("STENCILCL_HEALTH_BOUND") {
             match v.trim().parse::<f64>() {
                 Ok(b) if b.is_finite() && b > 0.0 => cfg.health_bound = Some(b),
@@ -197,15 +182,13 @@ mod tests {
         let (cfg, warnings) = EnvConfig::parse(|_| None);
         assert_eq!(cfg, EnvConfig::default());
         assert!(warnings.is_empty());
-        assert!(!cfg.interpret);
+        assert!(!cfg.trace);
         assert_eq!(cfg.results_dir, PathBuf::from("results"));
     }
 
     #[test]
     fn truthy_rule_matches_legacy_behavior() {
         for (v, want) in [("1", true), ("yes", true), ("0", false), ("", false)] {
-            let (cfg, _) = EnvConfig::parse(env(&[("STENCILCL_INTERPRET", v)]));
-            assert_eq!(cfg.interpret, want, "STENCILCL_INTERPRET={v:?}");
             let (cfg, _) = EnvConfig::parse(env(&[("STENCILCL_TRACE", v)]));
             assert_eq!(cfg.trace, want, "STENCILCL_TRACE={v:?}");
         }
@@ -246,17 +229,25 @@ mod tests {
 
     #[test]
     fn integrity_and_health_knobs_parse() {
+        // `STENCILCL_INTEGRITY` and `STENCILCL_INTERPRET` are retired:
+        // setting them is silently ignored.
         let (cfg, warnings) = EnvConfig::parse(env(&[
             ("STENCILCL_DEADLINE_MS", "5000"),
             ("STENCILCL_HEALTH_BOUND", "1e12"),
             ("STENCILCL_HEALTH_STRIDE", "7"),
             ("STENCILCL_INTEGRITY", "1"),
+            ("STENCILCL_INTERPRET", "1"),
         ]));
         assert!(warnings.is_empty());
-        assert_eq!(cfg.deadline_ms, Some(5000));
-        assert_eq!(cfg.health_bound, Some(1e12));
-        assert_eq!(cfg.health_stride, Some(7));
-        assert!(cfg.integrity);
+        assert_eq!(
+            cfg,
+            EnvConfig {
+                deadline_ms: Some(5000),
+                health_bound: Some(1e12),
+                health_stride: Some(7),
+                ..EnvConfig::default()
+            }
+        );
     }
 
     #[test]

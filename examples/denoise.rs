@@ -64,11 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = Design::equal(DesignKind::PipeShared, 4, vec![2, 2], vec![16, 16])?;
     let partition = Partition::new(features.extent, &design, &features.growth)?;
     let mut state = GridState::new(&program, init);
-    run_threaded(&program, &partition, &mut state)?;
+    let opts = ExecOptions::new();
+    run_threaded_opts(&program, &partition, &mut state, &opts)?;
 
     // ... and confirm it is exactly the reference computation.
     let mut reference = GridState::new(&program, init);
-    run_reference(&program, &mut reference)?;
+    run_reference_opts(&program, &mut reference, &opts)?;
     let diff = reference.max_abs_diff(&state)?;
     println!("threaded accelerator vs reference: max |diff| = {diff}");
     assert_eq!(diff, 0.0);

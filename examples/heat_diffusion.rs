@@ -44,14 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Reference solve.
+    let opts = ExecOptions::new();
     let mut reference = GridState::new(&program, init);
-    run_reference(&program, &mut reference)?;
+    run_reference_opts(&program, &mut reference, &opts)?;
 
     // Accelerated solve: 3x3 kernels with heterogeneous (balanced) tiles.
     let design = Design::heterogeneous(5, vec![vec![10, 12, 10], vec![10, 12, 10]])?;
     let partition = Partition::new(features.extent, &design, &features.growth)?;
     let mut accelerated = GridState::new(&program, init);
-    run_threaded(&program, &partition, &mut accelerated)?;
+    run_threaded_opts(&program, &partition, &mut accelerated, &opts)?;
     let diff = reference.max_abs_diff(&accelerated)?;
     println!("threaded pipe-shared accelerator vs reference: max |diff| = {diff}");
     assert_eq!(diff, 0.0, "the accelerated solve must be exact");

@@ -80,20 +80,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tiny_features = StencilFeatures::extract(&tiny)?;
     let design = Design::equal(DesignKind::PipeShared, 4, vec![2, 2], vec![16, 16])?;
     let partition = Partition::new(tiny_features.extent, &design, &tiny_features.growth)?;
-    let diff = verify_design(&tiny, &partition, ExecMode::Threaded, |_, p| {
+    let opts = ExecOptions::new();
+    let diff = verify_design(&tiny, &partition, ExecMode::Threaded, &opts, |_, p| {
         (p.coord(0) as f64 * 0.37).sin() + (p.coord(1) as f64 * 0.61).cos()
     })?;
     println!("\nfunctional validation (threaded pipes vs reference): max |diff| = {diff}");
     assert_eq!(diff, 0.0);
 
-    // 7. Every executor above ran on the default engine: each update
-    //    statement compiled once to a flat postfix bytecode tape (dense grid
-    //    slots, neighbor offsets folded to linear-index deltas) and executed
-    //    with branch-free row sweeps. Set STENCILCL_INTERPRET=1 to fall back
-    //    to the tree-walking AST interpreter — the differential-testing
-    //    oracle — and STENCILCL_LANES=<W> to pick the tape lane width. Both
-    //    engines are bit-exact, as the compiled tape performs the same f64
-    //    operations in the same order per cell:
+    // 7. Every executor above ran compiled kernels: each update statement
+    //    compiled once to a flat postfix bytecode tape (dense grid slots,
+    //    neighbor offsets folded to linear-index deltas) and executed with
+    //    branch-free row sweeps. `ExecOptions::lanes` (`stencilcl run
+    //    --lanes W`) picks the tape lane width. The tree-walking AST
+    //    `Interpreter` remains the differential-testing oracle; the tape is
+    //    bit-exact with it, performing the same f64 operations in the same
+    //    order per cell:
     let compiled = CompiledProgram::compile(&tiny)?;
     println!(
         "compiled `{}`: {} kernel tape(s), e.g. statement 0 = {} ops over {} grid slot(s)",

@@ -39,8 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (-(dx * dx + dy * dy) / 18.0).exp()
     };
 
+    let opts = ExecOptions::new();
     let mut reference = GridState::new(&program, init);
-    run_reference(&program, &mut reference)?;
+    run_reference_opts(&program, &mut reference, &opts)?;
 
     // Accelerate with every executor and demand exactness.
     for (label, kind, mode) in [
@@ -54,14 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let design = Design::equal(kind, 4, vec![2, 2], vec![16, 16])?;
         let partition = Partition::new(features.extent, &design, &features.growth)?;
-        let diff = verify_design(&program, &partition, mode, init)?;
+        let diff = verify_design(&program, &partition, mode, &opts, init)?;
         println!("{label:<20} max |diff| vs reference: {diff}");
         assert_eq!(diff, 0.0);
     }
 
     // Physics sanity: the pulse spreads — energy leaves the center region.
     let mut after = GridState::new(&program, init);
-    run_reference(&program, &mut after)?;
+    run_reference_opts(&program, &mut after, &opts)?;
     let hz = after.grid("hz")?;
     let center = *hz.get(&Point::new2((N / 2) as i64, (N / 2) as i64))?;
     println!("\nhz at source after {STEPS} steps: {center:.4} (started at 1.0)");

@@ -19,7 +19,7 @@ fn assert_equivalent(program: &Program, design: &Design, mode: ExecMode) {
     let f = StencilFeatures::extract(program).unwrap();
     let partition = Partition::new(program.extent(), design, &f.growth)
         .unwrap_or_else(|e| panic!("{}: {e}", program.name));
-    let diff = verify_design(program, &partition, mode, init)
+    let diff = verify_design(program, &partition, mode, &ExecOptions::new(), init)
         .unwrap_or_else(|e| panic!("{} {mode:?}: {e}", program.name));
     assert_eq!(
         diff, 0.0,
