@@ -18,8 +18,9 @@ use stencilcl_exec::{
     run_reference_opts, run_supervised_opts, ExecOptions, ExecPolicy, FaultKind, FaultPlan,
     RunReport,
 };
-use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point};
+use stencilcl_grid::{Design, DesignKind, Extent, Partition};
 use stencilcl_lang::{programs, GridState, StencilFeatures};
+use stencilcl_server::default_init;
 
 /// One chaos scenario's outcome, serialized to `ablation_chaos.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,14 +32,6 @@ struct ChaosRow {
     path: String,
     leaked_workers: usize,
     bit_exact: bool,
-}
-
-fn init(name: &str, p: &Point) -> f64 {
-    let mut v = name.len() as f64 + 5.0;
-    for d in 0..p.dim() {
-        v = v * 23.0 + p.coord(d) as f64;
-    }
-    (v * 0.0017).sin()
 }
 
 fn main() {
@@ -70,7 +63,7 @@ fn main() {
     let design =
         Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![24, 24]).expect("build design");
     let partition = Partition::new(program.extent(), &design, &features.growth).expect("partition");
-    let mut expect = GridState::new(&program, init);
+    let mut expect = GridState::new(&program, default_init);
     run_reference_opts(&program, &mut expect, &ExecOptions::new()).expect("reference run");
 
     let stall_every_attempt = || {
@@ -111,7 +104,7 @@ fn main() {
         let opts = ExecOptions::new()
             .policy(policy.clone())
             .faults(Arc::new(plan));
-        let mut got = GridState::new(&program, init);
+        let mut got = GridState::new(&program, default_init);
         let start = Instant::now();
         let report: RunReport =
             run_supervised_opts(&program, &partition, &mut got, &opts).expect("supervised run");

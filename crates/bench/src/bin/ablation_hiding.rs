@@ -4,7 +4,6 @@
 //! traffic instead of computing the independent group first — the situation
 //! the paper's λ (Eq. 11) models.
 
-use stencilcl::suite;
 use stencilcl_bench::runner::{ablation_hiding, write_json, Ablation};
 use stencilcl_bench::table::{ratio, Table};
 
@@ -33,6 +32,5 @@ fn main() {
     }
     println!("Ablation: independent-first scheduling (latency hiding).\n");
     println!("{}", t.render());
-    let _ = suite::all;
     write_json("ablation_hiding.json", &rows);
 }

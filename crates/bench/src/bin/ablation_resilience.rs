@@ -2,191 +2,56 @@
 //! durable job journal, the assigned per-job checkpoint store, and the
 //! armed stall watchdog cost on the jobs that never need them.
 //!
-//! Two in-process daemons run the identical job interleaved A/B over
-//! loopback HTTP: the *baseline* is the memory-only scheduler exactly as
-//! PR 9 shipped it, the *armed* daemon journals every admission (fsync),
-//! checkpoints the job into its assigned `<state_dir>/jobs/<id>` store,
-//! and runs the stuck-job watchdog with a timeout far above the job's
-//! runtime (armed but never firing — the steady-state configuration).
-//! Both must land on the identical grid digest, and the asserted overhead
-//! is the lower of two noise-rejecting estimates — the minimum over the
-//! interleaved pairs of `armed_i / base_i - 1`, and the best-of-N ratio —
-//! because interference only inflates a measurement. Target: ≤ 5%.
-//! Writes `results/BENCH_resilience.json`.
+//! Two in-process daemons run the identical job in alternating pairs of
+//! the shared harness in `stencilcl_bench::ab`, over loopback HTTP: the
+//! *baseline* is the memory-only scheduler, the *armed* daemon journals
+//! every admission (fsync), checkpoints the job into its assigned
+//! `<state_dir>/jobs/<id>` store, and runs the stuck-job watchdog with a
+//! timeout far above the job's runtime (armed but never firing — the
+//! steady-state configuration). Both must land on the digest of a direct
+//! in-process run. The overhead is judged against a 5% budget: the binary
+//! exits 1 if and only if the 95% interval lies wholly over it. Writes
+//! `results/BENCH_resilience.json`.
 //!
 //! Knobs (environment): `STENCILCL_BENCH_N` (grid side, default 256),
 //! `STENCILCL_BENCH_ITERS` (iterations, default 32),
-//! `STENCILCL_BENCH_SAMPLES` (timing pairs, default 7).
+//! `STENCILCL_BENCH_SAMPLES` (timing pairs, default 21).
 
-use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use serde::Serialize;
-use stencilcl_bench::runner::write_json;
-use stencilcl_bench::table::Table;
-use stencilcl_server::client::{get, post};
-use stencilcl_server::{Scheduler, SchedulerConfig, Server};
-
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-#[derive(Debug, Serialize)]
-struct ResilienceTiming {
-    name: String,
-    /// Best-of-N submit→result wall time against the memory-only daemon.
-    baseline_ms: f64,
-    /// Best-of-N submit→result wall time against the journal + watchdog
-    /// daemon (armed, never firing).
-    armed_ms: f64,
-    /// The lower of the per-pair minimum of `armed_i / base_i - 1` and
-    /// the best-of-N ratio.
-    overhead_frac: f64,
-    /// Timing pairs taken.
-    samples: usize,
-    /// The shared digest both daemons produced.
-    digest: String,
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stencilcl-bench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// One submit → long-poll round trip; returns (wall ms, digest).
-fn serve_once(addr: SocketAddr, body: &str) -> (f64, String) {
-    let t0 = Instant::now();
-    let resp = post(addr, "/v1/jobs", body).expect("submit");
-    assert_eq!(resp.status, 200, "submit failed: {}", resp.body);
-    let job = resp
-        .body
-        .split("\"job\":\"")
-        .nth(1)
-        .and_then(|s| s.split('"').next())
-        .unwrap_or_else(|| panic!("no job id in {}", resp.body))
-        .to_string();
-    let resp = get(addr, &format!("/v1/jobs/{job}/result?wait_ms=60000")).expect("result");
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(resp.status, 200, "job not terminal: {}", resp.body);
-    assert!(resp.body.contains("\"phase\":\"Done\""), "{}", resp.body);
-    let digest = resp
-        .body
-        .split("\"digest\":\"")
-        .nth(1)
-        .and_then(|s| s.split('"').next())
-        .unwrap_or_else(|| panic!("no digest in {}", resp.body))
-        .to_string();
-    (ms, digest)
-}
+use stencilcl_bench::ab::{bench_daemon, knobs, report, scratch_dir, time_pairs, AbRow, BlurJob};
+use stencilcl_server::SchedulerConfig;
 
 fn main() {
-    let n = env_usize("STENCILCL_BENCH_N", 256);
-    let iters = env_usize("STENCILCL_BENCH_ITERS", 32) as u64;
-    let samples = env_usize("STENCILCL_BENCH_SAMPLES", 7);
-
-    let source = format!(
-        "stencil blur {{ grid A[{n}][{n}] : f32; iterations {iters};
-         A[i][j] = 0.5 * A[i][j] + 0.125 * (A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1]); }}"
-    );
-    let tile = (n / 4).max(1);
-    let fused = 2.min(iters);
-    let body = format!(
-        r#"{{"tenant":"bench","source":{},"design":{{"kind":"pipe","fused":{fused},"parallelism":[2,2],"tile":[{tile},{tile}]}}}}"#,
-        serde_json::to_string(&source).expect("encode source"),
-    );
-
-    // Baseline: the memory-only scheduler — no journal, no watchdog, no
-    // assigned checkpoint store.
-    let baseline = Server::bind(
-        "127.0.0.1:0",
-        Scheduler::new(SchedulerConfig {
-            workers: 1,
-            max_queue: 16,
-            quota: u64::MAX,
-            ..SchedulerConfig::default()
-        }),
-    )
-    .expect("bind baseline daemon");
+    let (n, iters, pairs) = knobs(32);
+    let job = BlurJob::new(n, iters);
+    // Baseline: no journal, no watchdog, no assigned checkpoint store.
+    let baseline = bench_daemon(SchedulerConfig::default());
     // Armed: fsynced journal + per-job checkpoint store + live watchdog
     // thread whose timeout the job never approaches.
-    let state_dir = scratch("resilience");
-    let armed = Server::bind(
-        "127.0.0.1:0",
-        Scheduler::new(SchedulerConfig {
-            workers: 1,
-            max_queue: 16,
-            quota: u64::MAX,
-            state_dir: Some(state_dir.clone()),
-            stall_timeout: Some(Duration::from_secs(300)),
-            ..SchedulerConfig::default()
-        }),
-    )
-    .expect("bind armed daemon");
-    let base_addr = baseline.local_addr();
-    let armed_addr = armed.local_addr();
+    let state_dir = scratch_dir("resilience");
+    let armed = bench_daemon(SchedulerConfig {
+        state_dir: Some(state_dir.clone()),
+        stall_timeout: Some(Duration::from_secs(300)),
+        ..SchedulerConfig::default()
+    });
+    let (base_addr, armed_addr) = (baseline.local_addr(), armed.local_addr());
 
-    // Warm both daemons once and pin the oracle digest.
-    let (_, oracle) = serve_once(base_addr, &body);
-    let (_, warm) = serve_once(armed_addr, &body);
-    assert_eq!(warm, oracle, "armed daemon diverged from the baseline");
-
-    let mut base_best = f64::INFINITY;
-    let mut armed_best = f64::INFINITY;
-    let mut overhead = f64::INFINITY;
-    for i in 0..samples {
-        eprintln!("[ablation_resilience] pair {}/{samples} ...", i + 1);
-        let (b_ms, b_digest) = serve_once(base_addr, &body);
-        let (a_ms, a_digest) = serve_once(armed_addr, &body);
-        assert_eq!(b_digest, oracle);
-        assert_eq!(a_digest, oracle);
-        base_best = base_best.min(b_ms);
-        armed_best = armed_best.min(a_ms);
-        overhead = overhead.min(a_ms / b_ms - 1.0);
-    }
-    // Second estimator: the best-of-N ratio, for when every pair caught an
-    // interference burst on a different side.
-    overhead = overhead.min(armed_best / base_best - 1.0);
+    eprintln!("[ablation_resilience] {} ...", job.name);
+    let samples = time_pairs(
+        pairs,
+        || job.serve_once(base_addr),
+        || job.serve_once(armed_addr),
+    );
     baseline.stop(Duration::from_secs(5));
     armed.stop(Duration::from_secs(5));
     let _ = std::fs::remove_dir_all(&state_dir);
 
-    let row = ResilienceTiming {
-        name: format!("blur {n}x{n}, {iters} iters"),
-        baseline_ms: base_best,
-        armed_ms: armed_best,
-        overhead_frac: overhead,
-        samples,
-        digest: oracle,
-    };
-    let mut t = Table::new(vec![
-        "Benchmark",
-        "Baseline (ms)",
-        "Journal+watchdog (ms)",
-        "Overhead (best pair)",
-    ]);
-    t.row(vec![
-        row.name.clone(),
-        format!("{:.3}", row.baseline_ms),
-        format!("{:.3}", row.armed_ms),
-        format!("{:+.1}%", row.overhead_frac * 100.0),
-    ]);
-    println!("Ablation: crash-only machinery (journal + watchdog) vs the plain service.\n");
-    println!("{}", t.render());
-    println!(
-        "journal+watchdog overhead: {:+.1}% of baseline wall time (target <= 5%)",
-        row.overhead_frac * 100.0
+    let labels = ["baseline", "journal+watchdog"];
+    let row = AbRow::new(&job.name, labels, &samples, Some(0.05), 0.0);
+    report(
+        "Ablation: crash-only machinery (journal + watchdog) vs the plain service.",
+        "BENCH_resilience.json",
+        &[row.with("digest", &job.digest)],
     );
-    assert!(
-        row.overhead_frac <= 0.05,
-        "resilience overhead {:+.1}% exceeds the 5% budget",
-        row.overhead_frac * 100.0
-    );
-    write_json("BENCH_resilience.json", &[row]);
 }

@@ -3,192 +3,40 @@
 //! schedules.
 //!
 //! One in-process daemon (single pool runner, loopback HTTP) runs the same
-//! job the direct `run_supervised_full` call executes, interleaved A/B:
-//! direct run, then submit → long-poll result over real sockets with JSON
-//! on both legs. Both paths must land on the identical grid digest (the
-//! service is an orchestration layer, never a numeric one), and the
-//! asserted overhead is the lower of two noise-rejecting estimates — the
-//! minimum over the interleaved sample pairs of `serve_i / direct_i - 1`,
-//! and the ratio of the two best-of-N times — because interference only
-//! ever inflates a measurement, so the cleanest estimate is the honest
-//! cost of the HTTP + scheduler machinery itself. Target: ≤ 5%. Writes
+//! job the direct `run_supervised_full` call executes, in alternating pairs
+//! of the shared harness in `stencilcl_bench::ab`: the direct leg plans
+//! the design from source, fills the grid, runs supervised and digests the
+//! result — everything the service does per job — so the change isolates
+//! the HTTP + scheduler machinery. Every serve run must land on the digest
+//! of the direct run (the service is an orchestration layer, never a
+//! numeric one). The overhead is judged against a 5% budget: the binary
+//! exits 1 if and only if the 95% interval lies wholly over it. Writes
 //! `results/BENCH_serve.json`.
 //!
 //! Knobs (environment): `STENCILCL_BENCH_N` (grid side, default 256),
 //! `STENCILCL_BENCH_ITERS` (iterations, default 32 — long enough that the
-//! computation dominates the service's ~2-3 ms fixed per-job cost, so the
-//! 5% budget measures the machinery and not the job size),
-//! `STENCILCL_BENCH_SAMPLES` (timing pairs, default 7). CI runs the
-//! defaults, like the other overhead-asserting ablations.
+//! computation dominates the service's ~2-3 ms fixed per-job cost),
+//! `STENCILCL_BENCH_SAMPLES` (timing pairs, default 21).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use serde::Serialize;
-use stencilcl_bench::runner::write_json;
-use stencilcl_bench::table::Table;
-use stencilcl_exec::{run_supervised_full, ExecOptions};
-use stencilcl_lang::GridState;
-use stencilcl_server::client::{get, post};
-use stencilcl_server::{default_init, plan, DesignRequest, Scheduler, SchedulerConfig, Server};
-use stencilcl_telemetry::EnvConfig;
-
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-#[derive(Debug, Serialize)]
-struct ServeTiming {
-    name: String,
-    /// Best-of-N wall time of the direct `run_supervised_full` call.
-    direct_ms: f64,
-    /// Best-of-N wall time of submit → terminal result over loopback HTTP.
-    serve_ms: f64,
-    /// The lower of the per-pair minimum of `serve_i / direct_i - 1` and
-    /// `serve_ms / direct_ms - 1` of the best-of-N times.
-    overhead_frac: f64,
-    /// Timing pairs taken.
-    samples: usize,
-    /// The shared digest both paths produced.
-    digest: String,
-}
+use stencilcl_bench::ab::{bench_daemon, knobs, report, time_pairs, AbRow, BlurJob};
+use stencilcl_server::SchedulerConfig;
 
 fn main() {
-    let n = env_usize("STENCILCL_BENCH_N", 256);
-    let iters = env_usize("STENCILCL_BENCH_ITERS", 32) as u64;
-    let samples = env_usize("STENCILCL_BENCH_SAMPLES", 7);
-
-    let source = format!(
-        "stencil blur {{ grid A[{n}][{n}] : f32; iterations {iters};
-         A[i][j] = 0.5 * A[i][j] + 0.125 * (A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1]); }}"
-    );
-    let tile = (n / 4).max(1);
-    let req = DesignRequest {
-        kind: "pipe".to_string(),
-        fused: 2.min(iters),
-        parallelism: vec![2, 2],
-        tile: vec![tile, tile],
-    };
-    // One daemon for the whole measurement: a single pool runner, so the
-    // serve path is serial exactly like the direct path.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Scheduler::new(SchedulerConfig {
-            workers: 1,
-            max_queue: 16,
-            quota: u64::MAX,
-            ..SchedulerConfig::default()
-        }),
-    )
-    .expect("bind loopback");
+    let (n, iters, pairs) = knobs(32);
+    let job = BlurJob::new(n, iters);
+    let server = bench_daemon(SchedulerConfig::default());
     let addr = server.local_addr();
-    let body = format!(
-        r#"{{"tenant":"bench","source":{},"design":{{"kind":"pipe","fused":{},"parallelism":[2,2],"tile":[{tile},{tile}]}}}}"#,
-        serde_json::to_string(&source).expect("encode source"),
-        req.fused,
-    );
 
-    // The direct leg does everything the service does per job — plan the
-    // design from source, fill the grid with the deterministic initial
-    // condition, run supervised, digest the result — so the ratio isolates
-    // the HTTP + scheduler machinery rather than penalizing the service
-    // for work any consumer of a submitted source must perform.
-    let direct_once = || -> (f64, u64) {
-        let t0 = Instant::now();
-        let planned = plan(&source, &req).expect("bench program plans");
-        let mut opts = ExecOptions::from_config(EnvConfig::get());
-        opts.integrity = true;
-        let mut state = GridState::new(&planned.program, default_init);
-        let (_report, result) =
-            run_supervised_full(&planned.program, &planned.partition, &mut state, &opts);
-        result.expect("direct run");
-        let digest = state.digest();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        (ms, digest)
-    };
-    let serve_once = || -> (f64, String) {
-        let t0 = Instant::now();
-        let resp = post(addr, "/v1/jobs", &body).expect("submit");
-        assert_eq!(resp.status, 200, "submit failed: {}", resp.body);
-        let job = resp
-            .body
-            .split("\"job\":\"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-            .unwrap_or_else(|| panic!("no job id in {}", resp.body))
-            .to_string();
-        let resp = get(addr, &format!("/v1/jobs/{job}/result?wait_ms=60000")).expect("result");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(resp.status, 200, "job not terminal: {}", resp.body);
-        assert!(resp.body.contains("\"phase\":\"Done\""), "{}", resp.body);
-        let digest = resp
-            .body
-            .split("\"digest\":\"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-            .unwrap_or_else(|| panic!("no digest in {}", resp.body))
-            .to_string();
-        (ms, digest)
-    };
-
-    // Warm-up both paths once (thread pools, page faults, JIT-free but
-    // cache-cold code), then interleave the timed pairs.
-    let (_, oracle) = direct_once();
-    let oracle = format!("{oracle:#018x}");
-    let (_, warm) = serve_once();
-    assert_eq!(warm, oracle, "service digest drifted from the direct run");
-
-    let mut direct_best = f64::INFINITY;
-    let mut serve_best = f64::INFINITY;
-    let mut overhead = f64::INFINITY;
-    for i in 0..samples {
-        eprintln!("[ablation_serve] pair {}/{samples} ...", i + 1);
-        let (d_ms, d_digest) = direct_once();
-        let (s_ms, s_digest) = serve_once();
-        assert_eq!(format!("{d_digest:#018x}"), oracle);
-        assert_eq!(s_digest, oracle);
-        direct_best = direct_best.min(d_ms);
-        serve_best = serve_best.min(s_ms);
-        overhead = overhead.min(s_ms / d_ms - 1.0);
-    }
-    // Second estimator: the best-of-N ratio, for when every pair caught an
-    // interference burst on a different side.
-    overhead = overhead.min(serve_best / direct_best - 1.0);
+    eprintln!("[ablation_serve] {} ...", job.name);
+    let samples = time_pairs(pairs, || job.time_direct(), || job.serve_once(addr));
     server.stop(Duration::from_secs(5));
 
-    let row = ServeTiming {
-        name: format!("blur {n}x{n}, {iters} iters"),
-        direct_ms: direct_best,
-        serve_ms: serve_best,
-        overhead_frac: overhead,
-        samples,
-        digest: oracle,
-    };
-    let mut t = Table::new(vec![
-        "Benchmark",
-        "Direct (ms)",
-        "Serve (ms)",
-        "Overhead (best pair)",
-    ]);
-    t.row(vec![
-        row.name.clone(),
-        format!("{:.3}", row.direct_ms),
-        format!("{:.3}", row.serve_ms),
-        format!("{:+.1}%", row.overhead_frac * 100.0),
-    ]);
-    println!("Ablation: `stencilcl serve` round-trip vs direct supervised execution.\n");
-    println!("{}", t.render());
-    println!(
-        "submit->result overhead: {:+.1}% of direct wall time (target <= 5%)",
-        row.overhead_frac * 100.0
+    let row = AbRow::new(&job.name, ["direct", "serve"], &samples, Some(0.05), 0.0);
+    report(
+        "Ablation: `stencilcl serve` round-trip vs direct supervised execution.",
+        "BENCH_serve.json",
+        &[row.with("digest", &job.digest)],
     );
-    assert!(
-        row.overhead_frac <= 0.05,
-        "service overhead {:+.1}% exceeds the 5% budget",
-        row.overhead_frac * 100.0
-    );
-    write_json("BENCH_serve.json", &[row]);
 }

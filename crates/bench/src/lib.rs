@@ -17,17 +17,28 @@
 //! | `ablation_balance`| —         | workload balancing on/off |
 //! | `ablation_launch` | —         | launch-delay modeling (Figure 7's gap) |
 //! | `ablation_chaos`  | —         | supervised recovery under injected faults (needs `--features chaos`) |
+//! | `ablation_device` | —         | Table 3 methodology on a smaller FPGA |
+//! | `ablation_simd`   | —         | 8-lane vs scalar tape walk on three executors, bit-exact (`BENCH_simd.json`) |
 //! | `ablation_trace`  | Figure 7 analogue | measured telemetry vs model terms vs simulated schedule (`BENCH_trace.json`, Chrome traces) |
-//! | `ablation_integrity` | —      | slab checksums + health watchdog + deadline vs no guards, asserted ≤ 3% overhead and bit-exact (`BENCH_integrity.json`) |
+//! | `ablation_integrity` | —      | slab checksums + health watchdog + deadline vs no guards, bit-exact, 3% budget (`BENCH_integrity.json`) |
+//! | `ablation_checkpoint` | —     | durable checkpoint generations every 4th barrier vs none, bit-exact, 5% budget (`BENCH_checkpoint.json`) |
+//! | `ablation_serve`  | —         | `stencilcl serve` round trip vs direct supervised run, same digest, 5% budget (`BENCH_serve.json`) |
+//! | `ablation_resilience` | —     | journal + checkpoint store + watchdog daemon vs plain daemon, same digest, 5% budget (`BENCH_resilience.json`) |
 //! | `motivation`      | Figure 1b | redundancy growth vs cone depth and dimension |
 //!
+//! The six `BENCH_*` ablations share one A/B harness, [`ab`]: alternating
+//! timing pairs, the paired-median change with its 95% order-statistic
+//! interval, and one gate — a budgeted bin exits 1 if and only if some row's
+//! interval lies wholly over its budget.
+//!
 //! The library half holds the shared pieces: [`paper`] (the numbers printed
-//! in the paper), [`table`] (text-table rendering), and [`runner`] (the
-//! per-benchmark experiment drivers).
+//! in the paper), [`table`] (text-table rendering), [`runner`] (the
+//! per-benchmark experiment drivers), and [`ab`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod ab;
 pub mod paper;
 pub mod runner;
 pub mod table;

@@ -1,22 +1,16 @@
 //! Shared experiment drivers used by the binaries and the integration tests.
 
 use std::fs;
-use std::path::PathBuf;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use stencilcl::suite::BenchmarkSpec;
 use stencilcl::{Framework, FrameworkError, SynthesisReport};
-use stencilcl_exec::{
-    run_pipe_shared_opts, run_reference_opts, run_supervised_opts, run_threaded_opts,
-    CheckpointPolicy, DirStore, ExecError, ExecOptions, ExecPolicy, HealthPolicy, Recorder,
-};
-use stencilcl_grid::{Design, Partition, Point};
+use stencilcl_grid::{Design, Partition};
 use stencilcl_hls::ResourceUsage;
-use stencilcl_lang::{GridState, Program, StencilFeatures};
+use stencilcl_lang::StencilFeatures;
 use stencilcl_opt::{balance_tiles, evaluate, optimize_pair};
 use stencilcl_sim::{simulate, simulate_opts, Breakdown};
-use stencilcl_telemetry::{EnvConfig, MeasuredTrace};
+use stencilcl_telemetry::EnvConfig;
 
 /// One reproduced Table 3 row, serializable for `results/table3.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -178,36 +172,27 @@ pub fn figure7(spec: &BenchmarkSpec, h_values: &[u64]) -> Result<Figure7Series, 
     let features = StencilFeatures::extract(&spec.program)?;
     let mut points = Vec::new();
     for &h in h_values {
-        let mut lens = Vec::with_capacity(features.dim);
-        let mut ok = true;
-        for d in 0..features.dim {
-            let region = het.region_len(d);
-            let k = spec.search.parallelism[d];
-            let boundary_expands = features.extent.len(d) / region > 1;
-            let min_tile = spec
-                .search
-                .min_tile
-                .max(features.growth.lo(d).max(features.growth.hi(d)) as usize);
-            match balance_tiles(
-                region,
-                k,
-                &features.growth,
-                d,
-                h,
-                boundary_expands,
-                min_tile,
-            ) {
-                Some(v) => lens.push(v),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        let Ok(design) = Design::heterogeneous(h, lens) else {
+        let lens: Option<Vec<_>> = (0..features.dim)
+            .map(|d| {
+                let region = het.region_len(d);
+                let k = spec.search.parallelism[d];
+                let boundary_expands = features.extent.len(d) / region > 1;
+                let min_tile = spec
+                    .search
+                    .min_tile
+                    .max(features.growth.lo(d).max(features.growth.hi(d)) as usize);
+                balance_tiles(
+                    region,
+                    k,
+                    &features.growth,
+                    d,
+                    h,
+                    boundary_expands,
+                    min_tile,
+                )
+            })
+            .collect();
+        let Some(Ok(design)) = lens.map(|lens| Design::heterogeneous(h, lens)) else {
             continue;
         };
         let unroll = pair.heterogeneous.hls.unroll;
@@ -277,588 +262,42 @@ pub fn ablation_hiding(spec: &BenchmarkSpec) -> Result<Ablation, FrameworkError>
     })
 }
 
-/// Wall-clock medians (milliseconds) of the functional executors on one
-/// program/partition — the host-side companion to the simulated cycle
-/// counts, used to report executor-rework speedups in `EXPERIMENTS.md`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExecTiming {
-    /// Label for the timed configuration.
-    pub name: String,
-    /// Median wall time of `run_reference_opts`.
-    pub reference_ms: f64,
-    /// Median wall time of `run_pipe_shared_opts`.
-    pub pipe_shared_ms: f64,
-    /// Median wall time of `run_threaded_opts` (under the caller's policy).
-    pub threaded_ms: f64,
-    /// Median wall time of `run_supervised_opts` — the fault-free
-    /// supervision overhead over `threaded_ms`.
-    pub supervised_ms: f64,
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn time_ms(
-    samples: usize,
-    mut run: impl FnMut() -> Result<(), ExecError>,
-) -> Result<f64, ExecError> {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        run()?;
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    Ok(median_ms(&mut times))
-}
-
-/// Times the exact executors (reference, pipe-shared, threaded, supervised)
-/// over `samples` runs each and returns the per-executor median wall time.
-/// Every run uses `policy`; the bench binaries build it with
-/// `ExecPolicy::from_config(EnvConfig::get())`.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_executors(
-    name: &str,
-    program: &Program,
-    partition: &Partition,
-    samples: usize,
-    policy: &ExecPolicy,
-) -> Result<ExecTiming, ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    let opts = ExecOptions::new().policy(policy.clone());
-    let reference_ms = time_ms(samples, || {
-        let mut s = GridState::new(program, init);
-        run_reference_opts(program, &mut s, &opts)
-    })?;
-    let pipe_shared_ms = time_ms(samples, || {
-        let mut s = GridState::new(program, init);
-        run_pipe_shared_opts(program, partition, &mut s, &opts)
-    })?;
-    let threaded_ms = time_ms(samples, || {
-        let mut s = GridState::new(program, init);
-        run_threaded_opts(program, partition, &mut s, &opts)
-    })?;
-    let supervised_ms = time_ms(samples, || {
-        let mut s = GridState::new(program, init);
-        run_supervised_opts(program, partition, &mut s, &opts).map(|_| ())
-    })?;
-    Ok(ExecTiming {
-        name: name.to_string(),
-        reference_ms,
-        pipe_shared_ms,
-        threaded_ms,
-        supervised_ms,
-    })
-}
-
-/// One A/B row of the vectorization ablation: the same program driven
-/// through the same executor's compiled engine, once with the scalar tape
-/// walk (`lanes = 1`) and once with the vectorized multi-lane walk. Lanes
-/// evaluate the per-cell scalar op sequence independently, so
-/// `max_abs_diff` must be exactly `0.0` at every width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimdTiming {
-    /// Benchmark display name.
-    pub name: String,
-    /// Executor driven for this row (`reference`, `pipe_shared`, ...).
-    pub executor: String,
-    /// Best-of-N wall time of the scalar (1-lane) tape walk.
-    pub scalar_ms: f64,
-    /// Best-of-N wall time of the vectorized tape walk.
-    pub vector_ms: f64,
-    /// Lane width the vectorized runs used.
-    pub lanes: usize,
-    /// Vector/scalar wall-time ratio: the lower of the minimum over
-    /// interleaved sample pairs of `vector_i / scalar_i` and the best-of-N
-    /// ratio `min(vector) / min(scalar)` — the same additive-noise-robust
-    /// dual estimate as [`CheckpointTiming::overhead_frac`]. The pair
-    /// minimum needs one clean *pair*; the best-of-N ratio needs one clean
-    /// run *per mode*, in any position; the lower one reflects the
-    /// cleanest evidence collected.
-    pub vector_over_scalar: f64,
-    /// Maximum absolute difference between the two final grids (must be 0).
-    pub max_abs_diff: f64,
-}
-
-impl SimdTiming {
-    /// Speedup of the vectorized walk over the scalar walk (from the
-    /// noise-robust ratio, not the raw best-of-N quotient).
-    pub fn speedup(&self) -> f64 {
-        1.0 / self.vector_over_scalar
-    }
-}
-
-/// Times `run` at lane width 1 (scalar) and at `lanes` (vector), passing
-/// the width explicitly — no process environment is mutated. One untimed
-/// warm-up per mode feeds the bit-exactness check; only the executor call
-/// is inside the timer, state construction is not.
-///
-/// Samples are interleaved scalar/vector and the reported
-/// [`SimdTiming::vector_over_scalar`] is the lower of the best per-pair
-/// ratio and the best-of-N ratio — see
-/// [`CheckpointTiming::overhead_frac`] for why the dual estimate stays
-/// honest on a noisy machine.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_simd_ab(
-    name: &str,
-    executor: &str,
-    program: &Program,
-    samples: usize,
-    lanes: usize,
-    mut run: impl FnMut(&Program, &mut GridState, usize) -> Result<(), ExecError>,
-) -> Result<SimdTiming, ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    // Untimed warm-up per mode; final grids feed the bit-exactness check.
-    let mut a = GridState::new(program, init);
-    run(program, &mut a, 1)?;
-    let mut b = GridState::new(program, init);
-    run(program, &mut b, lanes)?;
-    let mut scalar_times = Vec::with_capacity(samples);
-    let mut vector_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run(program, &mut s, 1)?;
-        scalar_times.push(start.elapsed().as_secs_f64() * 1e3);
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run(program, &mut s, lanes)?;
-        vector_times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let scalar_best = scalar_times.iter().copied().fold(f64::INFINITY, f64::min);
-    let vector_best = vector_times.iter().copied().fold(f64::INFINITY, f64::min);
-    let pair_min = scalar_times
-        .iter()
-        .zip(&vector_times)
-        .map(|(s, v)| v / s)
-        .fold(f64::INFINITY, f64::min);
-    Ok(SimdTiming {
-        name: name.to_string(),
-        executor: executor.to_string(),
-        scalar_ms: scalar_best,
-        vector_ms: vector_best,
-        lanes,
-        vector_over_scalar: pair_min.min(vector_best / scalar_best),
-        max_abs_diff: a.max_abs_diff(&b)?,
-    })
-}
-
-/// One row of the telemetry ablation: the threaded executor timed with the
-/// disabled sink vs with a live recorder, plus the bit-exactness check
-/// between the two final grids (recording must never perturb results).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceTiming {
-    /// Benchmark display name.
-    pub name: String,
-    /// Median wall time with the zero-cost disabled sink.
-    pub plain_ms: f64,
-    /// Median wall time with a live recorder attached.
-    pub traced_ms: f64,
-    /// Maximum absolute difference between the two final grids (must be 0).
-    pub max_abs_diff: f64,
-    /// Spans the final recorded run captured.
-    pub spans: usize,
-    /// Spans lost to recorder slab exhaustion (0 in any healthy run).
-    pub dropped: u64,
-}
-
-impl TraceTiming {
-    /// Recording overhead as a fraction of the untraced median
-    /// (`traced/plain - 1`; the acceptance target is ≤ 0.05).
-    pub fn overhead(&self) -> f64 {
-        self.traced_ms / self.plain_ms - 1.0
-    }
-}
-
-/// A/B-times the threaded executor with recording off vs on and returns the
-/// timing row together with the last recorded [`MeasuredTrace`] (the
-/// calibration input). Each traced sample gets a fresh recorder so span
-/// counts reflect a single run.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_traced_ab(
-    name: &str,
-    program: &Program,
-    partition: &Partition,
-    samples: usize,
-    policy: &ExecPolicy,
-) -> Result<(TraceTiming, MeasuredTrace), ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    let plain_opts = ExecOptions::new().policy(policy.clone());
-    // Untimed warm-up per mode; final grids feed the bit-exactness check.
-    let mut plain_grid = GridState::new(program, init);
-    run_threaded_opts(program, partition, &mut plain_grid, &plain_opts)?;
-    let mut plain_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_threaded_opts(program, partition, &mut s, &plain_opts)?;
-        plain_times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let mut traced_grid = GridState::new(program, init);
-    let mut traced_times = Vec::with_capacity(samples);
-    let mut trace = None;
-    for _ in 0..samples {
-        let rec = Recorder::new();
-        let opts = ExecOptions::new().policy(policy.clone()).trace(rec.clone());
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_threaded_opts(program, partition, &mut s, &opts)?;
-        traced_times.push(start.elapsed().as_secs_f64() * 1e3);
-        traced_grid = s;
-        trace = Some(rec.finish());
-    }
-    let trace = trace.expect("at least one traced sample");
-    let row = TraceTiming {
-        name: name.to_string(),
-        plain_ms: median_ms(&mut plain_times),
-        traced_ms: median_ms(&mut traced_times),
-        max_abs_diff: plain_grid.max_abs_diff(&traced_grid)?,
-        spans: trace.spans.len(),
-        dropped: trace.dropped,
-    };
-    Ok((row, trace))
-}
-
-/// One row of the data-plane-integrity ablation: the threaded executor
-/// timed with every guard off vs with slab checksums + the numerical-health
-/// watchdog + a (generous) run deadline armed, plus the bit-exactness check
-/// between the two final grids — the guards must observe, never perturb.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IntegrityTiming {
-    /// Benchmark display name.
-    pub name: String,
-    /// Best-of-N wall time with checksums, health scans, and deadline off.
-    pub plain_ms: f64,
-    /// Best-of-N wall time with all three guards armed.
-    pub guarded_ms: f64,
-    /// Guard overhead: the *minimum* over the interleaved sample pairs of
-    /// `guarded_i / plain_i - 1`. Pairing adjacent runs cancels slow
-    /// frequency/thermal drift, and taking the least-contaminated pair
-    /// shrugs off interference bursts — noise only ever inflates a pair's
-    /// ratio, so on a noisy shared machine the cleanest pair is the honest
-    /// estimate of what the guards themselves cost.
-    pub overhead_frac: f64,
-    /// Maximum absolute difference between the two final grids (must be 0).
-    pub max_abs_diff: f64,
-    /// Health-scan stride used for the guarded runs.
-    pub scan_stride: usize,
-    /// Slab checksums verified during one guarded run (proof the
-    /// data-plane guard was live, not vacuously skipped).
-    pub checksums_verified: u64,
-    /// Grid cells scanned by the health watchdog during one guarded run.
-    pub cells_scanned: u64,
-}
-
-impl IntegrityTiming {
-    /// Guard overhead as a fraction of unguarded wall time (the acceptance
-    /// target is ≤ 0.03): the noise-rejecting [`overhead_frac`] estimate,
-    /// not `guarded_ms / plain_ms - 1` of the two best-of-N times.
-    ///
-    /// [`overhead_frac`]: IntegrityTiming::overhead_frac
-    pub fn overhead(&self) -> f64 {
-        self.overhead_frac
-    }
-}
-
-/// A/B-times the threaded executor with the integrity layer off vs on:
-/// the guarded runs seal and verify every pipe slab, scan the written grids
-/// at each fused-block barrier (`stride`-strided, bound `1e12`), and run
-/// under a one-hour deadline that never fires. One extra untimed guarded
-/// run with a recorder attached collects the checksum/scan counters.
-///
-/// Samples are interleaved A/B; `plain_ms`/`guarded_ms` report each mode's
-/// *best-of-N* wall time, while the asserted overhead is the *best (lowest)
-/// per-pair ratio* `guarded_i / plain_i`. Two layers of noise rejection:
-/// adjacent runs in a pair see the same CPU frequency/thermal state, so the
-/// ratio cancels slow drift; and because interference is strictly additive
-/// — a scheduler or neighbor burst can only make a run slower — the
-/// least-contaminated pair bounds what the guards themselves cost. A median
-/// over few pairs wobbles past the 3% budget whenever a burst spans
-/// several seconds; the minimum needs only one clean pair out of N.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_integrity_ab(
-    name: &str,
-    program: &Program,
-    partition: &Partition,
-    samples: usize,
-    stride: usize,
-    policy: &ExecPolicy,
-) -> Result<IntegrityTiming, ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    let plain_opts = ExecOptions::new().policy(policy.clone());
-    let guard_policy = ExecPolicy {
-        deadline: Some(std::time::Duration::from_secs(3600)),
-        ..policy.clone()
-    };
-    let guarded_opts = ExecOptions::new()
-        .policy(guard_policy)
-        .integrity(true)
-        .health(HealthPolicy::bounded(1e12).stride(stride));
-    // Untimed warm-up per mode; final grids feed the bit-exactness check.
-    let mut plain_grid = GridState::new(program, init);
-    run_threaded_opts(program, partition, &mut plain_grid, &plain_opts)?;
-    let mut guarded_grid = GridState::new(program, init);
-    run_threaded_opts(program, partition, &mut guarded_grid, &guarded_opts)?;
-    let mut plain_times = Vec::with_capacity(samples);
-    let mut guarded_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_threaded_opts(program, partition, &mut s, &plain_opts)?;
-        plain_times.push(start.elapsed().as_secs_f64() * 1e3);
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_threaded_opts(program, partition, &mut s, &guarded_opts)?;
-        guarded_times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    // Counter collection: one untimed guarded run with a live recorder.
-    let rec = Recorder::new();
-    let counted_opts = guarded_opts.trace(rec.clone());
-    let mut s = GridState::new(program, init);
-    run_threaded_opts(program, partition, &mut s, &counted_opts)?;
-    let counters = rec.finish().counters;
-    Ok(IntegrityTiming {
-        name: name.to_string(),
-        plain_ms: plain_times.iter().copied().fold(f64::INFINITY, f64::min),
-        guarded_ms: guarded_times.iter().copied().fold(f64::INFINITY, f64::min),
-        overhead_frac: plain_times
-            .iter()
-            .zip(&guarded_times)
-            .map(|(p, g)| g / p - 1.0)
-            .fold(f64::INFINITY, f64::min),
-        max_abs_diff: plain_grid.max_abs_diff(&guarded_grid)?,
-        scan_stride: stride,
-        checksums_verified: counters.checksums_verified,
-        cells_scanned: counters.cells_scanned,
-    })
-}
-
-/// One row of the durable-checkpoint ablation: the supervised executor
-/// timed with persistence off vs sealing a crash-safe generation every
-/// `every_barriers` fused-block barriers, plus the bit-exactness check —
-/// checkpointing must observe the run, never perturb it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointTiming {
-    /// Benchmark display name.
-    pub name: String,
-    /// Best-of-N wall time with checkpoint persistence off.
-    pub plain_ms: f64,
-    /// Best-of-N wall time sealing generations on cadence.
-    pub ckpt_ms: f64,
-    /// Checkpoint overhead: the lower of two additive-noise-robust
-    /// estimates — the minimum over interleaved sample pairs of
-    /// `ckpt_i / plain_i - 1` (same rationale as
-    /// [`IntegrityTiming::overhead_frac`]) and the best-of-N ratio
-    /// `min(ckpt) / min(plain) - 1`. The pair minimum needs one clean
-    /// *pair*; the best-of-N ratio needs one clean run *per mode*, in any
-    /// position. Interference only ever inflates a run, so both bound the
-    /// true cost from above and the lower one reflects the cleanest
-    /// evidence collected — on a single-core CI machine, where drift
-    /// between the two halves of a pair routinely exceeds the budget
-    /// itself, the second estimator is what keeps the gate meaningful.
-    pub overhead_frac: f64,
-    /// Maximum absolute difference between the two final grids (must be 0).
-    pub max_abs_diff: f64,
-    /// Barrier stride between sealed generations.
-    pub every_barriers: u64,
-    /// Generations sealed during one checkpointed run (from telemetry).
-    pub generations_sealed: u64,
-    /// Bytes written to the store during that run (from telemetry).
-    pub bytes_written: u64,
-    /// Generations left on disk afterwards (pruning proof: ≤ the keep cap).
-    pub generations_kept: usize,
-}
-
-impl CheckpointTiming {
-    /// Checkpoint overhead as a fraction of plain supervised wall time
-    /// (the acceptance target is ≤ 0.05).
-    pub fn overhead(&self) -> f64 {
-        self.overhead_frac
-    }
-}
-
-/// A/B-times the supervised executor with durable checkpointing off vs on:
-/// the checkpointed runs seal a generation (temp-file → fsync → atomic
-/// rename, digest-sealed) every `every_barriers` fused-block barriers into
-/// a scratch store that is wiped between samples so every run pays the
-/// same first-write cost. One extra untimed checkpointed run with a
-/// recorder attached collects the sealed-generation and byte counters.
-///
-/// Samples are interleaved A/B and the asserted overhead is the lower of
-/// the best per-pair ratio and the best-of-N ratio — see
-/// [`CheckpointTiming::overhead_frac`] for why both are honest
-/// upper bounds on a noisy machine.
-///
-/// # Errors
-///
-/// Propagates executor failures; `samples` must be at least 1.
-pub fn time_checkpoint_ab(
-    name: &str,
-    program: &Program,
-    partition: &Partition,
-    samples: usize,
-    every_barriers: u64,
-    policy: &ExecPolicy,
-) -> Result<CheckpointTiming, ExecError> {
-    if samples == 0 {
-        return Err(ExecError::config("timing needs at least one sample"));
-    }
-    let init = |n: &str, p: &Point| {
-        let mut v = n.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    };
-    let dir = std::env::temp_dir().join(format!(
-        "stencilcl-bench-ckpt-{}-{name}",
-        std::process::id()
-    ));
-    let wipe = || {
-        let _ = fs::remove_dir_all(&dir);
-    };
-    let plain_opts = ExecOptions::new().policy(policy.clone());
-    let ckpt_opts = ExecOptions::new()
-        .policy(policy.clone())
-        .checkpoint(CheckpointPolicy::at(&dir).every_barriers(every_barriers));
-    // Untimed warm-up per mode; final grids feed the bit-exactness check.
-    let mut plain_grid = GridState::new(program, init);
-    run_supervised_opts(program, partition, &mut plain_grid, &plain_opts)?;
-    wipe();
-    let mut ckpt_grid = GridState::new(program, init);
-    run_supervised_opts(program, partition, &mut ckpt_grid, &ckpt_opts)?;
-    let mut plain_times = Vec::with_capacity(samples);
-    let mut ckpt_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_supervised_opts(program, partition, &mut s, &plain_opts)?;
-        plain_times.push(start.elapsed().as_secs_f64() * 1e3);
-        wipe();
-        let mut s = GridState::new(program, init);
-        let start = Instant::now();
-        run_supervised_opts(program, partition, &mut s, &ckpt_opts)?;
-        ckpt_times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    // Counter collection: one untimed checkpointed run, fresh store.
-    wipe();
-    let rec = Recorder::new();
-    let counted_opts = ckpt_opts.trace(rec.clone());
-    let mut s = GridState::new(program, init);
-    run_supervised_opts(program, partition, &mut s, &counted_opts)?;
-    let counters = rec.finish().counters;
-    let kept = {
-        use stencilcl_exec::CheckpointStore as _;
-        DirStore::new(&dir).generations().map_or(0, |g| g.len())
-    };
-    wipe();
-    let plain_best = plain_times.iter().copied().fold(f64::INFINITY, f64::min);
-    let ckpt_best = ckpt_times.iter().copied().fold(f64::INFINITY, f64::min);
-    let pair_min = plain_times
-        .iter()
-        .zip(&ckpt_times)
-        .map(|(p, c)| c / p - 1.0)
-        .fold(f64::INFINITY, f64::min);
-    Ok(CheckpointTiming {
-        name: name.to_string(),
-        plain_ms: plain_best,
-        ckpt_ms: ckpt_best,
-        overhead_frac: pair_min.min(ckpt_best / plain_best - 1.0),
-        max_abs_diff: plain_grid.max_abs_diff(&ckpt_grid)?,
-        every_barriers,
-        generations_sealed: counters.ckpt_generations,
-        bytes_written: counters.ckpt_bytes,
-        generations_kept: kept,
-    })
-}
-
-/// Directory where experiment binaries drop their JSON
-/// (`$STENCILCL_RESULTS`, default `results/`, parsed once per process).
-pub fn results_dir() -> PathBuf {
-    EnvConfig::get().results_dir.clone()
-}
-
-/// Writes raw text (e.g. Chrome-tracing JSON) to `results_dir()/name`.
+/// Writes raw text (e.g. Chrome-tracing JSON) to `$STENCILCL_RESULTS/name`
+/// (default `results/`).
 ///
 /// # Panics
 ///
 /// Panics when the directory or file cannot be written (experiment binaries
 /// treat that as fatal).
 pub fn write_text(name: &str, contents: &str) {
-    let dir = results_dir();
-    fs::create_dir_all(&dir).expect("create results directory");
+    let dir = &EnvConfig::get().results_dir;
+    fs::create_dir_all(dir).expect("create results directory");
     let path = dir.join(name);
     fs::write(&path, contents).expect("write experiment artifact");
     println!("\n[wrote {}]", path.display());
 }
 
-/// Serializes `value` to `results_dir()/name`.
+/// Serializes `value` to `$STENCILCL_RESULTS/name` (default `results/`).
 ///
 /// # Panics
 ///
 /// Panics when the directory or file cannot be written (experiment binaries
 /// treat that as fatal).
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    fs::create_dir_all(&dir).expect("create results directory");
-    let path = dir.join(name);
     let json = serde_json::to_string_pretty(value).expect("serialize experiment result");
-    fs::write(&path, json).expect("write experiment result");
-    println!("\n[wrote {}]", path.display());
+    write_text(name, &json);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ab::{grid_cases, time_grid_pairs, timed, AbRow, Pairs};
+    use std::time::Duration;
+    use stencilcl_exec::{
+        run_pipe_shared_opts, run_reference_opts, run_threaded_opts, ExecOptions, ExecPolicy,
+        HealthPolicy, Recorder,
+    };
+    use stencilcl_lang::GridState;
 
     #[test]
     fn figure7_series_stats() {
@@ -890,23 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_timing_runs_and_is_positive() {
-        use stencilcl_grid::DesignKind;
-        use stencilcl_lang::programs;
-        let p = programs::jacobi_2d()
-            .with_extent(stencilcl_grid::Extent::new2(16, 16))
-            .with_iterations(4);
-        let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![4, 4]).unwrap();
-        let partition = Partition::new(f.extent, &d, &f.growth).unwrap();
-        let policy = ExecPolicy::default();
-        let t = time_executors("jacobi2d_16", &p, &partition, 3, &policy).unwrap();
-        assert!(t.reference_ms > 0.0 && t.pipe_shared_ms > 0.0 && t.threaded_ms > 0.0);
-        assert!(t.supervised_ms > 0.0);
-        assert!(time_executors("none", &p, &partition, 0, &policy).is_err());
-    }
-
-    #[test]
     fn env_policy_falls_back_to_defaults() {
         // An empty env snapshot must reproduce the library defaults exactly.
         let policy = ExecPolicy::from_config(&EnvConfig::default());
@@ -916,21 +338,28 @@ mod tests {
         assert_eq!(policy.max_retries, default.max_retries);
     }
 
+    /// Times plain threaded runs against runs configured by `b()` (built
+    /// outside the timer) on the 16² Jacobi case, two pairs.
+    fn threaded_ab(mut b: impl FnMut() -> ExecOptions) -> (Pairs, f64) {
+        let (_, p, part) = &grid_cases(16, 4)[1];
+        let run = |s: &mut GridState, opts: &ExecOptions| {
+            timed(|| run_threaded_opts(p, part, s, opts).unwrap())
+        };
+        time_grid_pairs(p, 2, |s| run(s, &ExecOptions::new()), |s| run(s, &b()))
+    }
+
     #[test]
     fn traced_ab_is_bit_exact_and_captures_phases() {
-        use stencilcl_grid::DesignKind;
-        use stencilcl_lang::programs;
-        let p = programs::jacobi_2d()
-            .with_extent(stencilcl_grid::Extent::new2(16, 16))
-            .with_iterations(4);
-        let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![4, 4]).unwrap();
-        let partition = Partition::new(f.extent, &d, &f.growth).unwrap();
-        let (row, trace) =
-            time_traced_ab("jacobi2d_16", &p, &partition, 2, &ExecPolicy::default()).unwrap();
-        assert_eq!(row.max_abs_diff, 0.0, "recording perturbed the grid");
-        assert_eq!(row.dropped, 0);
-        assert!(row.spans > 0);
+        let mut recorders = Vec::new();
+        let (pairs, diff) = threaded_ab(|| {
+            recorders.push(Recorder::new());
+            ExecOptions::new().trace(recorders[recorders.len() - 1].clone())
+        });
+        assert_eq!(diff, 0.0, "recording perturbed the grid");
+        assert_eq!(pairs.b.len(), 2);
+        let trace = recorders.pop().unwrap().finish();
+        assert_eq!(trace.dropped, 0);
+        assert!(!trace.spans.is_empty());
         trace.validate_spans().expect("well-formed spans");
         for k in 0..4 {
             let t = trace.phase_totals(k);
@@ -944,43 +373,44 @@ mod tests {
 
     #[test]
     fn integrity_ab_is_bit_exact_and_exercises_both_guards() {
-        use stencilcl_grid::DesignKind;
-        use stencilcl_lang::programs;
-        let p = programs::jacobi_2d()
-            .with_extent(stencilcl_grid::Extent::new2(16, 16))
-            .with_iterations(4);
-        let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![4, 4]).unwrap();
-        let partition = Partition::new(f.extent, &d, &f.growth).unwrap();
-        let row =
-            time_integrity_ab("jacobi2d_16", &p, &partition, 2, 3, &ExecPolicy::default()).unwrap();
-        assert_eq!(row.max_abs_diff, 0.0, "guards perturbed the grid");
-        assert!(row.checksums_verified > 0, "checksum guard never ran");
-        assert!(row.cells_scanned > 0, "health watchdog never ran");
-        assert!(row.plain_ms > 0.0 && row.guarded_ms > 0.0);
-        assert!(time_integrity_ab("none", &p, &partition, 0, 1, &ExecPolicy::default()).is_err());
+        let rec = Recorder::new();
+        let deadline = Some(Duration::from_secs(3600));
+        let guarded = ExecOptions::new()
+            .policy(ExecPolicy {
+                deadline,
+                ..ExecPolicy::default()
+            })
+            .integrity(true)
+            .health(HealthPolicy::bounded(1e12).stride(3))
+            .trace(rec.clone());
+        let (pairs, diff) = threaded_ab(|| guarded.clone());
+        assert_eq!(diff, 0.0, "guards perturbed the grid");
+        assert!(pairs.a.iter().chain(&pairs.b).all(|&ms| ms > 0.0));
+        let counters = rec.finish().counters;
+        assert!(counters.checksums_verified > 0, "checksum guard never ran");
+        assert!(counters.cells_scanned > 0, "health watchdog never ran");
     }
 
     #[test]
     fn simd_ab_is_bit_exact_across_executors() {
-        use stencilcl_exec::run_reference_opts;
-        use stencilcl_lang::programs;
-        let p = programs::jacobi_2d()
-            .with_extent(stencilcl_grid::Extent::new2(16, 16))
-            .with_iterations(4);
-        let row = time_simd_ab("jacobi2d_16", "reference", &p, 2, 8, |p, s, w| {
-            run_reference_opts(p, s, &ExecOptions::new().lanes(w))
-        })
-        .unwrap();
-        assert_eq!(row.max_abs_diff, 0.0, "lane width perturbed the grid");
-        assert_eq!(row.lanes, 8);
-        assert!(row.scalar_ms > 0.0 && row.vector_ms > 0.0);
-        assert!(row.vector_over_scalar > 0.0, "ratio must be positive");
-        assert!(
-            row.vector_over_scalar <= row.vector_ms / row.scalar_ms + 1e-12,
-            "dual estimate can only improve on the best-of-N quotient"
-        );
-        assert!(time_simd_ab("none", "reference", &p, 0, 8, |_, _, _| Ok(())).is_err());
+        let (_, p, part) = &grid_cases(16, 4)[1];
+        for executor in ["reference", "pipe_shared", "threaded"] {
+            let run = |s: &mut GridState, lanes: usize| {
+                let opts = ExecOptions::new().lanes(lanes);
+                match executor {
+                    "reference" => run_reference_opts(p, s, &opts),
+                    "pipe_shared" => run_pipe_shared_opts(p, part, s, &opts),
+                    _ => run_threaded_opts(p, part, s, &opts),
+                }
+                .unwrap()
+            };
+            let (pairs, diff) =
+                time_grid_pairs(p, 2, |s| timed(|| run(s, 1)), |s| timed(|| run(s, 8)));
+            assert_eq!(diff, 0.0, "lane width perturbed {executor}");
+            let row = AbRow::new("jacobi2d_16", ["scalar", "8-lane"], &pairs, None, diff);
+            assert!(row.a_ms.median > 0.0 && row.b_ms.median > 0.0);
+            assert_eq!((row.pairs, row.verdict), (2, None));
+        }
     }
 
     #[test]
