@@ -163,7 +163,8 @@ pub struct Spread {
 }
 
 impl Spread {
-    fn of(samples: &[f64]) -> Spread {
+    /// The spread of `samples`, which must not be empty.
+    pub fn of(samples: &[f64]) -> Spread {
         let s = sorted(samples.iter().copied());
         Spread {
             q1: quantile(&s, 0.25),

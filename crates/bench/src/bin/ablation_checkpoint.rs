@@ -14,6 +14,10 @@
 //!    generations and writes bytes (no vacuous pass), and the store is
 //!    pruned to its retention cap of 3.
 //!
+//! Each row also carries `save_ms` and `remove_ms`: the median of a few
+//! `DirStore::save` calls with one generation-sized buffer, and of
+//! `remove`, on the same scratch directory — the store's share of a seal.
+//!
 //! The overhead is the paired-median change of the shared harness in
 //! `stencilcl_bench::ab`, judged against a 5% budget: the binary exits 1
 //! if and only if the 95% interval lies wholly over it. Writes
@@ -24,7 +28,11 @@
 //! `STENCILCL_BENCH_SAMPLES` (timing pairs, default 21). On much smaller
 //! grids fixed costs dominate and the 5% budget is not meaningful.
 
-use stencilcl_bench::ab::{grid_cases, knobs, report, scratch_dir, time_grid_pairs, timed, AbRow};
+use std::path::Path;
+
+use stencilcl_bench::ab::{
+    grid_cases, knobs, report, scratch_dir, time_grid_pairs, timed, AbRow, Spread,
+};
 use stencilcl_exec::{
     run_supervised_opts, CheckpointPolicy, CheckpointStore, DirStore, ExecOptions, ExecPolicy,
     Recorder,
@@ -35,6 +43,23 @@ use stencilcl_telemetry::EnvConfig;
 
 /// Fused-block barriers between sealed generations.
 const EVERY_BARRIERS: u64 = 4;
+
+/// Store calls timed per row for the `save_ms` / `remove_ms` evidence.
+const STORE_SAMPLES: u64 = 5;
+
+/// Median wall time, in ms, of one `DirStore::save` of a `len`-byte
+/// generation and of one `remove`, in `dir`.
+fn store_costs(dir: &Path, len: usize) -> (f64, f64) {
+    let store = DirStore::new(dir);
+    let buf: Vec<u8> = (0..len).map(|i| i as u8).collect();
+    let save: Vec<f64> = (0..STORE_SAMPLES)
+        .map(|g| timed(|| store.save(g, &buf).expect("checkpoint save")))
+        .collect();
+    let remove: Vec<f64> = (0..STORE_SAMPLES)
+        .map(|g| timed(|| store.remove(g).expect("checkpoint remove")))
+        .collect();
+    (Spread::of(&save).median, Spread::of(&remove).median)
+}
 
 fn main() {
     let (n, iters, pairs) = knobs(48);
@@ -75,12 +100,16 @@ fn main() {
         assert!(sealed > 0, "{name}: no generation was sealed");
         assert!(bytes > 0, "{name}: no checkpoint bytes were written");
         assert!(kept <= 3, "{name}: {kept} generations kept, cap is 3");
+        let (save_ms, remove_ms) = store_costs(&dir, (bytes / sealed) as usize);
+        wipe();
 
         let row = AbRow::new(name, ["plain", "checkpointed"], &samples, Some(0.05), diff)
             .with("every_barriers", EVERY_BARRIERS)
             .with("generations_sealed", sealed)
             .with("bytes_written", bytes)
-            .with("generations_kept", kept);
+            .with("generations_kept", kept)
+            .with("save_ms", save_ms)
+            .with("remove_ms", remove_ms);
         rows.push(row);
     }
     report(

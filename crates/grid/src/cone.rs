@@ -151,9 +151,58 @@ impl Cone {
         self.level(i).volume()
     }
 
-    /// Total elements computed over all fused iterations.
+    /// Total elements computed over all fused iterations — Eq. 8's cone
+    /// volume `Σ_{i=1..h} ∏_d (len_d + e_d·(h − i))`.
+    ///
+    /// Evaluated in closed form, so the cost does not grow with `h`: the
+    /// product is a polynomial of degree `dim` in `s = h − i`, summed over
+    /// `s = 0..h` with the power sums `S0..S3`. Exact in `u128`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total does not fit in `u64`.
     pub fn total_compute(&self) -> u64 {
-        (1..=self.fused).map(|i| self.compute_at(i)).sum()
+        const OVERFLOW: &str = "cone volume overflows u64";
+        let h = u128::from(self.fused);
+        if h == 0 {
+            return 0;
+        }
+        let mul = |a: u128, b: u128| a.checked_mul(b).expect(OVERFLOW);
+        let (lo, hi) = self.growth.amounts(1);
+        // coeffs[k] is the coefficient of s^k in ∏_d (len_d + e_d·s).
+        let mut coeffs = [1u128, 0, 0, 0];
+        for d in 0..self.tile.dim() {
+            let len = u128::from(self.tile.len(d));
+            let mut e = 0u128;
+            if self.expand_lo[d] {
+                e += lo[d] as u128;
+            }
+            if self.expand_hi[d] {
+                e += hi[d] as u128;
+            }
+            for k in (0..=d + 1).rev() {
+                let shifted = if k == 0 { 0 } else { mul(coeffs[k - 1], e) };
+                coeffs[k] = mul(coeffs[k], len).checked_add(shifted).expect(OVERFLOW);
+            }
+        }
+        // Power sums S_k = Σ_{s=0}^{h-1} s^k (`None` if beyond u128, which
+        // only matters when its coefficient is nonzero).
+        let s1 = h * (h - 1) / 2;
+        let sums = [
+            Some(h),
+            Some(s1),
+            ((h - 1) * h).checked_mul(2 * h - 1).map(|p| p / 6),
+            s1.checked_mul(s1),
+        ];
+        let total = coeffs
+            .iter()
+            .zip(sums)
+            .try_fold(0u128, |acc, (&c, s)| match c {
+                0 => Some(acc),
+                c => acc.checked_add(c.checked_mul(s?)?),
+            })
+            .expect(OVERFLOW);
+        u64::try_from(total).expect(OVERFLOW)
     }
 
     /// Elements computed beyond the tile across all fused iterations — the

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometric substrate.
 
 use proptest::prelude::*;
-use stencilcl_grid::{Design, DesignKind, Extent, FaceKind, Growth, Partition, Point, Rect};
+use stencilcl_grid::{Cone, Design, DesignKind, Extent, FaceKind, Growth, Partition, Point, Rect};
 
 fn arb_extent() -> impl Strategy<Value = Extent> {
     (1usize..=3).prop_flat_map(|dim| {
@@ -65,6 +65,32 @@ proptest! {
                 "level {} must contain level {}", i, i + 1);
         }
         prop_assert_eq!(cone.level(fused), tile);
+    }
+
+    #[test]
+    fn closed_form_cone_volume_matches_per_level_sum(
+        shape in (1usize..=3).prop_flat_map(|dim| (
+            prop::collection::vec(1i64..=300, dim),
+            prop::collection::vec(0u64..=4, dim),
+            prop::collection::vec(0u64..=4, dim),
+        )),
+        fused in 1u64..=1024,
+    ) {
+        let (lens, lo, hi) = shape;
+        let dim = lens.len();
+        let tile = Rect::new(Point::origin(dim).unwrap(), Point::new(&lens).unwrap()).unwrap();
+        let growth = Growth::new(&lo, &hi).unwrap();
+        for flags in 0u32..1 << (2 * dim) {
+            let mut expand_lo = [false; 3];
+            let mut expand_hi = [false; 3];
+            for d in 0..dim {
+                expand_lo[d] = flags & (1 << (2 * d)) != 0;
+                expand_hi[d] = flags & (1 << (2 * d + 1)) != 0;
+            }
+            let cone = Cone::new(tile, growth, fused, expand_lo, expand_hi);
+            let per_level: u64 = (1..=fused).map(|i| cone.compute_at(i)).sum();
+            prop_assert_eq!(cone.total_compute(), per_level, "flags {:#b}", flags);
+        }
     }
 
     #[test]

@@ -71,16 +71,16 @@ impl ModelInputs {
         let slowest = tiles
             .iter()
             .max_by_key(|t| t.workload(kind, growth, fused))
-            .expect("partitions have at least one tile")
-            .clone();
+            .expect("partitions have at least one tile");
         let dim = features.dim;
-        let mut delta_w = Vec::with_capacity(dim);
-        for d in 0..dim {
-            let cone = slowest.cone(kind, growth, fused);
-            let lo = if cone.expands_lo(d) { growth.lo(d) } else { 0 };
-            let hi = if cone.expands_hi(d) { growth.hi(d) } else { 0 };
-            delta_w.push(lo + hi);
-        }
+        let cone = slowest.cone(kind, growth, fused);
+        let delta_w = (0..dim)
+            .map(|d| {
+                let lo = if cone.expands_lo(d) { growth.lo(d) } else { 0 };
+                let hi = if cone.expands_hi(d) { growth.hi(d) } else { 0 };
+                lo + hi
+            })
+            .collect();
         let shared_faces = if kind.uses_pipes() {
             slowest.shared_face_count() as u64 * features.updated_arrays as u64
         } else {

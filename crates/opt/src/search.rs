@@ -1,5 +1,7 @@
 use stencilcl_grid::{Design, DesignKind, Partition};
-use stencilcl_hls::{estimate_resources, schedule, CostModel, Device, HlsReport, ResourceUsage};
+use stencilcl_hls::{
+    estimate_resources, schedule, CostModel, Device, HlsReport, PipelineSchedule, ResourceUsage,
+};
 use stencilcl_lang::{Program, StencilFeatures};
 use stencilcl_model::{predict, ModelInputs};
 
@@ -21,23 +23,59 @@ pub fn evaluate(
     cost: &CostModel,
     unroll: u64,
 ) -> Result<DesignPoint, OptError> {
-    let partition = Partition::new(features.extent, &design, &features.growth)?;
     let sched = schedule(program, cost, unroll);
-    let resources = estimate_resources(features, &partition, unroll, cost, device);
+    let (partition, hls) = price(features, &design, device, cost, &sched)?;
+    Ok(predicted(features, design, &partition, hls, device))
+}
+
+/// The hardware half of [`evaluate`]: the partition and the HLS report of
+/// `design` under the pipeline `sched` (which depends only on the unroll,
+/// so the searches compute it once per unroll).
+fn price(
+    features: &StencilFeatures,
+    design: &Design,
+    device: &Device,
+    cost: &CostModel,
+    sched: &PipelineSchedule,
+) -> Result<(Partition, HlsReport), OptError> {
+    let partition = Partition::new(features.extent, design, &features.growth)?;
+    let resources = estimate_resources(features, &partition, sched.unroll, cost, device);
     let hls = HlsReport {
         ii: sched.ii,
         depth: sched.depth,
-        unroll,
+        unroll: sched.unroll,
         cycles_per_element: sched.cycles_per_element(),
         resources,
     };
-    let inputs = ModelInputs::gather(features, &partition, &hls, device);
-    let prediction = predict(&inputs);
-    Ok(DesignPoint {
+    Ok((partition, hls))
+}
+
+/// The model half of [`evaluate`]: the predicted latency of a priced point.
+/// The searches call it only for points whose resources they would keep.
+fn predicted(
+    features: &StencilFeatures,
+    design: Design,
+    partition: &Partition,
+    hls: HlsReport,
+    device: &Device,
+) -> DesignPoint {
+    let prediction = predict(&ModelInputs::gather(features, partition, &hls, device));
+    DesignPoint {
         design,
         hls,
         prediction,
-    })
+    }
+}
+
+/// Replaces `best` with `point` if it predicts strictly fewer cycles, so
+/// the first of equally fast points wins.
+fn keep_faster(best: &mut Option<DesignPoint>, point: DesignPoint) {
+    if best
+        .as_ref()
+        .is_none_or(|b| point.prediction.total < b.prediction.total)
+    {
+        *best = Some(point);
+    }
 }
 
 /// Explores the overlapped-tiling (baseline) design space: every candidate
@@ -60,6 +98,7 @@ pub fn optimize_baseline(
     }
     let mut best: Option<DesignPoint> = None;
     for &unroll in &unrolls {
+        let sched = schedule(program, cost, unroll);
         for tile_lens in tile_combos(&features, cfg) {
             for &h in &fused_candidates(&features, cfg.max_fused) {
                 let Ok(design) = Design::equal(
@@ -70,18 +109,16 @@ pub fn optimize_baseline(
                 ) else {
                     continue;
                 };
-                let Ok(point) = evaluate(program, &features, design, device, cost, unroll) else {
+                let Ok((partition, hls)) = price(&features, &design, device, cost, &sched) else {
                     continue;
                 };
-                if !point.hls.resources.fits(device) {
+                if !hls.resources.fits(device) {
                     continue;
                 }
-                if best
-                    .as_ref()
-                    .is_none_or(|b| point.prediction.total < b.prediction.total)
-                {
-                    best = Some(point);
-                }
+                keep_faster(
+                    &mut best,
+                    predicted(&features, design, &partition, hls, device),
+                );
             }
         }
     }
@@ -109,6 +146,7 @@ pub fn optimize_heterogeneous(
 ) -> Result<DesignPoint, OptError> {
     let features = StencilFeatures::extract(program)?;
     let growth = features.growth;
+    let sched = schedule(program, cost, unroll);
     let mut best: Option<DesignPoint> = None;
     for tile_lens in tile_combos(&features, cfg) {
         for &h in &fused_candidates(&features, cfg.max_fused) {
@@ -149,18 +187,16 @@ pub fn optimize_heterogeneous(
                 candidates.push(d);
             }
             for design in candidates {
-                let Ok(point) = evaluate(program, &features, design, device, cost, unroll) else {
+                let Ok((partition, hls)) = price(&features, &design, device, cost, &sched) else {
                     continue;
                 };
-                if !point.hls.resources.within(budget) {
+                if !hls.resources.within(budget) {
                     continue;
                 }
-                if best
-                    .as_ref()
-                    .is_none_or(|b| point.prediction.total < b.prediction.total)
-                {
-                    best = Some(point);
-                }
+                keep_faster(
+                    &mut best,
+                    predicted(&features, design, &partition, hls, device),
+                );
             }
         }
     }
