@@ -18,7 +18,7 @@
 //! | `ablation_launch` | —         | launch-delay modeling (Figure 7's gap) |
 //! | `ablation_chaos`  | —         | supervised recovery under injected faults (needs `--features chaos`) |
 //! | `ablation_device` | —         | Table 3 methodology on a smaller FPGA |
-//! | `ablation_simd`   | —         | 8-lane vs scalar tape walk on three executors, bit-exact (`BENCH_simd.json`) |
+//! | `ablation_simd`   | —         | `LANE_WIDTH`-cell vs one-cell tape walk on three executors, bit-exact (`BENCH_simd.json`) |
 //! | `ablation_trace`  | Figure 7 analogue | measured telemetry vs model terms vs simulated schedule (`BENCH_trace.json`, Chrome traces) |
 //! | `ablation_integrity` | —      | slab checksums + health watchdog + deadline vs no guards, bit-exact, 3% budget (`BENCH_integrity.json`) |
 //! | `ablation_checkpoint` | —     | durable checkpoint generations every 4th barrier vs none, bit-exact, 5% budget (`BENCH_checkpoint.json`) |

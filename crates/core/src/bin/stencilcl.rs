@@ -32,8 +32,8 @@
 //!     Execute under full supervision: slab checksums at every pipe splice
 //!     (on by default), an optional numerical-health watchdog
 //!     (`--health-bound`), and an optional wall-clock deadline
-//!     (`--deadline-ms`). `--lanes` sets the vectorized tape-walk width
-//!     (1 = scalar; every width is bit-exact). `--ckpt-dir` arms durable
+//!     (`--deadline-ms`). `--lanes` sets the cells per tape pass of the
+//!     row walk (1 = one cell; default 256; every width is bit-exact). `--ckpt-dir` arms durable
 //!     checkpointing: every `--ckpt-every` fused-block barriers (default 1)
 //!     a crash-safe generation is sealed under DIR, resumable after a
 //!     SIGKILL with `stencilcl resume`. Prints the recovery report —

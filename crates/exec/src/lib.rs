@@ -49,10 +49,11 @@
 //!
 //! Every executor evaluates update statements through flat bytecode
 //! kernels (`stencilcl_lang::CompiledProgram`) compiled once per run — per
-//! (region, kernel) for the pipe executors — walked
-//! [`ExecOptions::lanes`] cells at a time (cross-cell lanes, so every width
-//! is bit-exact). The tree-walking `stencilcl_lang::Interpreter` stays in
-//! the language crate as the differential-test oracle.
+//! (region, kernel) for the pipe executors — that walk each row in chunks
+//! of [`ExecOptions::lanes`] cells per tape pass (256 by default; the
+//! lanes run across cells, never within one, so every width is
+//! bit-exact). The tree-walking `stencilcl_lang::Interpreter` stays in the
+//! language crate as the differential-test oracle.
 //!
 //! [`ExecOptions`] is the only configuration channel: the crate never reads
 //! the process environment. Binaries map the `STENCILCL_*` knobs once

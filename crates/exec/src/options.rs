@@ -47,9 +47,10 @@ pub struct ExecOptions {
     /// [`ExecError::SlabCorrupt`](crate::ExecError::SlabCorrupt). Off by
     /// default (zero cost when off — the checksum is never computed).
     pub integrity: bool,
-    /// Lane width of the compiled vectorized tape walk: `Some(1)` forces
-    /// the scalar walk, `Some(w)` a `w`-lane sweep, `None` takes the
-    /// compiler default. Every width is bit-exact.
+    /// Cells per tape pass of the compiled row walk: `Some(w)` walks each
+    /// row in chunks of exactly `w` cells (the last chunk shorter),
+    /// `Some(1)` one cell per pass, `None` the compiler default
+    /// (`stencilcl_lang::LANE_WIDTH`). Every width is bit-exact.
     pub lanes: Option<usize>,
     /// Durable-checkpoint persistence: when armed with a directory, every
     /// k-th fused-block barrier seals a crash-safe generation that
@@ -86,7 +87,7 @@ impl ExecOptions {
     /// `STENCILCL_MAX_RETRIES` / `STENCILCL_DEADLINE_MS` override the
     /// policy, `STENCILCL_TRACE` arms a fresh [`Recorder`],
     /// `STENCILCL_HEALTH_BOUND` / `STENCILCL_HEALTH_STRIDE` arm the health
-    /// watchdog, `STENCILCL_LANES` sets the lane width, and
+    /// watchdog, `STENCILCL_LANES` sets the cells per tape pass, and
     /// `STENCILCL_CKPT_DIR` / `STENCILCL_CKPT_EVERY` arm checkpoints.
     /// Binaries call this once on the process snapshot and then overwrite
     /// fields from their flags, so a flag always beats the env.
@@ -137,8 +138,8 @@ impl ExecOptions {
         self
     }
 
-    /// Sets the compiled tape-walk lane width (`1` = scalar; bit-exact at
-    /// every width).
+    /// Sets the cells per tape pass of the compiled row walk (`1` = one
+    /// cell per pass; bit-exact at every width).
     #[must_use]
     pub fn lanes(mut self, lanes: usize) -> ExecOptions {
         self.lanes = Some(lanes);

@@ -7,8 +7,8 @@ use crate::overlapped::window_extent;
 use crate::window::halo_ring;
 use crate::ExecError;
 
-/// Lowers `program` to bytecode kernels walked `lanes` cells at a time
-/// (`None` = the compiler's vector default). Every width is bit-exact.
+/// Lowers `program` to bytecode kernels walked `lanes` cells per tape pass
+/// (`None` = the compiler default, `LANE_WIDTH`). Every width is bit-exact.
 pub(crate) fn compile_with_lanes(
     program: &Program,
     lanes: Option<usize>,
@@ -198,7 +198,7 @@ pub(crate) fn pass_depths(fused: u64, iterations: u64) -> Vec<u64> {
 impl PipelinePlan {
     /// Builds the full per-run plan, validating the design kind and stencil
     /// shape exactly like the original per-pass executors did. `lanes` is
-    /// the run's lane width for the compiled tape walk (`None` = the
+    /// the run's cells per tape pass of the compiled row walk (`None` = the
     /// compiler default).
     pub fn new(
         program: &Program,
@@ -428,12 +428,12 @@ fn clipped_lin(clipped: &Rect, p: &stencilcl_grid::Point) -> usize {
 ///
 /// Both the boundary cache and the interior are evaluated through the
 /// statement's bytecode tape; the interior is a row-major sweep over
-/// contiguous rows through the lane-parallel walk
+/// contiguous rows through the row-chunk walk
 /// ([`CompiledProgram::eval_row_into`]), no `Point` construction, and
 /// bounds proven once per row. Boundary cells already in the cache are
 /// recomputed as part of their row — the cache is memoization over the
 /// unmutated pre-statement state, so the recompute is bit-identical and
-/// the row stays contiguous for the vector lanes.
+/// the row stays contiguous for the chunked tape passes.
 ///
 /// `outs[e]` is the local-coordinate source rect of outgoing slab `e`;
 /// `emit(e, values)` receives the post-statement values of the target array

@@ -12,7 +12,7 @@ use crate::ExecError;
 /// checked against.
 ///
 /// The program is lowered to flat bytecode kernels once and executed with
-/// branch-free row sweeps, [`ExecOptions::lanes`] cells at a time. The
+/// row sweeps that evaluate [`ExecOptions::lanes`] cells per tape pass. The
 /// pipes and workers the other executors have do not exist here, so
 /// [`ExecOptions::integrity`] is moot; the run deadline and the health
 /// watchdog apply. With either guard armed the loop runs one iteration at a

@@ -146,8 +146,8 @@ impl Extent {
     pub fn iter(&self) -> ExtentIter {
         ExtentIter {
             extent: *self,
-            next: 0,
-            total: self.volume() as usize,
+            cursor: [0; MAX_DIM],
+            remaining: self.volume() as usize,
         }
     }
 }
@@ -172,29 +172,36 @@ impl fmt::Display for Extent {
 }
 
 /// Row-major iterator over all points of an [`Extent`], produced by
-/// [`Extent::iter`].
+/// [`Extent::iter`]. It keeps an odometer cursor and advances it last axis
+/// first, so yielding a point costs no division or validation.
 #[derive(Debug, Clone)]
 pub struct ExtentIter {
     extent: Extent,
-    next: usize,
-    total: usize,
+    cursor: [i64; MAX_DIM],
+    remaining: usize,
 }
 
 impl Iterator for ExtentIter {
     type Item = Point;
 
     fn next(&mut self) -> Option<Point> {
-        if self.next >= self.total {
+        if self.remaining == 0 {
             return None;
         }
-        let p = self.extent.delinearize(self.next);
-        self.next += 1;
-        Some(p)
+        self.remaining -= 1;
+        let out = Point::from_array(self.extent.dim, self.cursor);
+        for d in (0..self.extent.dim).rev() {
+            self.cursor[d] += 1;
+            if (self.cursor[d] as usize) < self.extent.lens[d] {
+                break;
+            }
+            self.cursor[d] = 0;
+        }
+        Some(out)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.total - self.next;
-        (rem, Some(rem))
+        (self.remaining, Some(self.remaining))
     }
 }
 

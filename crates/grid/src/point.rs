@@ -41,6 +41,13 @@ impl Point {
         Ok(Point { dim, coords: c })
     }
 
+    /// A point from a dimensionality the caller already validated and its
+    /// coordinate array, whose entries past `dim` must be zero (equality
+    /// and hashing compare the whole array).
+    pub(crate) fn from_array(dim: usize, coords: [i64; MAX_DIM]) -> Self {
+        Point { dim, coords }
+    }
+
     /// Creates a 1-D point.
     pub fn new1(x: i64) -> Self {
         Point {

@@ -20,13 +20,26 @@ proptest! {
     }
 
     #[test]
-    fn extent_iteration_is_exhaustive_and_unique(extent in arb_extent()) {
+    fn extent_iteration_is_exhaustive_and_unique(extent in arb_extent(), seed in 0usize..10_000) {
         let pts: Vec<Point> = extent.iter().collect();
         prop_assert_eq!(pts.len() as u64, extent.volume());
+        // Row-major order: the i-th point is the i-th linear index.
+        for (i, p) in pts.iter().enumerate() {
+            prop_assert_eq!(*p, extent.delinearize(i));
+        }
         let mut sorted = pts.clone();
         sorted.sort();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), pts.len());
+        // `size_hint` stays exact after partial consumption.
+        let taken = seed % (pts.len() + 1);
+        let mut it = extent.iter();
+        for _ in 0..taken {
+            it.next();
+        }
+        let left = pts.len() - taken;
+        prop_assert_eq!(it.size_hint(), (left, Some(left)));
+        prop_assert_eq!(it.count(), left);
     }
 
     #[test]

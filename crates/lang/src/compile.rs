@@ -25,20 +25,21 @@
 //! per-cell `Point` construction or bounds checks beyond slice indexing that
 //! is proven in range once per row.
 //!
-//! # Lane-parallel tape walk
+//! # Row-chunk tape walk
 //!
-//! By default the row sweep is *vectorized across cells*: one tape pass
-//! evaluates `W` contiguous cells of a row at once over a lane-major stack
-//! of `stack_need × W` values ([`LANE_WIDTH`] = 8 lanes; configure with
-//! [`CompiledProgram::with_lanes`], `1` forces the scalar walk). Each op
-//! applies the *same* `f64` operation independently per lane — a `Load`
-//! becomes one contiguous slice copy `views[slot][idx+delta ..][..W]` — so
-//! every cell still sees exactly the scalar op sequence and bit-exactness
-//! is preserved *by construction*: only the loop over cells is widened,
-//! never the arithmetic within one cell. The fixed-width inner loops are
-//! written structure-of-lanes so the autovectorizer lowers them to SIMD
-//! without `unsafe`. Row tails shorter than `W` fall back to the scalar
-//! walk.
+//! The row sweep is *vectorized across cells*: a row is walked in chunks of
+//! `min(lanes, cells left)` contiguous cells, and one tape pass evaluates a
+//! whole chunk over a lane-major stack of `stack_need × lanes` values
+//! ([`LANE_WIDTH`] = 256 cells per pass by default; configure with
+//! [`CompiledProgram::with_lanes`], `1` walks one cell per pass). The last
+//! chunk of a row is simply shorter, so there is no separate tail walk.
+//! Each op applies the *same* `f64` operation independently per lane — a
+//! `Load` becomes one contiguous slice copy `views[slot][idx+delta ..][..n]`
+//! — so every cell still sees exactly the scalar op sequence and
+//! bit-exactness is preserved *by construction*: only the loop over cells is
+//! widened, never the arithmetic within one cell. With hundreds of cells per
+//! pass the per-op dispatch cost is amortised away, and the equal-length
+//! slice loops autovectorize without `unsafe`.
 //!
 //! # Statement fusion
 //!
@@ -62,17 +63,16 @@ use crate::ast::{BinOp, Expr, Func, Program, UnaryOp};
 use crate::interp::GridState;
 use crate::LangError;
 
-/// Default (and maximum) number of lanes of the vectorized tape walk: one
-/// tape pass evaluates this many contiguous row cells.
-pub const LANE_WIDTH: usize = 8;
+/// Default (and maximum) number of cells per tape pass of the row-chunk
+/// walk: one tape pass evaluates up to this many contiguous row cells.
+pub const LANE_WIDTH: usize = 256;
 
-/// Reusable evaluation scratch for the row sweeps: the scalar value stack
-/// plus the lane-major stack of the vector walk (`stack_need × W` values,
+/// Reusable evaluation scratch for the row sweeps: the lane-major stack of
+/// the row-chunk walk (`stack_need × n` values for an `n`-cell chunk,
 /// level-major). One instance can be shared across statements and rows;
-/// the buffers only ever grow.
+/// the buffer only ever grows.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    stack: Vec<f64>,
     lanes: Vec<f64>,
 }
 
@@ -325,9 +325,10 @@ impl CompiledProgram {
         })
     }
 
-    /// Returns the program with a `lanes`-wide vectorized tape walk.
+    /// Returns the program with a tape walk of `lanes` cells per pass: a
+    /// row is walked in chunks of exactly `min(lanes, cells left)` cells.
     /// Values are identical for every width (lanes evaluate the scalar op
-    /// sequence independently per cell); `1` forces the scalar walk, zero
+    /// sequence independently per cell); `1` walks one cell per pass, zero
     /// is treated as one, and widths are capped at [`LANE_WIDTH`].
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> Self {
@@ -335,20 +336,9 @@ impl CompiledProgram {
         self
     }
 
-    /// The configured lane width of the vectorized tape walk.
+    /// The configured number of cells per tape pass.
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// The effective main-loop lane width: the largest supported power of
-    /// two not exceeding the configured width (`1` means scalar).
-    fn lane_width(&self) -> usize {
-        match self.lanes {
-            w if w >= 8 => 8,
-            w if w >= 4 => 4,
-            w if w >= 2 => 2,
-            _ => 1,
-        }
     }
 
     /// Maximal runs of consecutive statements fused into one row pass.
@@ -646,11 +636,10 @@ impl CompiledProgram {
     }
 
     /// Evaluates one contiguous row of `row_len` cells starting at linear
-    /// index `base`, appending the results to `values`. The main loop
-    /// walks the tape once per `W` lanes (scalar tail); with lanes = 1 it
-    /// walks the tape once per cell. Per-cell arithmetic is identical in
-    /// every mode, so results do not depend on `W`.
-    /// Callers must have validated the row via [`Self::check_row`].
+    /// index `base`, appending the results to `values`: one tape pass per
+    /// chunk of `min(lanes, cells left)` cells. Per-cell arithmetic is
+    /// identical for every chunk length, so results do not depend on the
+    /// width. Callers must have validated the row via [`Self::check_row`].
     fn eval_row(
         &self,
         kernel: &CompiledKernel,
@@ -660,18 +649,15 @@ impl CompiledProgram {
         scratch: &mut EvalScratch,
         values: &mut Vec<f64>,
     ) {
-        if scratch.stack.len() < kernel.stack_need {
-            scratch.stack.resize(kernel.stack_need, 0.0);
+        let need = kernel.stack_need * self.lanes.min(row_len);
+        if scratch.lanes.len() < need {
+            scratch.lanes.resize(need, 0.0);
         }
-        match self.lane_width() {
-            8 => eval_row_lanes::<8>(kernel, views, base, row_len, scratch, values),
-            4 => eval_row_lanes::<4>(kernel, views, base, row_len, scratch, values),
-            2 => eval_row_lanes::<2>(kernel, views, base, row_len, scratch, values),
-            _ => {
-                for j in 0..row_len {
-                    values.push(eval_tape(&kernel.tape, views, base + j, &mut scratch.stack));
-                }
-            }
+        let mut j = 0usize;
+        while j < row_len {
+            let n = self.lanes.min(row_len - j);
+            eval_tape_chunk(&kernel.tape, views, base + j, n, &mut scratch.lanes, values);
+            j += n;
         }
     }
 
@@ -703,65 +689,36 @@ impl CompiledProgram {
     }
 }
 
-/// Sweeps one row with a `W`-lane main loop and a scalar tail: chunks of
-/// `W` contiguous cells share one tape pass, cells past the last full
-/// chunk go through the scalar walk. `scratch.stack` must already hold
-/// `stack_need` slots and the caller must have validated the row bounds.
-fn eval_row_lanes<const W: usize>(
-    kernel: &CompiledKernel,
-    views: &[&[f64]],
-    base: usize,
-    row_len: usize,
-    scratch: &mut EvalScratch,
-    values: &mut Vec<f64>,
-) {
-    let need = kernel.stack_need * W;
-    if scratch.lanes.len() < need {
-        scratch.lanes.resize(need, 0.0);
-    }
-    let mut j = 0usize;
-    while j + W <= row_len {
-        eval_tape_lanes::<W>(&kernel.tape, views, base + j, &mut scratch.lanes, values);
-        j += W;
-    }
-    while j < row_len {
-        values.push(eval_tape(&kernel.tape, views, base + j, &mut scratch.stack));
-        j += 1;
-    }
-}
-
-/// Evaluates a tape for `W` contiguous cells `idx..idx + W` in one pass
-/// over a lane-major stack (`level * W + lane`), appending the `W` results
+/// Evaluates a tape for the `n` contiguous cells `idx..idx + n` in one pass
+/// over a lane-major stack (`level * n + lane`), appending the `n` results
 /// to `values`. Lane `l` performs exactly the `f64` op sequence the scalar
 /// walk performs at `idx + l` — ops never mix lanes — so the results are
-/// bit-identical to `W` scalar evaluations; only the cell loop is widened.
-/// The fixed `W`-length inner loops autovectorize.
+/// bit-identical to `n` scalar evaluations; only the cell loop is widened.
+/// The equal-length slice loops autovectorize.
 #[inline]
-fn eval_tape_lanes<const W: usize>(
+fn eval_tape_chunk(
     tape: &[Op],
     views: &[&[f64]],
     idx: usize,
+    n: usize,
     stack: &mut [f64],
     values: &mut Vec<f64>,
 ) {
     // Lane-wise binary op: pop `b`, combine into `a`.
     macro_rules! bin {
-        ($sp:ident, $stack:ident, $f:expr) => {{
+        ($sp:ident, $f:expr) => {{
             $sp -= 1;
-            let (lo, hi) = $stack.split_at_mut($sp * W);
-            let a = &mut lo[($sp - 1) * W..];
-            let b = &hi[..W];
-            for l in 0..W {
-                a[l] = $f(a[l], b[l]);
+            let (lo, hi) = stack.split_at_mut($sp * n);
+            for (a, b) in lo[($sp - 1) * n..].iter_mut().zip(&hi[..n]) {
+                *a = $f(*a, *b);
             }
         }};
     }
     // Lane-wise unary op on the top of stack.
     macro_rules! un {
-        ($sp:ident, $stack:ident, $f:expr) => {{
-            let t = &mut $stack[($sp - 1) * W..$sp * W];
-            for l in 0..W {
-                t[l] = $f(t[l]);
+        ($sp:ident, $f:expr) => {{
+            for t in &mut stack[($sp - 1) * n..$sp * n] {
+                *t = $f(*t);
             }
         }};
     }
@@ -769,29 +726,29 @@ fn eval_tape_lanes<const W: usize>(
     for op in tape {
         match *op {
             Op::Const(v) => {
-                stack[sp * W..(sp + 1) * W].fill(v);
+                stack[sp * n..(sp + 1) * n].fill(v);
                 sp += 1;
             }
             Op::Load { slot, delta } => {
                 // The caller validated the whole row with signed
                 // arithmetic (`check_row`), so this cast cannot wrap and
-                // all `W` lanes are in bounds.
+                // all `n` lanes are in bounds.
                 let at = (idx as i64 + delta) as usize;
-                stack[sp * W..(sp + 1) * W].copy_from_slice(&views[slot as usize][at..at + W]);
+                stack[sp * n..(sp + 1) * n].copy_from_slice(&views[slot as usize][at..at + n]);
                 sp += 1;
             }
-            Op::Add => bin!(sp, stack, |a, b| a + b),
-            Op::Sub => bin!(sp, stack, |a, b| a - b),
-            Op::Mul => bin!(sp, stack, |a, b| a * b),
-            Op::Div => bin!(sp, stack, |a, b| a / b),
-            Op::Neg => un!(sp, stack, |a: f64| -a),
-            Op::Min => bin!(sp, stack, f64::min),
-            Op::Max => bin!(sp, stack, f64::max),
-            Op::Abs => un!(sp, stack, f64::abs),
-            Op::Sqrt => un!(sp, stack, f64::sqrt),
+            Op::Add => bin!(sp, |a, b| a + b),
+            Op::Sub => bin!(sp, |a, b| a - b),
+            Op::Mul => bin!(sp, |a, b| a * b),
+            Op::Div => bin!(sp, |a, b| a / b),
+            Op::Neg => un!(sp, |a: f64| -a),
+            Op::Min => bin!(sp, f64::min),
+            Op::Max => bin!(sp, f64::max),
+            Op::Abs => un!(sp, f64::abs),
+            Op::Sqrt => un!(sp, f64::sqrt),
         }
     }
-    values.extend_from_slice(&stack[..W]);
+    values.extend_from_slice(&stack[..n]);
 }
 
 /// Partitions the statement list into maximal fusable runs: consecutive
@@ -1173,27 +1130,33 @@ mod tests {
 
     #[test]
     fn lane_widths_are_bit_exact() {
-        let p = parse(
-            "stencil l { grid A[9][23] : f32; param w = 0.3; iterations 3;
-             A[i][j] = max(min(A[i-1][j], A[i+1][j]), abs(A[i][j-1] - A[i][j+1]))
-                       + w * sqrt(abs(A[i][j])) - (-A[i][j]); }",
-        )
-        .unwrap();
-        let mut expect = GridState::new(&p, ramp);
-        Interpreter::new(&p).run(&mut expect, p.iterations).unwrap();
-        for lanes in [1usize, 2, 3, 4, 5, 8, 16] {
-            let cp = CompiledProgram::compile(&p).unwrap().with_lanes(lanes);
-            assert_eq!(cp.lanes(), lanes.min(LANE_WIDTH));
-            let mut got = GridState::new(&p, ramp);
-            cp.run(&mut got, p.iterations).unwrap();
-            assert_eq!(got, expect, "lanes {lanes} diverged from the interpreter");
+        // 23-cell rows are shorter than most widths; 600-cell rows exceed
+        // LANE_WIDTH, so the default walk runs 256 + 256 + 88 per row and
+        // odd widths leave a short last chunk.
+        for extent in ["A[9][23]", "A[5][600]"] {
+            let p = parse(&format!(
+                "stencil l {{ grid {extent} : f32; param w = 0.3; iterations 3;
+                 A[i][j] = max(min(A[i-1][j], A[i+1][j]), abs(A[i][j-1] - A[i][j+1]))
+                           + w * sqrt(abs(A[i][j])) - (-A[i][j]); }}"
+            ))
+            .unwrap();
+            let mut expect = GridState::new(&p, ramp);
+            Interpreter::new(&p).run(&mut expect, p.iterations).unwrap();
+            for lanes in [1usize, 2, 3, 5, 7, 8, 16, 255, 256] {
+                let cp = CompiledProgram::compile(&p).unwrap().with_lanes(lanes);
+                assert_eq!(cp.lanes(), lanes);
+                let mut got = GridState::new(&p, ramp);
+                cp.run(&mut got, p.iterations).unwrap();
+                assert_eq!(got, expect, "{extent}: lanes {lanes} diverged");
+            }
         }
     }
 
     #[test]
-    fn lane_width_exceeding_the_row_falls_back_to_scalar() {
-        // 3-cell rows (and a 1-cell-row grid) never fill an 8-lane chunk:
-        // the whole sweep must go through the scalar tail, bit-exact.
+    fn lane_width_exceeding_the_row_walks_one_short_chunk() {
+        // 3-cell rows (and a 1-cell-row grid) are shorter than the default
+        // width: each row is one tape pass over a chunk as long as the row,
+        // bit-exact.
         for src in [
             "stencil t { grid A[6][3] : f32; iterations 2;
              A[i][j] = 0.5 * (A[i][j-1] + A[i][j+1]); }",
@@ -1202,6 +1165,7 @@ mod tests {
         ] {
             let p = parse(src).unwrap();
             let cp = CompiledProgram::compile(&p).unwrap();
+            assert_eq!(cp.lanes(), LANE_WIDTH);
             let mut fast = GridState::new(&p, ramp);
             cp.run(&mut fast, p.iterations).unwrap();
             let mut slow = GridState::new(&p, ramp);

@@ -29,9 +29,10 @@ impl GridState {
     }
 
     /// Creates a state with every element of every grid set to `value`.
-    /// Fills whole rows at a time — this sits on the per-task window
-    /// allocation path of the tiled executors, where the per-point closure
-    /// of [`GridState::new`] costs more than the copy it precedes.
+    /// Fills whole grids with no per-point work — this sits on the per-task
+    /// window allocation path of the tiled executors, where even the
+    /// odometer walk and per-point closure of [`GridState::new`] would cost
+    /// more than the copy they precede.
     pub fn uniform(program: &Program, value: f64) -> Self {
         let grids = program
             .grids

@@ -32,8 +32,9 @@ pub struct EnvConfig {
     pub health_bound: Option<f64>,
     /// `STENCILCL_HEALTH_STRIDE`: health-scan sampling stride (≥ 1).
     pub health_stride: Option<usize>,
-    /// `STENCILCL_LANES`: compiled-kernel tape lane width (1–16); 1 forces
-    /// the scalar walk, `None` lets the compiler pick the vector default.
+    /// `STENCILCL_LANES`: cells per tape pass of the compiled row walk
+    /// (1–16); 1 walks one cell per pass, `None` takes the compiler default
+    /// (`LANE_WIDTH`, 256 cells).
     pub lanes: Option<usize>,
     /// `STENCILCL_CKPT_DIR`: directory durable checkpoint generations are
     /// sealed into; `None` disables checkpointing.

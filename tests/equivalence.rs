@@ -36,6 +36,8 @@ fn tiny(name: &str, n: usize, iters: u64) -> Program {
 fn all_benchmarks_overlapped_equal_tiles() {
     for (name, n, par) in [
         ("Jacobi-1D", 64usize, vec![4]),
+        // 300-cell tiles: row chunks of LANE_WIDTH end inside a pipe tile.
+        ("Jacobi-1D", 1200, vec![2]),
         ("Jacobi-2D", 32, vec![2, 2]),
         ("Jacobi-3D", 16, vec![2, 2, 2]),
         ("HotSpot-2D", 32, vec![2, 2]),
@@ -57,6 +59,8 @@ fn all_benchmarks_overlapped_equal_tiles() {
 fn all_benchmarks_pipe_shared_equal_tiles() {
     for (name, n, par) in [
         ("Jacobi-1D", 64usize, vec![4]),
+        // 300-cell tiles: row chunks of LANE_WIDTH end inside a pipe tile.
+        ("Jacobi-1D", 1200, vec![2]),
         ("Jacobi-2D", 32, vec![2, 2]),
         ("Jacobi-3D", 16, vec![2, 2, 2]),
         ("HotSpot-2D", 32, vec![2, 2]),
