@@ -27,15 +27,13 @@
 //! stencilcl run <file.stencil> --fused N --parallelism KxK --tile WxW
 //!               [--kind pipe|hetero] [--deadline-ms N] [--health-bound X]
 //!               [--health-stride N] [--integrity on|off] [--retries N]
-//!               [--lanes W] [--ckpt-dir DIR] [--ckpt-every N]
-//!               [--report-json FILE]
+//!               [--ckpt-dir DIR] [--ckpt-every N] [--report-json FILE]
 //!     Execute under full supervision: slab checksums at every pipe splice
 //!     (on by default), an optional numerical-health watchdog
 //!     (`--health-bound`), and an optional wall-clock deadline
-//!     (`--deadline-ms`). `--lanes` sets the cells per tape pass of the
-//!     row walk (1 = one cell; default 256; every width is bit-exact). `--ckpt-dir` arms durable
-//!     checkpointing: every `--ckpt-every` fused-block barriers (default 1)
-//!     a crash-safe generation is sealed under DIR, resumable after a
+//!     (`--deadline-ms`). `--ckpt-dir` arms durable checkpointing: every
+//!     `--ckpt-every` fused-block barriers (default 1) a crash-safe
+//!     generation is sealed under DIR, resumable after a
 //!     SIGKILL with `stencilcl resume`. Prints the recovery report —
 //!     attempts, faults, degradation path — plus a grid digest, writes it
 //!     as JSON to `--report-json`, and exits nonzero if the run was
@@ -107,7 +105,7 @@ const USAGE: &str = "usage:
   stencilcl trace    <file.stencil> --fused N --parallelism KxK --tile WxW [--out FILE.json]
   stencilcl run      <file.stencil> --fused N --parallelism KxK --tile WxW [--kind pipe|hetero]
                      [--deadline-ms N] [--health-bound X] [--health-stride N]
-                     [--integrity on|off] [--retries N] [--lanes W]
+                     [--integrity on|off] [--retries N]
                      [--ckpt-dir DIR] [--ckpt-every N] [--report-json FILE]
   stencilcl resume   <ckpt-dir> [--deadline-ms N] [--retries N] [--report-json FILE]
   stencilcl serve    [--addr HOST:PORT] [--max-jobs N] [--max-queue N] [--quota N]
@@ -470,13 +468,6 @@ fn supervised_options(cfg: &EnvConfig, opts: &Opts) -> Result<ExecOptions, Strin
     }
     if let Some(v) = opts.get("retries") {
         exec_opts.policy.max_retries = v.parse().map_err(|_| format!("bad --retries `{v}`"))?;
-    }
-    if let Some(v) = opts.get("lanes") {
-        let lanes: usize = v.parse().map_err(|_| format!("bad --lanes `{v}`"))?;
-        if !(1..=16).contains(&lanes) {
-            return Err(format!("--lanes must be in 1..=16, got `{v}`"));
-        }
-        exec_opts.lanes = Some(lanes);
     }
     if let Some(v) = opts.get("health-bound") {
         exec_opts.health = match v {
@@ -868,15 +859,12 @@ mod tests {
         let cfg = frozen_config(&[
             ("STENCILCL_DEADLINE_MS", "1000"),
             ("STENCILCL_MAX_RETRIES", "7"),
-            ("STENCILCL_LANES", "2"),
         ]);
         let opts = flag_opts(&[
             "--deadline-ms",
             "250",
             "--retries",
             "1",
-            "--lanes",
-            "8",
             "--integrity",
             "off",
         ]);
@@ -886,7 +874,6 @@ mod tests {
             Some(std::time::Duration::from_millis(250))
         );
         assert_eq!(exec.policy.max_retries, 1);
-        assert_eq!(exec.lanes, Some(8));
         assert!(!exec.integrity);
     }
 
@@ -896,7 +883,6 @@ mod tests {
             ("STENCILCL_DEADLINE_MS", "1000"),
             ("STENCILCL_HEALTH_BOUND", "1e9"),
             ("STENCILCL_HEALTH_STRIDE", "3"),
-            ("STENCILCL_LANES", "4"),
         ]);
         let exec = supervised_options(&cfg, &flag_opts(&[])).unwrap();
         assert_eq!(
@@ -907,7 +893,6 @@ mod tests {
         // (it used to be clobbered by a disarmed default).
         assert!(exec.health.enabled());
         assert_eq!(exec.health.stride, 3);
-        assert_eq!(exec.lanes, Some(4));
         // `run` seals slabs by default.
         assert!(exec.integrity);
     }
@@ -922,15 +907,6 @@ mod tests {
         let err = supervised_options(&frozen_config(&[]), &flag_opts(&["--health-stride", "9"]))
             .unwrap_err();
         assert!(err.contains("--health-bound"), "{err}");
-    }
-
-    #[test]
-    fn lanes_flag_is_validated() {
-        let cfg = frozen_config(&[]);
-        for bad in ["0", "17", "wide"] {
-            let err = supervised_options(&cfg, &flag_opts(&["--lanes", bad])).unwrap_err();
-            assert!(err.contains("--lanes"), "{err}");
-        }
     }
 
     #[test]

@@ -593,6 +593,9 @@ mod tests {
     fn cancel_handle_aborts_promptly_with_the_permanent_error() {
         let (program, partition) = spec(100_000);
         let cancel = CancelHandle::new();
+        let observer = cancel.clone();
+        let teardown = CancelHandle::new();
+        assert!(!observer.is_cancelled());
         let progressed = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&progressed);
         let opts = ExecOptions::default()
@@ -624,6 +627,11 @@ mod tests {
             }
             other => panic!("expected JobCancelled, got {other:?}"),
         }
+        // Every clone observes the one flag; a separate handle — like a
+        // pool's internal teardown token — does not, which keeps `Cancelled`
+        // and `JobCancelled` distinct.
+        assert!(observer.is_cancelled());
+        assert!(!teardown.is_cancelled());
         pool.shutdown();
     }
 

@@ -19,15 +19,27 @@
 //!   pipes: a live concurrent execution of the dataflow, not a
 //!   re-simulation.
 //!
-//! Both pipe executors share one per-run pipeline plan: geometry is
-//! planned once, each tile keeps a persistent local window whose halo ring
-//! is refreshed incrementally between fused blocks, and the global grid is
-//! double-buffered instead of snapshot-cloned per block. The threaded
-//! executor keeps its workers and channels alive for the whole run, guarded
-//! by a watchdog that turns a wedged pipeline into [`ExecError::PipeStall`];
-//! its deadlines come from an [`ExecPolicy`] and a failed pool is torn down
-//! through a cooperative cancellation token, so worker threads never
-//! outlive the call.
+//! The two pipe executors are two drivers of **one** per-kernel pipe
+//! step: load the kernel's window, compute a statement boundary-first and
+//! emit its slabs, splice the neighbors' slabs, store the tile. The
+//! threaded pool runs one step per worker thread and moves slabs over
+//! channels; the sequential executor runs every kernel's step in lockstep
+//! on the calling thread and buffers the slabs. Routing — each kernel's
+//! outgoing and incoming edges, in local coordinates, with the pipe that
+//! carries each — lives in the per-run pipeline plan, and both drivers
+//! splice a receiver's slabs in plan edge order, so a halo corner covered
+//! by two neighbors gets the same last writer in both by construction.
+//! Geometry is planned once, each tile keeps a persistent local window
+//! whose halo ring is refreshed incrementally between fused blocks, and
+//! the global grid is double-buffered instead of snapshot-cloned per
+//! block. One barrier loop, shared by both drivers, checks the deadline,
+//! scans health before committing, swaps the buffers, and offers every
+//! committed barrier to the durable checkpoint writer. The threaded
+//! executor keeps its workers and channels alive for the whole run,
+//! guarded by a watchdog that turns a wedged pipeline into
+//! [`ExecError::PipeStall`]; its deadlines come from an [`ExecPolicy`] and
+//! a failed pool is torn down through its own cooperative
+//! [`CancelHandle`], so worker threads never outlive the call.
 //!
 //! On top of the threaded executor, [`run_supervised_opts`] (and
 //! [`run_supervised_full`], which also reports failed runs) adds
@@ -35,7 +47,8 @@
 //! fused-block barrier, transient faults (panics, stalls, pipe-protocol
 //! skew) trigger checkpointed retries with exponential backoff, and once
 //! [`ExecPolicy::max_retries`] is spent the run degrades to the sequential
-//! executor — every attempt recorded in a [`RunReport`].
+//! driver — which keeps sealing checkpoint generations at its own
+//! barriers — every attempt recorded in a [`RunReport`].
 //! [`resume_supervised_full`] restarts a dead run from its newest durable
 //! checkpoint. The `fault-injection` cargo feature arms a deterministic
 //! fault plan ([`ExecOptions::faults`]) for chaos-testing these paths;

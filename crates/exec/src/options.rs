@@ -50,7 +50,9 @@ pub struct ExecOptions {
     /// Cells per tape pass of the compiled row walk: `Some(w)` walks each
     /// row in chunks of exactly `w` cells (the last chunk shorter),
     /// `Some(1)` one cell per pass, `None` the compiler default
-    /// (`stencilcl_lang::LANE_WIDTH`). Every width is bit-exact.
+    /// (`stencilcl_lang::LANE_WIDTH`). Every width is bit-exact. A library
+    /// seam for lane-width ablations and tests: no env knob, CLI flag, or
+    /// job option sets it, so deployed runs always walk the default width.
     pub lanes: Option<usize>,
     /// Durable-checkpoint persistence: when armed with a directory, every
     /// k-th fused-block barrier seals a crash-safe generation that
@@ -87,8 +89,7 @@ impl ExecOptions {
     /// `STENCILCL_MAX_RETRIES` / `STENCILCL_DEADLINE_MS` override the
     /// policy, `STENCILCL_TRACE` arms a fresh [`Recorder`],
     /// `STENCILCL_HEALTH_BOUND` / `STENCILCL_HEALTH_STRIDE` arm the health
-    /// watchdog, `STENCILCL_LANES` sets the cells per tape pass, and
-    /// `STENCILCL_CKPT_DIR` / `STENCILCL_CKPT_EVERY` arm checkpoints.
+    /// watchdog, and `STENCILCL_CKPT_DIR` / `STENCILCL_CKPT_EVERY` arm checkpoints.
     /// Binaries call this once on the process snapshot and then overwrite
     /// fields from their flags, so a flag always beats the env.
     pub fn from_config(cfg: &EnvConfig) -> ExecOptions {
@@ -103,7 +104,6 @@ impl ExecOptions {
             policy: ExecPolicy::from_config(cfg),
             trace: cfg.trace.then(Recorder::new),
             health,
-            lanes: cfg.lanes,
             checkpoint: CheckpointPolicy::from_config(cfg),
             ..ExecOptions::default()
         }
@@ -215,7 +215,6 @@ mod tests {
                 "STENCILCL_DEADLINE_MS" => Some("1500"),
                 "STENCILCL_HEALTH_BOUND" => Some("1e9"),
                 "STENCILCL_HEALTH_STRIDE" => Some("5"),
-                "STENCILCL_LANES" => Some("4"),
                 "STENCILCL_CKPT_DIR" => Some("/tmp/stencilcl-ckpt"),
                 "STENCILCL_CKPT_EVERY" => Some("6"),
                 _ => None,
@@ -230,7 +229,7 @@ mod tests {
         );
         assert!(opts.health.enabled());
         assert_eq!(opts.health.stride, 5);
-        assert_eq!(opts.lanes, Some(4));
+        assert_eq!(opts.lanes, None, "the lane width is not an env knob");
         assert!(opts.checkpoint.enabled());
         assert_eq!(
             opts.checkpoint.dir.as_deref(),

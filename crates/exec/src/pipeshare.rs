@@ -1,11 +1,15 @@
-use stencilcl_grid::{Partition, Rect};
-use stencilcl_lang::{GridState, Program};
-use stencilcl_telemetry::{Counter, Disabled, TracePhase, TraceSink};
+use std::sync::PoisonError;
 
-use crate::integrity::{scan_state, slab_checksum, verify_slab, RunLimits};
+use stencilcl_grid::Partition;
+use stencilcl_lang::{GridState, Program};
+use stencilcl_telemetry::{Disabled, TracePhase, TraceSink};
+
+use crate::integrity::RunLimits;
 use crate::options::ExecOptions;
-use crate::pool::{apply_statement_split, Edge, PipelinePlan, SplitScratch};
-use crate::window::{extract_window, refresh_ring, write_back};
+use crate::persist::CheckpointWriter;
+use crate::pool::{
+    double_buffer, into_barrier, run_barriers, DriverRun, KernelStep, PipelinePlan, Slab,
+};
 use crate::ExecError;
 
 /// Runs the paper's pipe-shared execution (equal or heterogeneous tiling):
@@ -14,24 +18,29 @@ use crate::ExecError;
 /// computed boundary slab of the statement's target array to its pipe
 /// neighbors, which splice it into their local halos.
 ///
-/// This is the sequential (deterministic) rendition of the dataflow;
-/// [`run_threaded_opts`](crate::run_threaded_opts) executes the same
-/// protocol with a persistent pool of worker threads and channels. Both
-/// must match [`run_reference_opts`](crate::run_reference_opts) exactly.
-/// Because this executor is sequential, a trace
-/// ([`ExecOptions::trace`]) shows the dataflow's logical order — slab
-/// splices appear as `Dependent` spans on the receiving kernel's row.
+/// This is the sequential driver of the one per-kernel pipe step that
+/// [`run_threaded_opts`](crate::run_threaded_opts) drives with a pool of
+/// worker threads: here every kernel's step runs in lockstep on the
+/// calling thread. Per statement, every kernel computes against its own
+/// pre-splice window and its slabs are buffered; then each receiver
+/// splices its slabs in plan edge order — the order a threaded worker
+/// receives them in — so a halo corner covered by two neighbors' slabs
+/// gets the same last writer in both drivers by construction. Both must
+/// match [`run_reference_opts`](crate::run_reference_opts) exactly.
+/// Because this driver is sequential, a trace ([`ExecOptions::trace`])
+/// shows the dataflow's logical order — slab splices appear as `Dependent`
+/// spans on the receiving kernel's row.
 ///
-/// All geometry is planned once per run; each tile's local window persists
-/// across fused blocks with only its halo ring refreshed, and the global
-/// grid is double-buffered (reads from `cur`, tile write-backs into `next`,
-/// swap per block) instead of cloned per block.
+/// All geometry and routing is planned once per run; each tile's local
+/// window persists across fused blocks with only its halo ring refreshed,
+/// and the global grid is double-buffered instead of cloned per block.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::BadConfiguration`] for baseline partitions,
 /// [`ExecError::DiagonalAccess`] for non-star stencils, and propagates
-/// geometry/evaluation errors.
+/// geometry/evaluation errors; `state` then holds the grid as of the last
+/// completed fused-block barrier.
 pub fn run_pipe_shared_opts(
     program: &Program,
     partition: &Partition,
@@ -39,241 +48,81 @@ pub fn run_pipe_shared_opts(
     opts: &ExecOptions,
 ) -> Result<(), ExecError> {
     let limits = opts.limits();
-    match &opts.trace {
-        Some(rec) => pipe_shared_impl(program, partition, state, opts.lanes, limits, rec),
-        None => pipe_shared_impl(program, partition, state, opts.lanes, limits, &Disabled),
-    }
+    let (_, result) = match &opts.trace {
+        Some(rec) => sequential_run(program, partition, state, opts, 0, limits, None, rec),
+        None => sequential_run(program, partition, state, opts, 0, limits, None, &Disabled),
+    };
+    result
 }
 
-/// The monomorphized body shared by [`run_pipe_shared_opts`] and the
-/// supervisor's sequential-fallback path (which must keep the failing run's
-/// lane width and sink).
-pub(crate) fn pipe_shared_impl<S: TraceSink>(
+/// The sequential driver, with the same contract as
+/// [`pool_run`](crate::threaded::pool_run) so the supervisor's degraded
+/// attempt is booked like a pool attempt: it keeps the run's lane width,
+/// sink, block numbering, and checkpoint writer, and seals generations at
+/// its own barriers. It never fires injected faults — the fallback must
+/// not be able to wedge.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sequential_run<S: TraceSink>(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
-    lanes: Option<usize>,
+    opts: &ExecOptions,
+    block_base: u64,
     limits: RunLimits,
+    ckpt: Option<&CheckpointWriter>,
     sink: &S,
-) -> Result<(), ExecError> {
-    let plan = PipelinePlan::new(program, partition, lanes)?;
-    if plan.depths.is_empty() {
-        return Ok(());
-    }
-    let updated: Vec<&str> = plan.updated.iter().map(String::as_str).collect();
-    let region_count = plan.regions.len();
-    let kernels = plan.tiles.first().map_or(0, Vec::len);
-
-    // Double buffer: `cur` holds every value as of the block start, `next`
-    // receives the tile write-backs. Tiles partition the grid, so after a
-    // block `next`'s updated arrays are fully written and the roles swap.
-    let mut cur = state.clone();
-    let mut next = state.clone();
-    // Persistent local windows, one per (region, kernel), created lazily on
-    // the first block and halo-refreshed afterwards.
-    let mut locals: Vec<Vec<Option<GridState>>> =
-        vec![(0..kernels).map(|_| None).collect(); region_count];
-    let mut scratch = SplitScratch::new();
-
-    // Per-kernel outgoing edges and their local-coordinate source rects are
-    // iteration- and statement-invariant: route once per (depth, region).
-    type Routing<'e> = (Vec<Vec<&'e Edge>>, Vec<Vec<Rect>>);
-    let mut routes: Vec<Vec<Routing<'_>>> = Vec::with_capacity(plan.depths.len());
-    for depth in &plan.depths {
-        let mut per_region = Vec::with_capacity(region_count);
-        for r in 0..region_count {
-            let mut out_edges: Vec<Vec<&Edge>> = vec![Vec::new(); kernels];
-            let mut out_rects: Vec<Vec<Rect>> = vec![Vec::new(); kernels];
-            for e in &depth.edges[r] {
-                out_edges[e.from].push(e);
-                out_rects[e.from].push(e.overlap.translate(&-plan.windows[r][e.from].lo())?);
-            }
-            per_region.push((out_edges, out_rects));
-        }
-        routes.push(per_region);
-    }
-
-    // Tile index for attributing a health hit to its owning kernel.
-    let tile_index: Vec<(usize, Rect)> = if limits.health.enabled() {
-        let tiles = &plan.tiles;
-        (0..region_count)
-            .flat_map(|r| (0..kernels).map(move |k| (k, tiles[r][k])))
-            .collect()
-    } else {
-        Vec::new()
+) -> (DriverRun, Result<(), ExecError>) {
+    let plan = match PipelinePlan::new(program, partition, opts.lanes) {
+        Ok(plan) => plan,
+        Err(e) => return (DriverRun::default(), Err(e)),
     };
-    // Global slab sequence counters: the sequential protocol emits and
-    // splices slabs in one deterministic order, so a single send/recv pair
-    // plays the role of the threaded pool's per-channel counters.
-    let mut send_seq = 0u64;
-    let mut recv_seq = 0u64;
-
-    let mut done = 0u64;
-    while done < plan.iterations {
-        if let Err(e) = limits.check_deadline(done) {
-            // `cur` is the last completed barrier — hand it back as the
-            // partial result the error's `completed` count describes.
-            *state = cur;
-            return Err(e);
-        }
-        let h = plan.fused.min(plan.iterations - done);
-        let di = plan.depth_index(h);
-        let depth = &plan.depths[di];
-        for r in 0..region_count {
-            for (k, slot) in locals[r].iter_mut().enumerate() {
-                let read_t0 = sink.now();
-                match slot {
-                    slot @ None => {
-                        *slot = Some(extract_window(
-                            &cur,
-                            program,
-                            &plan.local_programs[r][k],
-                            &plan.windows[r][k],
-                        )?);
-                        if S::ACTIVE {
-                            let cells: u64 = plan.windows[r][k].volume();
-                            sink.add(
-                                Counter::HaloBytes,
-                                cells
-                                    * std::mem::size_of::<f64>() as u64
-                                    * plan.local_programs[r][k].grids.len() as u64,
-                            );
-                        }
-                    }
-                    Some(local) => {
-                        refresh_ring(
-                            local,
-                            &cur,
-                            &plan.rings[r][k],
-                            &plan.windows[r][k].lo(),
-                            &updated,
-                        )?;
-                        if S::ACTIVE {
-                            let cells: u64 = plan.rings[r][k].iter().map(Rect::volume).sum();
-                            sink.add(
-                                Counter::HaloBytes,
-                                cells * std::mem::size_of::<f64>() as u64 * updated.len() as u64,
-                            );
-                        }
-                    }
-                }
-                if S::ACTIVE {
-                    sink.span(k, r, TracePhase::Read, read_t0, sink.now());
-                }
+    let buffers = double_buffer(state);
+    let mut steps: Vec<KernelStep<'_, S>> = (0..plan.kernels())
+        .map(|k| KernelStep::new(&plan, k, limits.integrity, sink))
+        .collect();
+    // One buffered slab per planned edge of the current region.
+    let mut slabs: Vec<Option<Slab>> = Vec::new();
+    let (run, result) = run_barriers(&plan, &buffers, &limits, ckpt, block_base, sink, |block| {
+        let depth = &plan.depths[block.depth];
+        let cur = buffers[block.src]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        for r in 0..plan.regions.len() {
+            for step in &mut steps {
+                step.load(r, &cur)?;
             }
-            let (out_edges, out_rects) = &routes[di][r];
-            for i in 1..=h {
-                for s in 0..program.updates.len() {
-                    // Compute every tile's statement against its own
-                    // pre-splice window, buffering the emitted slabs...
-                    let mut slabs = Vec::with_capacity(depth.edges[r].len());
-                    for k in 0..kernels {
-                        let domain = depth.local_domain(r, k, i, s, plan.stmts);
-                        let local = locals[r][k].as_mut().expect("window extracted");
-                        let edges = &out_edges[k];
-                        let compute_t0 = sink.now();
-                        apply_statement_split(
-                            &plan.compiled[r][k],
-                            local,
-                            s,
-                            domain,
-                            &out_rects[k],
-                            &mut scratch,
-                            sink,
-                            |e, values| {
-                                if S::ACTIVE {
-                                    sink.add(Counter::SlabsSent, 1);
-                                    sink.add(
-                                        Counter::HaloBytes,
-                                        (values.len() * std::mem::size_of::<f64>()) as u64,
-                                    );
-                                }
-                                let checksum = limits.integrity.then(|| {
-                                    let sum = slab_checksum(send_seq, (done + i, s), &values);
-                                    send_seq += 1;
-                                    sum
-                                });
-                                slabs.push((edges[e].to, edges[e].overlap, values, checksum));
-                                Ok(())
-                            },
-                        )?;
-                        if S::ACTIVE {
-                            sink.span(
-                                k,
-                                r,
-                                TracePhase::Compute {
-                                    iteration: done + i,
-                                },
-                                compute_t0,
-                                sink.now(),
-                            );
-                        }
+            slabs.resize_with(depth.edges[r].len(), || None);
+            for i in 1..=depth.h {
+                for s in 0..plan.stmts {
+                    let at = (block.step_base + i, s);
+                    for step in &mut steps {
+                        step.compute(depth, r, i, at, |link, slab| {
+                            slabs[link.edge] = Some(slab);
+                            Ok(())
+                        })?;
                     }
-                    // ...then splice them all, in edge-discovery order (the
-                    // same per-receiver order the threaded pool uses).
-                    let target = &program.updates[s].target;
-                    for (to, overlap, values, checksum) in slabs {
-                        let splice_t0 = sink.now();
-                        if limits.integrity {
-                            let Some(sum) = checksum else {
-                                return Err(ExecError::SlabCorrupt {
-                                    kernel: to,
-                                    step: (done + i, s),
-                                });
-                            };
-                            verify_slab(to, recv_seq, (done + i, s), &values, sum, sink)?;
-                            recv_seq += 1;
-                        }
-                        let dst_rect = overlap.translate(&-plan.windows[r][to].lo())?;
-                        let dst = locals[r][to].as_mut().expect("window extracted");
-                        dst.grid_mut(target)?.write_window(&dst_rect, &values)?;
-                        if S::ACTIVE {
-                            sink.add(Counter::SlabsReceived, 1);
-                            sink.span(
-                                to,
-                                r,
-                                TracePhase::Dependent {
-                                    iteration: done + i,
-                                },
-                                splice_t0,
-                                sink.now(),
-                            );
+                    for (k, step) in steps.iter_mut().enumerate() {
+                        for link in &depth.routes[r][k].ins {
+                            let t0 = sink.now();
+                            let slab = slabs[link.edge].take().expect("every edge emits");
+                            step.splice(r, link, slab, at)?;
+                            if S::ACTIVE {
+                                let phase = TracePhase::Dependent { iteration: at.0 };
+                                sink.span(k, r, phase, t0, sink.now());
+                            }
                         }
                     }
                 }
             }
-            for (k, slot) in locals[r].iter().enumerate() {
-                let local = slot.as_ref().expect("window extracted");
-                let write_t0 = sink.now();
-                write_back(
-                    &mut next,
-                    local,
-                    &updated,
-                    &plan.windows[r][k].lo(),
-                    &plan.tiles[r][k],
-                )?;
-                if S::ACTIVE {
-                    sink.span(k, r, TracePhase::Write, write_t0, sink.now());
-                }
+            for step in &steps {
+                step.store(r, &buffers[1 - block.src])?;
             }
         }
-        std::mem::swap(&mut cur, &mut next);
-        // Health scan of the block just committed into `cur`: after the
-        // swap `next` still holds the previous barrier, so a divergence
-        // hands back the last *healthy* checkpoint.
-        if limits.health.enabled() {
-            if let Err(e) = scan_state(&limits.health, &cur, &plan.updated, &tile_index, done, sink)
-            {
-                *state = next;
-                return Err(e);
-            }
-        }
-        done += h;
-        // Committed barrier: feed the streamed-progress hook.
-        limits.note_progress(done);
-    }
-    *state = cur;
-    Ok(())
+        Ok(())
+    });
+    drop(steps);
+    *state = into_barrier(buffers, run.blocks);
+    (run, result)
 }
 
 #[cfg(test)]

@@ -1,10 +1,14 @@
+use std::sync::{Arc, PoisonError, RwLock};
+
 use stencilcl_grid::{FaceKind, Partition, Rect};
 use stencilcl_lang::{CompiledProgram, GridState, Program, StencilFeatures};
-use stencilcl_telemetry::{Counter, TraceSink};
+use stencilcl_telemetry::{Counter, TracePhase, TraceSink};
 
 use crate::domains::{reject_diagonals, DomainPlan};
+use crate::integrity::{scan_state, verify_slab, RunLimits};
 use crate::overlapped::window_extent;
-use crate::window::halo_ring;
+use crate::persist::CheckpointWriter;
+use crate::window::{extract_window, halo_ring, refresh_ring, write_back};
 use crate::ExecError;
 
 /// Lowers `program` to bytecode kernels walked `lanes` cells per tape pass
@@ -26,11 +30,11 @@ pub(crate) const PIPE_CAPACITY: usize = 2;
 /// over the agreed overlap region, tagged with its global
 /// `(iteration, statement)` step for protocol checking. The iteration
 /// component counts from the start of the run (`done + i`), so reusing one
-/// channel across every fused block and region still detects skew.
+/// pipe across every fused block and region still detects skew.
 ///
 /// With integrity on ([`ExecOptions::integrity`](crate::ExecOptions)),
 /// [`Slab::seal`] additionally stamps an FNV-1a-64 checksum over the
-/// payload bits, the step tag, and the channel's sequence number; the
+/// payload bits, the step tag, and the pipe's sequence number; the
 /// splice site recomputes it so a payload corrupted in flight surfaces as
 /// [`ExecError::SlabCorrupt`](crate::ExecError) instead of splicing
 /// silently into a neighbor's halo.
@@ -44,16 +48,8 @@ pub(crate) struct Slab {
 }
 
 impl Slab {
-    /// Builds a slab for the given `(iteration, statement)` step. With
-    /// `corrupt` set (the `CorruptStepTag` injected fault), the iteration
-    /// component is skewed by one so the receiver's [`check_slab_step`]
-    /// protocol check must trip.
-    pub fn tagged(step: (u64, usize), values: Vec<f64>, corrupt: bool) -> Slab {
-        let step = if corrupt {
-            (step.0.wrapping_add(1), step.1)
-        } else {
-            step
-        };
+    /// An unsealed slab for the given `(iteration, statement)` step.
+    pub fn tagged(step: (u64, usize), values: Vec<f64>) -> Slab {
         Slab {
             step,
             values,
@@ -61,7 +57,7 @@ impl Slab {
         }
     }
 
-    /// Seals the slab with the channel's send-side sequence number.
+    /// Seals the slab with the pipe's send-side sequence number.
     #[must_use]
     pub fn seal(mut self, seq: u64) -> Slab {
         self.checksum = Some(crate::integrity::slab_checksum(
@@ -69,6 +65,15 @@ impl Slab {
             self.step,
             &self.values,
         ));
+        self
+    }
+
+    /// Skews the iteration tag by one — the `CorruptStepTag` injected
+    /// fault. The receiver's [`check_slab_step`] runs before any checksum
+    /// verification, so the protocol check must trip.
+    #[must_use]
+    pub fn corrupt_step(mut self) -> Slab {
+        self.step.0 = self.step.0.wrapping_add(1);
         self
     }
 
@@ -94,6 +99,29 @@ pub(crate) struct Edge {
     pub overlap: Rect,
 }
 
+/// One end of a planned [`Edge`], as its sending or receiving kernel sees
+/// it.
+#[derive(Debug, Clone)]
+pub(crate) struct Link {
+    /// Index into the depth's `edges[region]`.
+    pub edge: usize,
+    /// Index into [`PipelinePlan::pairs`]: the pipe that carries the slab.
+    pub pair: usize,
+    /// The overlap in this kernel's local window coordinates.
+    pub rect: Rect,
+}
+
+/// A kernel's routing for one `(depth, region)`: its outgoing and incoming
+/// links, each in plan edge order. Outgoing order is the order
+/// [`apply_statement_split`] emits slabs in; incoming order is the order
+/// both drivers splice them in, so when two neighbors' slabs cover the
+/// same halo corner the same one is written last.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Route {
+    pub outs: Vec<Link>,
+    pub ins: Vec<Link>,
+}
+
 /// Geometry for one distinct fused-block depth. A run has at most two: the
 /// design's fused depth and the remainder of the final partial block.
 #[derive(Debug)]
@@ -103,10 +131,9 @@ pub(crate) struct DepthPlans {
     /// `plans[region][kernel]`.
     pub plans: Vec<Vec<DomainPlan>>,
     /// `edges[region]`, in discovery order (kernel-major, then face order).
-    /// Splice order must match between the sequential and threaded
-    /// executors: halo corners can be covered by two neighbors' slabs, so
-    /// the last writer decides the (unconsumed but compared) value.
     pub edges: Vec<Vec<Edge>>,
+    /// `routes[region][kernel]`: `edges` as each kernel sees them.
+    pub routes: Vec<Vec<Route>>,
     /// `domains[region][kernel][(i - 1) * stmts + s]`: the statement domain
     /// of fused level `i`, statement `s` — already translated into the
     /// kernel's local window **and clipped to the statement's updatable
@@ -145,7 +172,7 @@ impl DepthPlans {
 ///   values), so refreshing them from the global grid restores the full
 ///   pre-block window without re-reading the tile interior.
 /// * `edges` are identical across depths in *structure* (which pairs
-///   exchange); only the overlap rects differ, so channels keyed by the
+///   exchange); only the overlap rects differ, so pipes keyed by the
 ///   directed pair can be created once and reused for the whole run.
 #[derive(Debug)]
 pub(crate) struct PipelinePlan {
@@ -225,6 +252,7 @@ impl PipelinePlan {
         let regions: Vec<Vec<usize>> = partition.region_indices().collect();
 
         let mut depths = Vec::with_capacity(hs.len());
+        let mut pairs = Vec::new();
         for &h in &hs {
             let mut plans = Vec::with_capacity(regions.len());
             let mut edges = Vec::with_capacity(regions.len());
@@ -241,6 +269,9 @@ impl PipelinePlan {
                             let overlap = region_plans[neighbor]
                                 .halo_rect(f.axis, !f.high)
                                 .intersect(&region_plans[t].buffer())?;
+                            if !pairs.contains(&(t, neighbor)) {
+                                pairs.push((t, neighbor));
+                            }
                             region_edges.push(Edge {
                                 from: t,
                                 to: neighbor,
@@ -256,18 +287,13 @@ impl PipelinePlan {
                 h,
                 plans,
                 edges,
+                routes: Vec::new(),
                 domains: Vec::new(),
             });
         }
 
-        let (mut tiles, mut windows, mut rings, mut local_programs, mut compiled, mut pairs) = (
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        );
+        let (mut tiles, mut windows, mut rings, mut local_programs, mut compiled) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
         if let Some(deepest) = depths.first() {
             for (r, region) in regions.iter().enumerate() {
                 let region_tiles: Vec<Rect> = partition
@@ -290,11 +316,6 @@ impl PipelinePlan {
                     .iter()
                     .map(|p| compile_with_lanes(p, lanes))
                     .collect::<Result<_, _>>()?;
-                for e in &deepest.edges[r] {
-                    if !pairs.contains(&(e.from, e.to)) {
-                        pairs.push((e.from, e.to));
-                    }
-                }
                 tiles.push(region_tiles);
                 windows.push(region_windows);
                 rings.push(region_rings);
@@ -303,11 +324,24 @@ impl PipelinePlan {
             }
         }
 
-        // Second pass: translate every (depth, level, statement) domain into
-        // its local window and clip it to the statement's updatable interior
-        // once, instead of per fused block.
+        // Second pass, once per run instead of per fused block: route every
+        // edge to both of its kernels in local coordinates, and translate
+        // every (depth, level, statement) domain into its local window,
+        // clipped to the statement's updatable interior.
         let stmts = program.updates.len();
         for depth in &mut depths {
+            for (r, region_edges) in depth.edges.iter().enumerate() {
+                let mut routes = vec![Route::default(); windows[r].len()];
+                for (edge, e) in region_edges.iter().enumerate() {
+                    let pair = pairs.iter().position(|p| *p == (e.from, e.to));
+                    let pair = pair.expect("every edge's pair was recorded");
+                    let rect = e.overlap.translate(&-windows[r][e.from].lo())?;
+                    routes[e.from].outs.push(Link { edge, pair, rect });
+                    let rect = e.overlap.translate(&-windows[r][e.to].lo())?;
+                    routes[e.to].ins.push(Link { edge, pair, rect });
+                }
+                depth.routes.push(routes);
+            }
             let mut domains = Vec::with_capacity(regions.len());
             for r in 0..regions.len() {
                 let mut per_kernel = Vec::with_capacity(compiled[r].len());
@@ -341,6 +375,11 @@ impl PipelinePlan {
             iterations,
             fused: hs.first().copied().unwrap_or(0),
         })
+    }
+
+    /// Kernels (tiles) per region.
+    pub fn kernels(&self) -> usize {
+        self.tiles.first().map_or(0, Vec::len)
     }
 
     /// Index into [`Self::depths`] for a block of depth `h`.
@@ -392,10 +431,6 @@ pub(crate) struct SplitScratch {
 }
 
 impl SplitScratch {
-    pub fn new() -> Self {
-        SplitScratch::default()
-    }
-
     fn reset(&mut self, volume: usize) {
         self.cached.clear();
         self.cached.resize(volume, 0.0);
@@ -435,16 +470,16 @@ fn clipped_lin(clipped: &Rect, p: &stencilcl_grid::Point) -> usize {
 /// unmutated pre-statement state, so the recompute is bit-identical and
 /// the row stays contiguous for the chunked tape passes.
 ///
-/// `outs[e]` is the local-coordinate source rect of outgoing slab `e`;
-/// `emit(e, values)` receives the post-statement values of the target array
-/// over that rect.
+/// `outs[e].rect` is the local-coordinate source rect of outgoing slab
+/// `e`; `emit(e, values)` receives the post-statement values of the target
+/// array over that rect.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_statement_split<S: TraceSink>(
     cp: &CompiledProgram,
     local: &mut GridState,
     s: usize,
     clipped: &Rect,
-    outs: &[Rect],
+    outs: &[Link],
     scratch: &mut SplitScratch,
     sink: &S,
     mut emit: impl FnMut(usize, Vec<f64>) -> Result<(), ExecError>,
@@ -456,7 +491,8 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
     let target = cp.kernel(s).target();
     {
         let views = cp.views(local)?;
-        for (e, overlap) in outs.iter().enumerate() {
+        for (e, link) in outs.iter().enumerate() {
+            let overlap = &link.rect;
             let mut values = local.grid(target)?.read_window(overlap)?;
             if !clipped.is_empty() {
                 for (slot, p) in overlap.iter().enumerate() {
@@ -503,6 +539,291 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
     Ok(())
 }
 
+/// One kernel's share of the paper's pipe protocol (Section 3.1), written
+/// once and driven by both pipe executors: the threaded pool runs one step
+/// per worker thread and moves slabs over channels; the sequential
+/// executor runs every kernel's step in lockstep on the calling thread and
+/// buffers the slabs. The step owns the kernel's persistent local windows
+/// (one per region, extracted on the first block and halo-refreshed
+/// afterwards), its split scratch, and its per-pipe slab sequence numbers:
+/// both ends of every pipe count from 0 for the whole run, so a sealed
+/// slab also proves nothing was dropped or reordered.
+pub(crate) struct KernelStep<'p, S> {
+    plan: &'p PipelinePlan,
+    kernel: usize,
+    integrity: bool,
+    sink: &'p S,
+    updated: Vec<&'p str>,
+    locals: Vec<Option<GridState>>,
+    scratch: SplitScratch,
+    sent: Vec<u64>,
+    received: Vec<u64>,
+}
+
+impl<'p, S: TraceSink> KernelStep<'p, S> {
+    /// A fresh step for `kernel`; `integrity` seals and verifies slabs.
+    pub fn new(plan: &'p PipelinePlan, kernel: usize, integrity: bool, sink: &'p S) -> Self {
+        KernelStep {
+            plan,
+            kernel,
+            integrity,
+            sink,
+            updated: plan.updated.iter().map(String::as_str).collect(),
+            locals: vec![None; plan.regions.len()],
+            scratch: SplitScratch::default(),
+            sent: vec![0; plan.pairs.len()],
+            received: vec![0; plan.pairs.len()],
+        }
+    }
+
+    /// Loads region `r`'s window from the block's source grid `cur`: the
+    /// whole window on the first block, only its halo ring afterwards.
+    pub fn load(&mut self, r: usize, cur: &GridState) -> Result<(), ExecError> {
+        let (plan, k, sink) = (self.plan, self.kernel, self.sink);
+        let t0 = sink.now();
+        let (cells, arrays) = match &mut self.locals[r] {
+            slot @ None => {
+                let lp = &plan.local_programs[r][k];
+                *slot = Some(extract_window(cur, lp, lp, &plan.windows[r][k])?);
+                (plan.windows[r][k].volume(), lp.grids.len())
+            }
+            Some(local) => {
+                let ring = &plan.rings[r][k];
+                refresh_ring(local, cur, ring, &plan.windows[r][k].lo(), &self.updated)?;
+                (ring.iter().map(Rect::volume).sum(), self.updated.len())
+            }
+        };
+        if S::ACTIVE {
+            let bytes = cells * std::mem::size_of::<f64>() as u64 * arrays as u64;
+            sink.add(Counter::HaloBytes, bytes);
+            sink.span(k, r, TracePhase::Read, t0, sink.now());
+        }
+        Ok(())
+    }
+
+    /// Computes statement `at.1` of fused level `i` in region `r` and hands
+    /// every outgoing slab — tagged with the global step `at` and, under
+    /// integrity, sealed with its pipe's sequence number — to `emit` before
+    /// the interior is swept.
+    pub fn compute(
+        &mut self,
+        depth: &DepthPlans,
+        r: usize,
+        i: u64,
+        at: (u64, usize),
+        mut emit: impl FnMut(&Link, Slab) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        let (plan, k, sink) = (self.plan, self.kernel, self.sink);
+        let outs = &depth.routes[r][k].outs;
+        let (integrity, sent) = (self.integrity, &mut self.sent);
+        let t0 = sink.now();
+        apply_statement_split(
+            &plan.compiled[r][k],
+            self.locals[r].as_mut().expect("window loaded"),
+            at.1,
+            depth.local_domain(r, k, i, at.1, plan.stmts),
+            outs,
+            &mut self.scratch,
+            sink,
+            |e, values| {
+                if S::ACTIVE {
+                    sink.add(Counter::SlabsSent, 1);
+                    let bytes = values.len() * std::mem::size_of::<f64>();
+                    sink.add(Counter::HaloBytes, bytes as u64);
+                }
+                let link = &outs[e];
+                let mut slab = Slab::tagged(at, values);
+                if integrity {
+                    slab = slab.seal(sent[link.pair]);
+                    sent[link.pair] += 1;
+                }
+                emit(link, slab)
+            },
+        )?;
+        if S::ACTIVE {
+            let phase = TracePhase::Compute { iteration: at.0 };
+            sink.span(k, r, phase, t0, sink.now());
+        }
+        Ok(())
+    }
+
+    /// Splices a slab received over `link` into region `r`'s window, after
+    /// checking its step tag against `at` and, under integrity, its seal.
+    pub fn splice(
+        &mut self,
+        r: usize,
+        link: &Link,
+        slab: Slab,
+        at: (u64, usize),
+    ) -> Result<(), ExecError> {
+        let k = self.kernel;
+        check_slab_step(k, slab.step, at)?;
+        if self.integrity {
+            // An unsealed slab under an integrity run is itself a protocol
+            // violation — treat it as corruption.
+            let Some(sum) = slab.checksum else {
+                return Err(ExecError::SlabCorrupt {
+                    kernel: k,
+                    step: at,
+                });
+            };
+            let seq = self.received[link.pair];
+            verify_slab(k, seq, slab.step, &slab.values, sum, self.sink)?;
+            self.received[link.pair] += 1;
+        }
+        let target = &self.plan.local_programs[r][k].updates[at.1].target;
+        let local = self.locals[r].as_mut().expect("window loaded");
+        local
+            .grid_mut(target)?
+            .write_window(&link.rect, &slab.values)?;
+        if S::ACTIVE {
+            self.sink.add(Counter::SlabsReceived, 1);
+        }
+        Ok(())
+    }
+
+    /// Writes region `r`'s tile back into the block's destination grid.
+    pub fn store(&self, r: usize, next: &RwLock<GridState>) -> Result<(), ExecError> {
+        let (plan, k, sink) = (self.plan, self.kernel, self.sink);
+        let t0 = sink.now();
+        let local = self.locals[r].as_ref().expect("window loaded");
+        let mut next = next.write().unwrap_or_else(PoisonError::into_inner);
+        let origin = plan.windows[r][k].lo();
+        write_back(&mut next, local, &self.updated, &origin, &plan.tiles[r][k])?;
+        if S::ACTIVE {
+            sink.span(k, r, TracePhase::Write, t0, sink.now());
+        }
+        Ok(())
+    }
+}
+
+/// One fused-block order: depth `plan.depths[depth]`, slabs tagged with
+/// global iterations from `step_base`, reading buffer `src` and writing
+/// the tiles into buffer `1 - src`. `index` is the global fused-block
+/// index (offset by the supervisor across attempts), the fault-injection
+/// trigger.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block {
+    pub depth: usize,
+    pub step_base: u64,
+    pub src: usize,
+    pub index: u64,
+}
+
+/// The double-buffered global grid: a block reads `[src]` and writes its
+/// tiles into `[1 - src]`, which tiles partition, so after the block the
+/// roles swap and no full-grid snapshot is ever cloned.
+pub(crate) type Buffers = [Arc<RwLock<GridState>>; 2];
+
+/// Both buffers, initialized to `state`.
+pub(crate) fn double_buffer(state: &GridState) -> Buffers {
+    [
+        Arc::new(RwLock::new(state.clone())),
+        Arc::new(RwLock::new(state.clone())),
+    ]
+}
+
+/// The grid of the last committed barrier after `blocks` blocks — the
+/// final grid on success, the run's checkpoint on failure (a failed block
+/// only wrote into the spare buffer).
+pub(crate) fn into_barrier(buffers: Buffers, blocks: u64) -> GridState {
+    let [b0, b1] = buffers;
+    let last = if blocks.is_multiple_of(2) { b0 } else { b1 };
+    match Arc::try_unwrap(last) {
+        Ok(lock) => lock.into_inner().unwrap_or_else(PoisonError::into_inner),
+        Err(arc) => arc.read().unwrap_or_else(PoisonError::into_inner).clone(),
+    }
+}
+
+/// What one driver run accomplished before returning: completed (and
+/// checkpointed) iterations, fused blocks, and worker threads that had to
+/// be abandoned at teardown (always 0 for the sequential driver).
+#[derive(Debug, Default)]
+pub(crate) struct DriverRun {
+    pub iterations: u64,
+    pub blocks: u64,
+    pub leaked: usize,
+}
+
+/// The barrier loop both pipe drivers share; `run_block` is the only
+/// driver-specific part. Per fused block it checks the deadline and
+/// external cancellation, picks the block depth, runs the block, scans the
+/// block's output for numerical health *before* committing (so on
+/// divergence the source buffer is still the last healthy checkpoint),
+/// swaps the buffers, offers the committed barrier to the durable
+/// checkpoint writer (which seals only when its cadence is due), and
+/// notifies the progress hook. `block_base` continues the global block
+/// numbering of earlier attempts.
+pub(crate) fn run_barriers<S: TraceSink>(
+    plan: &PipelinePlan,
+    buffers: &Buffers,
+    limits: &RunLimits,
+    ckpt: Option<&CheckpointWriter>,
+    block_base: u64,
+    sink: &S,
+    mut run_block: impl FnMut(Block) -> Result<(), ExecError>,
+) -> (DriverRun, Result<(), ExecError>) {
+    // Tile index for attributing a health hit to its owning kernel, built
+    // only when the watchdog is armed.
+    let tile_index: Vec<(usize, Rect)> = if limits.health.enabled() {
+        let kernels = plan.kernels();
+        (0..plan.regions.len())
+            .flat_map(|r| (0..kernels).map(move |k| (k, plan.tiles[r][k])))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut run = DriverRun::default();
+    while run.iterations < plan.iterations {
+        let done = run.iterations;
+        if let Err(e) = limits.check_deadline(done) {
+            return (run, Err(e));
+        }
+        let h = plan.fused.min(plan.iterations - done);
+        let src = (run.blocks % 2) as usize;
+        let block = Block {
+            depth: plan.depth_index(h),
+            step_base: done,
+            src,
+            index: block_base + run.blocks,
+        };
+        if let Err(mut e) = run_block(block) {
+            // A deadline or cancel seen inside a block cannot know the
+            // run's progress; patch in the last committed count.
+            if let ExecError::DeadlineExceeded { completed }
+            | ExecError::JobCancelled { completed } = &mut e
+            {
+                *completed = done;
+            }
+            return (run, Err(e));
+        }
+        let next = buffers[1 - src]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        if limits.health.enabled() {
+            let scan = scan_state(
+                &limits.health,
+                &next,
+                &plan.updated,
+                &tile_index,
+                done,
+                sink,
+            );
+            if let Err(e) = scan {
+                return (run, Err(e));
+            }
+        }
+        run.iterations += h;
+        run.blocks += 1;
+        if let Some(w) = ckpt {
+            w.at_barrier(&next, run.iterations, block_base + run.blocks, sink);
+        }
+        drop(next);
+        limits.note_progress(run.iterations);
+    }
+    (run, Ok(()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,10 +842,10 @@ mod tests {
     #[test]
     fn sealed_slabs_detect_payload_corruption() {
         use crate::integrity::slab_checksum;
-        let clean = Slab::tagged((2, 1), vec![1.5, -3.25], false).seal(9);
+        let clean = Slab::tagged((2, 1), vec![1.5, -3.25]).seal(9);
         let sum = clean.checksum.expect("sealed");
         assert_eq!(sum, slab_checksum(9, (2, 1), &clean.values));
-        let corrupt = Slab::tagged((2, 1), vec![1.5, -3.25], false)
+        let corrupt = Slab::tagged((2, 1), vec![1.5, -3.25])
             .seal(9)
             .corrupt_payload();
         assert_eq!(corrupt.checksum, Some(sum), "seal happens before the flip");
@@ -534,7 +855,7 @@ mod tests {
             "recomputation over the flipped payload must mismatch"
         );
         // An unsealed slab carries no checksum at all.
-        assert_eq!(Slab::tagged((2, 1), vec![0.0], false).checksum, None);
+        assert_eq!(Slab::tagged((2, 1), vec![0.0]).checksum, None);
     }
 
     #[test]

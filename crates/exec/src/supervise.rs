@@ -4,23 +4,27 @@
 //! loop. The double-buffered global grid already *is* a checkpoint: workers
 //! only ever read the `cur` buffer of a fused block and write the spare
 //! one, so when a block fails, `cur` still holds the exact grid as of the
-//! last fused-block barrier. The supervisor tears the pool down through a
-//! cooperative [`CancelToken`] (no worker thread outlives the run), rolls
-//! back to that barrier, and retries the remaining iterations with bounded
-//! exponential backoff. After [`ExecPolicy::max_retries`] failed retries it
-//! degrades to the sequential
-//! [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) executor —
-//! provably equivalent, since both executors are bit-exact against the
-//! reference for any iteration count, and stencil iteration composes:
+//! last fused-block barrier. The supervisor tears the pool down through
+//! the pool's own cooperative [`CancelHandle`](crate::CancelHandle) (no
+//! worker thread outlives the run), rolls back to that barrier, and
+//! retries the remaining iterations with bounded exponential backoff.
+//! After [`ExecPolicy::max_retries`] failed retries it degrades to the
+//! sequential driver of the same per-kernel pipe step
+//! ([`run_pipe_shared_opts`](crate::run_pipe_shared_opts)) — provably
+//! equivalent, since both drivers are bit-exact against the reference for
+//! any iteration count, and stencil iteration composes:
 //! `reference(n − k) ∘ reference(k) = reference(n)`.
+//!
+//! Both drivers share one barrier loop, so the degraded attempt is booked
+//! like a pool attempt: it continues the global block numbering, seals
+//! checkpoint generations at its own barriers on the run's cadence, and
+//! its blocks count in the final manifest.
 //!
 //! Every attempt is recorded in the returned [`RunReport`]: which executor
 //! ran, from which iteration, what fault ended it, wall time, and whether
 //! any worker thread had to be abandoned (with cooperative cancellation
 //! none should be).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -30,28 +34,9 @@ use stencilcl_telemetry::{Counter, Disabled, EnvConfig, TraceSink};
 
 use crate::options::ExecOptions;
 use crate::persist::CheckpointWriter;
-use crate::pipeshare::pipe_shared_impl;
+use crate::pipeshare::sequential_run;
 use crate::threaded::pool_run;
 use crate::ExecError;
-
-/// Cooperative cancellation handle shared between a pool run and its
-/// workers: every potentially-blocking pipe operation re-checks it on a
-/// short tick, so a cancelled pool drains within one tick of each worker's
-/// current compute finishing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Orders every worker observing this token to exit.
-    pub(crate) fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
 
 /// Deadlines and recovery limits governing the threaded executor and
 /// [`run_supervised_opts`] — the replacement for the watchdog/drain
@@ -437,7 +422,10 @@ pub(crate) fn dispatch(
 
 /// The supervision loop. The run's integrity envelope (deadline clock,
 /// health policy, checksum switch) is anchored here, once, so every retry
-/// shares the same wall-clock budget.
+/// shares the same wall-clock budget. Every attempt — threaded or the
+/// degraded sequential one — is booked the same way: it starts from the
+/// last checkpoint, continues the global block numbering, offers its
+/// barriers to the checkpoint writer, and banks its `(iterations, blocks)`.
 fn supervised<S: TraceSink>(
     program: &Program,
     partition: &Partition,
@@ -455,6 +443,7 @@ fn supervised<S: TraceSink>(
     let mut done = 0u64; // iterations completed and checkpointed in `state`
     let mut blocks = base.blocks; // global fused-block index for fault triggers
     let mut failures = 0u32;
+    let mut mode = AttemptMode::Threaded;
     let mut jitter = DecorrelatedJitter::new(policy);
     loop {
         let rest = program.with_iterations(total - done);
@@ -462,7 +451,14 @@ fn supervised<S: TraceSink>(
         if let Some(w) = ckpt {
             w.begin_attempt(done);
         }
-        match pool_run(
+        // Degraded: finish the remaining iterations sequentially from the
+        // checkpoint, keeping the run's lane width, sink, and checkpoint
+        // writer. No pool, no pipes to wedge.
+        let driver = match mode {
+            AttemptMode::Threaded => pool_run::<S>,
+            AttemptMode::Sequential => sequential_run::<S>,
+        };
+        let (run, result) = driver(
             &rest,
             partition,
             state,
@@ -471,105 +467,60 @@ fn supervised<S: TraceSink>(
             limits.clone(),
             ckpt,
             sink,
-        ) {
-            Ok(run) => {
-                if let Some(w) = ckpt {
-                    w.finalize(state, blocks + run.blocks, sink);
-                }
-                attempts.push(Attempt {
-                    mode: AttemptMode::Threaded,
-                    start_iteration: done,
-                    iterations_completed: run.iterations,
-                    fault: None,
-                    wall: start.elapsed(),
-                    leaked_workers: run.leaked,
-                });
-                let path = if failures == 0 {
-                    RecoveryPath::Threaded
-                } else {
-                    RecoveryPath::Retried
-                };
-                return (RunReport { attempts, path }, Ok(()));
-            }
-            Err((mut e, run)) => {
-                // Attempt-local progress coordinates become run-global ones
-                // before anything is recorded or returned.
-                globalize(&mut e, done);
-                done += run.iterations;
-                blocks += run.blocks;
-                attempts.push(Attempt {
-                    mode: AttemptMode::Threaded,
-                    start_iteration: done - run.iterations,
-                    iterations_completed: run.iterations,
-                    fault: Some(e.clone()),
-                    wall: start.elapsed(),
-                    leaked_workers: run.leaked,
-                });
-                let path = if failures == 0 {
-                    RecoveryPath::Threaded
-                } else {
-                    RecoveryPath::Retried
-                };
-                if !transient(&e) {
-                    // Permanent faults (divergence, deadline, bad config)
-                    // must not burn retries: deterministic recompute would
-                    // reproduce them and deadlines cannot be retried into
-                    // more time. `state` keeps the last healthy checkpoint.
-                    return (RunReport { attempts, path }, Err(e));
-                }
-                if failures >= policy.max_retries {
-                    if !policy.sequential_fallback {
-                        let err = ExecError::RetriesExhausted {
-                            attempts: failures + 1,
-                            last: Box::new(e),
-                        };
-                        return (RunReport { attempts, path }, Err(err));
-                    }
-                    // Degrade: finish the remaining iterations sequentially
-                    // from the checkpoint, keeping the run's lane width and
-                    // sink. No pool, no pipes to wedge.
-                    let rest = program.with_iterations(total - done);
-                    let start = Instant::now();
-                    let result =
-                        pipe_shared_impl(&rest, partition, state, opts.lanes, limits.clone(), sink);
-                    let (fault, completed) = match result {
-                        Ok(()) => (None, total - done),
-                        Err(mut e) => {
-                            globalize(&mut e, done);
-                            let completed = sequential_completed(&e, done);
-                            (Some(e), completed)
-                        }
-                    };
-                    if let (None, Some(w)) = (&fault, ckpt) {
-                        w.finalize(state, blocks, sink);
-                    }
-                    attempts.push(Attempt {
-                        mode: AttemptMode::Sequential,
-                        start_iteration: done,
-                        iterations_completed: completed,
-                        fault: fault.clone(),
-                        wall: start.elapsed(),
-                        leaked_workers: 0,
-                    });
-                    let report = RunReport {
-                        attempts,
-                        path: RecoveryPath::Sequential,
-                    };
-                    return match fault {
-                        None => (report, Ok(())),
-                        Some(e) => (report, Err(e)),
-                    };
-                }
-                failures += 1;
-                if S::ACTIVE {
-                    sink.add(Counter::Retries, 1);
-                }
-                // Decorrelated jitter instead of pure doubling: concurrent
-                // supervisors retrying the same contended resource desync
-                // instead of colliding again in lock-step.
-                thread::sleep(jitter.next_sleep(policy));
-            }
+        );
+        // Attempt-local progress coordinates become run-global ones before
+        // anything is recorded or returned.
+        let fault = result.err().map(|mut e| {
+            globalize(&mut e, done);
+            e
+        });
+        if let (None, Some(w)) = (&fault, ckpt) {
+            w.finalize(state, blocks + run.blocks, sink);
         }
+        attempts.push(Attempt {
+            mode,
+            start_iteration: done,
+            iterations_completed: run.iterations,
+            fault: fault.clone(),
+            wall: start.elapsed(),
+            leaked_workers: run.leaked,
+        });
+        done += run.iterations;
+        blocks += run.blocks;
+        let path = match (mode, failures) {
+            (AttemptMode::Sequential, _) => RecoveryPath::Sequential,
+            (AttemptMode::Threaded, 0) => RecoveryPath::Threaded,
+            (AttemptMode::Threaded, _) => RecoveryPath::Retried,
+        };
+        let Some(e) = fault else {
+            return (RunReport { attempts, path }, Ok(()));
+        };
+        if mode == AttemptMode::Sequential || !transient(&e) {
+            // Permanent faults (divergence, deadline, bad config) must not
+            // burn retries: deterministic recompute would reproduce them
+            // and deadlines cannot be retried into more time. `state`
+            // keeps the last healthy checkpoint.
+            return (RunReport { attempts, path }, Err(e));
+        }
+        if failures >= policy.max_retries {
+            if !policy.sequential_fallback {
+                let err = ExecError::RetriesExhausted {
+                    attempts: failures + 1,
+                    last: Box::new(e),
+                };
+                return (RunReport { attempts, path }, Err(err));
+            }
+            mode = AttemptMode::Sequential;
+            continue;
+        }
+        failures += 1;
+        if S::ACTIVE {
+            sink.add(Counter::Retries, 1);
+        }
+        // Decorrelated jitter instead of pure doubling: concurrent
+        // supervisors retrying the same contended resource desync instead
+        // of colliding again in lock-step.
+        thread::sleep(jitter.next_sleep(policy));
     }
 }
 
@@ -582,18 +533,6 @@ pub(crate) fn globalize(e: &mut ExecError, base: u64) {
             *completed += base;
         }
         _ => {}
-    }
-}
-
-/// Iterations a failed sequential attempt checkpointed, recovered from the
-/// (already globalized) error it returned.
-fn sequential_completed(e: &ExecError, base: u64) -> u64 {
-    match e {
-        ExecError::NumericDivergence { iteration, .. } => iteration - base,
-        ExecError::DeadlineExceeded { completed } | ExecError::JobCancelled { completed } => {
-            completed - base
-        }
-        _ => 0,
     }
 }
 
@@ -831,27 +770,14 @@ mod tests {
             e,
             ExecError::NumericDivergence { iteration: 13, .. }
         ));
-        assert_eq!(sequential_completed(&e, 10), 3);
         let mut d = ExecError::DeadlineExceeded { completed: 4 };
         globalize(&mut d, 6);
         assert_eq!(d, ExecError::DeadlineExceeded { completed: 10 });
-        assert_eq!(sequential_completed(&d, 6), 4);
         let mut c = ExecError::JobCancelled { completed: 2 };
         globalize(&mut c, 5);
         assert_eq!(c, ExecError::JobCancelled { completed: 7 });
-        assert_eq!(sequential_completed(&c, 5), 2);
         let mut other = ExecError::Cancelled;
         globalize(&mut other, 99);
         assert_eq!(other, ExecError::Cancelled);
-        assert_eq!(sequential_completed(&other, 99), 0);
-    }
-
-    #[test]
-    fn cancel_token_round_trip() {
-        let t = CancelToken::default();
-        assert!(!t.is_cancelled());
-        let u = t.clone();
-        u.cancel();
-        assert!(t.is_cancelled());
     }
 }

@@ -1,24 +1,24 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender,
 };
-use stencilcl_grid::{Partition, Rect};
+use stencilcl_grid::Partition;
 use stencilcl_lang::{GridState, Program};
 use stencilcl_telemetry::{Counter, Disabled, TracePhase, TraceSink};
 
 use crate::faults::{FaultKind, FaultPlan};
-use crate::integrity::{scan_state, verify_slab, RunLimits};
+use crate::integrity::RunLimits;
+use crate::jobs::CancelHandle;
 use crate::options::ExecOptions;
 use crate::persist::CheckpointWriter;
 use crate::pool::{
-    apply_statement_split, check_slab_step, PipelinePlan, Slab, SplitScratch, PIPE_CAPACITY,
+    double_buffer, into_barrier, run_barriers, Block, Buffers, DriverRun, KernelStep, PipelinePlan,
+    Slab, PIPE_CAPACITY,
 };
-use crate::supervise::CancelToken;
-use crate::window::{extract_window, refresh_ring, write_back};
 use crate::ExecError;
 
 /// Granularity at which blocked pipe operations re-check the cancellation
@@ -61,47 +61,23 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// One block-execution order from the main thread to every worker.
-#[derive(Debug, Clone, Copy)]
-enum Command {
-    /// Run one fused block: depth `plan.depths[depth]`, tagging slabs with
-    /// global iterations starting at `step_base`, reading from buffer `src`
-    /// and writing the tile back into buffer `1 - src`. `block` is the
-    /// global fused-block index (offset by the supervisor across retries),
-    /// used only as the fault-injection trigger.
-    Pass {
-        depth: usize,
-        step_base: u64,
-        src: usize,
-        block: u64,
-    },
-}
-
 /// A worker's end-of-block report: `(kernel, outcome)`.
 type Done = (usize, Result<(), ExecError>);
 
-/// One endpoint of a directed kernel-pair pipe, keyed by `(from, to)`.
-type PairEndpoint<T> = ((usize, usize), T);
-
-/// A worker's per-`(depth, region)` routing table: which of its pipe
-/// endpoints serve each planned edge, and the overlap rects in local window
-/// coordinates. Out entries keep the plan's edge-discovery order, which is
-/// also the order `apply_statement_split` emits slabs in.
-struct Route {
-    out_chans: Vec<usize>,
-    out_rects: Vec<Rect>,
-    in_chans: Vec<usize>,
-    in_rects: Vec<Rect>,
-}
-
-/// Everything a worker thread owns for the whole run.
+/// Everything a worker thread owns for the whole run. `outs`/`ins` are
+/// indexed by [`PipelinePlan::pairs`] and hold only this kernel's pipe
+/// endpoints, so a dying worker's dropped endpoints unblock its partners.
 struct WorkerCtx<S: TraceSink> {
     kernel: usize,
     plan: Arc<PipelinePlan>,
-    buffers: [Arc<RwLock<GridState>>; 2],
-    outs: Vec<PairEndpoint<Sender<Slab>>>,
-    ins: Vec<PairEndpoint<Receiver<Slab>>>,
-    token: CancelToken,
+    buffers: Buffers,
+    outs: Vec<Option<Sender<Slab>>>,
+    ins: Vec<Option<Receiver<Slab>>>,
+    /// The pool's internal teardown token — a separate instance from the
+    /// job's external cancel handle in `limits`, so a teardown reports
+    /// [`ExecError::Cancelled`] and a client abort
+    /// [`ExecError::JobCancelled`].
+    token: CancelHandle,
     faults: Arc<FaultPlan>,
     /// The run's integrity envelope: deadline, health policy, and whether
     /// slabs are sealed/verified. Carried by value into every worker.
@@ -110,44 +86,23 @@ struct WorkerCtx<S: TraceSink> {
     sink: S,
 }
 
-/// What one pool run accomplished before returning: completed (and
-/// checkpointed) iterations, fused blocks, and worker threads that had to
-/// be abandoned at teardown.
-pub(crate) struct PoolRun {
-    pub iterations: u64,
-    pub blocks: u64,
-    pub leaked: usize,
-}
-
-impl PoolRun {
-    fn empty() -> Self {
-        PoolRun {
-            iterations: 0,
-            blocks: 0,
-            leaked: 0,
-        }
-    }
-}
-
 /// Runs the pipe-shared design with **real concurrency**: a persistent pool
 /// of one OS thread per tile kernel, alive for the whole run, connected by
 /// bounded crossbeam channels that play the role of the OpenCL pipes
 /// (created once per directed kernel pair and reused across every region
 /// and fused block).
 ///
-/// Per fused block the main thread broadcasts a single pass order; each
-/// worker then walks all of its regions — refreshing only the halo ring of
-/// its persistent local window, computing the block with a latency-hiding
-/// element order (boundary cells feeding the pipes are evaluated and sent
-/// before the interior, Section 3.1 of the paper), and writing its tile
-/// back into the spare global buffer. The two global buffers alternate
-/// roles per block (read `src`, write `1 - src`), so no full-grid snapshot
-/// is ever cloned.
-///
-/// Results must be identical to
-/// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) (and therefore to
-/// the reference): the protocol only moves the same values through
-/// channels instead of memcpys.
+/// This is the threaded driver of the one per-kernel pipe step that
+/// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) drives
+/// sequentially: each worker runs its kernel's step — refresh the halo
+/// ring of its persistent local window, compute each statement with the
+/// boundary cells feeding the pipes evaluated and sent before the interior
+/// (Section 3.1 of the paper), splice the neighbors' slabs as they arrive,
+/// and write its tile back into the spare global buffer — while the main
+/// thread runs the shared barrier loop, broadcasting one order per fused
+/// block. Results must be identical to the sequential driver (and
+/// therefore to the reference): the protocol only moves the same values
+/// through channels instead of a buffer.
 ///
 /// [`ExecOptions::policy`] sets the watchdog deadlines and
 /// [`ExecOptions::faults`] arms injected worker faults; see
@@ -171,33 +126,29 @@ pub fn run_threaded_opts(
     opts: &ExecOptions,
 ) -> Result<(), ExecError> {
     let limits = opts.limits();
-    let result = match &opts.trace {
+    let (_, result) = match &opts.trace {
         Some(rec) => pool_run(program, partition, state, opts, 0, limits, None, rec),
         None => pool_run(program, partition, state, opts, 0, limits, None, &Disabled),
     };
-    result.map(|_| ()).map_err(|(e, _)| e)
+    result
 }
 
-/// One complete pool lifecycle: spawn, run every fused block, tear down.
+/// One complete pool lifecycle: spawn, run every fused block through the
+/// shared barrier loop, tear down.
 ///
 /// `opts` supplies the watchdog policy, the fault plan, and the lane
 /// width; `limits` is passed separately because the supervisor anchors it
-/// once for all of its attempts.
+/// once for all of its attempts. `block_base` offsets the fused-block
+/// indices used as fault-injection triggers, so a supervised retry
+/// continues the global block numbering instead of restarting it. `ckpt`
+/// is the optional durable-checkpoint writer the barrier loop offers every
+/// committed barrier to.
 ///
-/// On failure the pool is cancelled via the [`CancelToken`], workers are
-/// joined (or, past `policy.teardown_grace`, abandoned and counted in
-/// [`PoolRun::leaked`]), and `state` receives the grid as of the **last
-/// consistent fused-block barrier** — the supervisor's checkpoint — along
-/// with how many iterations that checkpoint represents.
-///
-/// `block_base` offsets the fused-block indices used as fault-injection
-/// triggers, so a supervised retry continues the global block numbering
-/// instead of restarting it.
-///
-/// `ckpt` is the optional durable-checkpoint writer: it observes every
-/// committed fused-block barrier (the buffer the workers just finished
-/// reading, i.e. the run's consistent checkpoint) and seals a generation to
-/// disk on its own cadence.
+/// On failure the pool is cancelled via its internal [`CancelHandle`],
+/// workers are joined (or, past `policy.teardown_grace`, abandoned and
+/// counted in [`DriverRun::leaked`]), and `state` receives the grid as of
+/// the **last consistent fused-block barrier** — the supervisor's
+/// checkpoint — along with how many iterations that checkpoint represents.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pool_run<S: TraceSink>(
     program: &Program,
@@ -208,44 +159,40 @@ pub(crate) fn pool_run<S: TraceSink>(
     limits: RunLimits,
     ckpt: Option<&CheckpointWriter>,
     sink: &S,
-) -> Result<PoolRun, (ExecError, PoolRun)> {
+) -> (DriverRun, Result<(), ExecError>) {
     let policy = &opts.policy;
-    let plan =
-        PipelinePlan::new(program, partition, opts.lanes).map_err(|e| (e, PoolRun::empty()))?;
+    let plan = match PipelinePlan::new(program, partition, opts.lanes) {
+        Ok(plan) => Arc::new(plan),
+        Err(e) => return (DriverRun::default(), Err(e)),
+    };
     if plan.depths.is_empty() {
-        return Ok(PoolRun::empty());
+        return (DriverRun::default(), Ok(()));
     }
-    let kernels = plan.tiles.first().map_or(0, Vec::len);
-    let plan = Arc::new(plan);
-    let token = CancelToken::default();
+    let kernels = plan.kernels();
+    let token = CancelHandle::new();
     let live = Arc::new(AtomicUsize::new(0));
-
-    // Double buffer shared by the pool; workers read `src` (shared lock)
-    // and write disjoint tiles into `1 - src` (short exclusive locks).
-    let buffers = [
-        Arc::new(RwLock::new(state.clone())),
-        Arc::new(RwLock::new(state.clone())),
-    ];
+    let buffers = double_buffer(state);
 
     // One bounded channel per directed kernel pair, for the whole run.
-    let mut outs: Vec<Vec<PairEndpoint<Sender<Slab>>>> = (0..kernels).map(|_| Vec::new()).collect();
-    let mut ins: Vec<Vec<PairEndpoint<Receiver<Slab>>>> =
-        (0..kernels).map(|_| Vec::new()).collect();
-    for &(from, to) in &plan.pairs {
+    let mut outs: Vec<Vec<Option<Sender<Slab>>>> =
+        (0..kernels).map(|_| vec![None; plan.pairs.len()]).collect();
+    let mut ins: Vec<Vec<Option<Receiver<Slab>>>> =
+        (0..kernels).map(|_| vec![None; plan.pairs.len()]).collect();
+    for (p, &(from, to)) in plan.pairs.iter().enumerate() {
         let (tx, rx) = bounded::<Slab>(PIPE_CAPACITY);
-        outs[from].push(((from, to), tx));
-        ins[to].push(((from, to), rx));
+        outs[from][p] = Some(tx);
+        ins[to][p] = Some(rx);
     }
 
     let (done_tx, done_rx) = unbounded::<Done>();
     let mut cmd_txs = Vec::with_capacity(kernels);
     let mut handles = Vec::with_capacity(kernels);
     for (k, (k_outs, k_ins)) in outs.into_iter().zip(ins).enumerate() {
-        let (cmd_tx, cmd_rx) = unbounded::<Command>();
+        let (cmd_tx, cmd_rx) = unbounded::<Block>();
         let ctx = WorkerCtx {
             kernel: k,
             plan: Arc::clone(&plan),
-            buffers: [Arc::clone(&buffers[0]), Arc::clone(&buffers[1])],
+            buffers: buffers.clone(),
             outs: k_outs,
             ins: k_ins,
             token: token.clone(),
@@ -255,106 +202,37 @@ pub(crate) fn pool_run<S: TraceSink>(
         };
         let done_tx = done_tx.clone();
         let guard = WorkerGuard::register(&live);
-        let handle = thread::Builder::new()
+        let spawned = thread::Builder::new()
             .name(format!("stencil-worker-{k}"))
             .spawn(move || {
                 let _guard = guard;
                 worker_loop(&ctx, &cmd_rx, &done_tx);
-            })
-            .map_err(|e| {
-                (
-                    ExecError::config(format!("failed to spawn worker {k}: {e}")),
-                    PoolRun::empty(),
-                )
-            })?;
+            });
+        match spawned {
+            Ok(handle) => handles.push(handle),
+            Err(e) => {
+                let e = ExecError::config(format!("failed to spawn worker {k}: {e}"));
+                return (DriverRun::default(), Err(e));
+            }
+        }
         cmd_txs.push(cmd_tx);
-        handles.push(handle);
     }
     drop(done_tx);
 
-    // Tile index for attributing a health hit to its owning kernel, built
-    // only when the watchdog is armed (tiles are disjoint across kernels
-    // within a region; the first containing rect wins).
-    let tile_index: Vec<(usize, Rect)> = if limits.health.enabled() {
-        let plan = &plan;
-        (0..plan.regions.len())
-            .flat_map(|r| (0..kernels).map(move |k| (k, plan.tiles[r][k])))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut src = 0usize;
-    let mut done_iters = 0u64;
-    let mut done_blocks = 0u64;
-    let mut outcome: Result<(), ExecError> = Ok(());
-    while done_iters < plan.iterations {
-        if let Err(e) = limits.check_deadline(done_iters) {
-            outcome = Err(e);
-            break;
-        }
-        let h = plan.fused.min(plan.iterations - done_iters);
-        let depth = plan.depth_index(h);
-        for tx in &cmd_txs {
-            // A send can only fail if the worker already died; the collector
-            // below will classify that as a panic or surface its error.
-            let _ = tx.send(Command::Pass {
-                depth,
-                step_base: done_iters,
-                src,
-                block: block_base + done_blocks,
-            });
-        }
-        if let Err(mut e) = collect_block(&done_rx, kernels, policy.watchdog, policy.drain, |k| {
-            handles[k].is_finished()
-        }) {
-            // A worker hitting the deadline (or an external cancel) inside a
-            // pipe tick cannot know the run's progress; patch in the last
-            // checkpointed count.
-            if let ExecError::DeadlineExceeded { completed }
-            | ExecError::JobCancelled { completed } = &mut e
-            {
-                *completed = done_iters;
+    let (mut run, mut outcome) =
+        run_barriers(&plan, &buffers, &limits, ckpt, block_base, sink, |block| {
+            for tx in &cmd_txs {
+                // A send can only fail if the worker already died; the
+                // collector below classifies that as a panic or surfaces
+                // its error.
+                let _ = tx.send(block);
             }
-            outcome = Err(e);
-            break;
-        }
-        // Health scan of the buffer the block just wrote, *before* the
-        // barrier commits: on divergence `buffers[src]` is still the last
-        // healthy checkpoint and the teardown below hands it back.
-        if limits.health.enabled() {
-            let next = buffers[1 - src]
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Err(e) = scan_state(
-                &limits.health,
-                &next,
-                &plan.updated,
-                &tile_index,
-                done_iters,
-                sink,
-            ) {
-                outcome = Err(e);
-                break;
-            }
-        }
-        done_iters += h;
-        done_blocks += 1;
-        src ^= 1;
-        // The barrier has committed: `buffers[src]` is the consistent grid
-        // as of `done_iters`. Offer it to the durable-checkpoint writer
-        // (which seals a generation only when its cadence is due).
-        if let Some(w) = ckpt {
-            let checkpoint = buffers[src].read().unwrap_or_else(PoisonError::into_inner);
-            w.at_barrier(&checkpoint, done_iters, block_base + done_blocks, sink);
-        }
-        // Feed the streamed-progress hook with the committed count (the
-        // service's job events ride on this).
-        limits.note_progress(done_iters);
-    }
+            collect_block(&done_rx, kernels, policy.watchdog, policy.drain, |k| {
+                handles[k].is_finished()
+            })
+        });
 
     drop(cmd_txs);
-    let mut leaked = 0usize;
     if outcome.is_ok() {
         for (k, handle) in handles.into_iter().enumerate() {
             if handle.join().is_err() && outcome.is_ok() {
@@ -380,29 +258,12 @@ pub(crate) fn pool_run<S: TraceSink>(
             } else {
                 // Still mid-compute past the grace period: abandon it (the
                 // thread exits on its own at its next cancellation check).
-                leaked += 1;
+                run.leaked += 1;
             }
         }
     }
-
-    // `buffers[src]` always holds the last consistent fused-block barrier:
-    // the final grid on success, the supervisor's checkpoint on failure
-    // (the failed block only wrote into `1 - src`).
-    let [b0, b1] = buffers;
-    let last = if src == 0 { b0 } else { b1 };
-    *state = match Arc::try_unwrap(last) {
-        Ok(lock) => lock.into_inner().unwrap_or_else(PoisonError::into_inner),
-        Err(arc) => arc.read().unwrap_or_else(PoisonError::into_inner).clone(),
-    };
-    let run = PoolRun {
-        iterations: done_iters,
-        blocks: done_blocks,
-        leaked,
-    };
-    match outcome {
-        Ok(()) => Ok(run),
-        Err(e) => Err((e, run)),
-    }
+    *state = into_barrier(buffers, run.blocks);
+    (run, outcome)
 }
 
 /// Waits for every worker's end-of-block report, with a watchdog: if no
@@ -457,17 +318,16 @@ fn is_cascade(e: &ExecError) -> bool {
 
 /// Sends one slab, re-checking the cancellation token and the run deadline
 /// every [`TICK`] while the pipe is full. With an active sink, counts the
-/// slab and its payload bytes, plus the wall time spent blocked on a full
-/// pipe. A deadline hit reports `completed: 0` — workers cannot know the
-/// run's progress, so the pool's main loop patches in the checkpoint count.
+/// wall time spent blocked on a full pipe (the step counts the slab
+/// itself). A deadline hit reports `completed: 0` — workers cannot know
+/// the run's progress, so the barrier loop patches in the checkpoint count.
 fn pipe_send<S: TraceSink>(
     tx: &Sender<Slab>,
     mut slab: Slab,
-    token: &CancelToken,
+    token: &CancelHandle,
     limits: &RunLimits,
     sink: &S,
 ) -> Result<(), ExecError> {
-    let bytes = (slab.values.len() * std::mem::size_of::<f64>()) as u64;
     let t0 = sink.now();
     loop {
         if token.is_cancelled() {
@@ -483,8 +343,6 @@ fn pipe_send<S: TraceSink>(
             Ok(()) => {
                 if S::ACTIVE {
                     sink.add(Counter::StallNs, sink.now().saturating_sub(t0));
-                    sink.add(Counter::SlabsSent, 1);
-                    sink.add(Counter::HaloBytes, bytes);
                 }
                 return Ok(());
             }
@@ -498,11 +356,11 @@ fn pipe_send<S: TraceSink>(
 
 /// Receives one slab, re-checking the cancellation token and the run
 /// deadline every [`TICK`] while the pipe is empty. With an active sink,
-/// counts the slab and the wall time spent blocked on an empty pipe. See
-/// [`pipe_send`] for the `completed: 0` deadline convention.
+/// counts the wall time spent blocked on an empty pipe. See [`pipe_send`]
+/// for the `completed: 0` deadline convention.
 fn pipe_recv<S: TraceSink>(
     rx: &Receiver<Slab>,
-    token: &CancelToken,
+    token: &CancelHandle,
     limits: &RunLimits,
     sink: &S,
 ) -> Result<Slab, ExecError> {
@@ -521,7 +379,6 @@ fn pipe_recv<S: TraceSink>(
             Ok(slab) => {
                 if S::ACTIVE {
                     sink.add(Counter::StallNs, sink.now().saturating_sub(t0));
-                    sink.add(Counter::SlabsReceived, 1);
                 }
                 return Ok(slab);
             }
@@ -534,7 +391,7 @@ fn pipe_recv<S: TraceSink>(
 }
 
 /// Sleeps for `total`, waking early if the pool is cancelled.
-fn sleep_cancellable(token: &CancelToken, total: Duration) {
+fn sleep_cancellable(token: &CancelHandle, total: Duration) {
     let deadline = Instant::now() + total;
     while !token.is_cancelled() {
         let Some(left) = deadline.checked_duration_since(Instant::now()) else {
@@ -544,92 +401,33 @@ fn sleep_cancellable(token: &CancelToken, total: Duration) {
     }
 }
 
-/// Body of one pool worker: build its routing tables once, then serve
-/// [`Command::Pass`] orders until the
-/// command channel closes. The first error is reported on the done channel
-/// and ends the worker; dropping its pipe endpoints unblocks any partners
-/// waiting on it. Every potentially-blocking operation observes the pool's
-/// cancellation token, so a teardown is never blocked on this thread.
-fn worker_loop<S: TraceSink>(
-    ctx: &WorkerCtx<S>,
-    cmd_rx: &Receiver<Command>,
-    done_tx: &Sender<Done>,
-) {
+/// Body of one pool worker: serve [`Block`] orders with this kernel's
+/// [`KernelStep`] until the command channel closes. The first error is
+/// reported on the done channel and ends the worker; dropping its pipe
+/// endpoints unblocks any partners waiting on it. Every
+/// potentially-blocking operation observes the pool's cancellation token,
+/// so a teardown is never blocked on this thread. Injected faults fire
+/// here, and only here.
+fn worker_loop<S: TraceSink>(ctx: &WorkerCtx<S>, cmd_rx: &Receiver<Block>, done_tx: &Sender<Done>) {
     let kernel = ctx.kernel;
-    let plan = &ctx.plan;
-    let regions = plan.regions.len();
-    let setup = || -> Result<Vec<Vec<Route>>, ExecError> {
-        let missing = || ExecError::config("no pipe endpoint for a planned edge");
-        let mut routes = Vec::with_capacity(plan.depths.len());
-        for depth in &plan.depths {
-            let mut per_region = Vec::with_capacity(regions);
-            for r in 0..regions {
-                let origin = plan.windows[r][kernel].lo();
-                let mut route = Route {
-                    out_chans: Vec::new(),
-                    out_rects: Vec::new(),
-                    in_chans: Vec::new(),
-                    in_rects: Vec::new(),
-                };
-                for e in &depth.edges[r] {
-                    if e.from == kernel {
-                        let pos = ctx.outs.iter().position(|(p, _)| *p == (e.from, e.to));
-                        route.out_chans.push(pos.ok_or_else(missing)?);
-                        route.out_rects.push(e.overlap.translate(&-origin)?);
-                    }
-                    if e.to == kernel {
-                        let pos = ctx.ins.iter().position(|(p, _)| *p == (e.from, e.to));
-                        route.in_chans.push(pos.ok_or_else(missing)?);
-                        route.in_rects.push(e.overlap.translate(&-origin)?);
-                    }
-                }
-                per_region.push(route);
-            }
-            routes.push(per_region);
-        }
-        Ok(routes)
-    };
-    let routes = match setup() {
-        Ok(v) => v,
-        Err(e) => {
-            let _ = done_tx.send((kernel, Err(e)));
-            return;
-        }
-    };
-    let updated: Vec<&str> = plan.updated.iter().map(String::as_str).collect();
-    // Persistent local windows, one per region, alive across every block.
-    let mut locals: Vec<Option<GridState>> = vec![None; regions];
-    let mut scratch = SplitScratch::new();
-    // Per-endpoint slab sequence counters, persistent across blocks: both
-    // ends of every channel count monotonically from 0 for the pool's whole
-    // life, so the checksum also proves nothing was dropped or reordered.
-    let mut out_seqs = vec![0u64; ctx.outs.len()];
-    let mut in_seqs = vec![0u64; ctx.ins.len()];
+    let mut step = KernelStep::new(&ctx.plan, kernel, ctx.limits.integrity, &ctx.sink);
     // Idle accounting: from spawn until the first command this worker is in
     // its Launch phase; between a block's done-report and the next command
     // it sits at the fused-block Barrier. Flushed as a span at the moment
     // each command arrives (same thread, so spans stay sequential).
-    let mut idle_since = if S::ACTIVE {
-        Some((ctx.sink.now(), TracePhase::Launch))
-    } else {
-        None
-    };
-    while let Ok(Command::Pass {
-        depth,
-        step_base,
-        src,
-        block,
-    }) = cmd_rx.recv()
-    {
+    let mut idle_since = S::ACTIVE.then(|| (ctx.sink.now(), TracePhase::Launch));
+    while let Ok(block) = cmd_rx.recv() {
         if let Some((t0, phase)) = idle_since.take() {
             ctx.sink.span(kernel, 0, phase, t0, ctx.sink.now());
         }
-        let mut corrupt_tags = false;
-        let mut corrupt_payload = false;
-        match ctx.faults.fire(kernel, block) {
+        let (mut corrupt_step, mut corrupt_payload) = (false, false);
+        match ctx.faults.fire(kernel, block.index) {
             None => {}
             Some(FaultKind::WorkerPanic) => {
-                panic!("injected worker panic (kernel {kernel}, block {block})")
+                panic!(
+                    "injected worker panic (kernel {kernel}, block {})",
+                    block.index
+                )
             }
             Some(FaultKind::PipeStall) => {
                 // Wedge silently — never report this block — until the
@@ -642,7 +440,7 @@ fn worker_loop<S: TraceSink>(
             Some(FaultKind::DelayedSlab(ms)) => {
                 sleep_cancellable(&ctx.token, Duration::from_millis(ms));
             }
-            Some(FaultKind::CorruptStepTag) => corrupt_tags = true,
+            Some(FaultKind::CorruptStepTag) => corrupt_step = true,
             Some(FaultKind::CorruptPayload) => corrupt_payload = true,
             // I/O fault kinds are dispatched by `FaultPlan::fire_io` from
             // the checkpoint store, and job-level kinds by
@@ -657,20 +455,7 @@ fn worker_loop<S: TraceSink>(
                 | FaultKind::StallJob(_),
             ) => {}
         }
-        let result = run_pass(
-            ctx,
-            &routes[depth],
-            &updated,
-            &mut locals,
-            &mut scratch,
-            &mut out_seqs,
-            &mut in_seqs,
-            depth,
-            step_base,
-            src,
-            corrupt_tags,
-            corrupt_payload,
-        );
+        let result = run_pass(ctx, &mut step, block, corrupt_step, corrupt_payload);
         let failed = result.is_err();
         if S::ACTIVE {
             idle_since = Some((ctx.sink.now(), TracePhase::Barrier));
@@ -686,148 +471,56 @@ fn worker_loop<S: TraceSink>(
     }
 }
 
-/// One worker's share of one fused block, across all of its regions.
-#[allow(clippy::too_many_arguments)]
+/// One worker's share of one fused block, across all of its regions: the
+/// step's operations, with slabs moved over this kernel's pipes. The
+/// injected corruptions are applied after the step sealed the slab.
 fn run_pass<S: TraceSink>(
     ctx: &WorkerCtx<S>,
-    routes: &[Route],
-    updated: &[&str],
-    locals: &mut [Option<GridState>],
-    scratch: &mut SplitScratch,
-    out_seqs: &mut [u64],
-    in_seqs: &mut [u64],
-    depth: usize,
-    step_base: u64,
-    src: usize,
-    corrupt_tags: bool,
+    step: &mut KernelStep<'_, S>,
+    block: Block,
+    corrupt_step: bool,
     corrupt_payload: bool,
 ) -> Result<(), ExecError> {
-    let kernel = ctx.kernel;
-    let sink = &ctx.sink;
-    let plan = &ctx.plan;
-    let dp = &plan.depths[depth];
-    let cur = ctx.buffers[src]
+    let (kernel, sink, plan) = (ctx.kernel, &ctx.sink, &ctx.plan);
+    let depth = &plan.depths[block.depth];
+    let cur = ctx.buffers[block.src]
         .read()
         .unwrap_or_else(PoisonError::into_inner);
     for r in 0..plan.regions.len() {
-        let origin = plan.windows[r][kernel].lo();
-        let lp = &plan.local_programs[r][kernel];
-        let read_t0 = sink.now();
-        match &mut locals[r] {
-            slot @ None => {
-                *slot = Some(extract_window(&cur, lp, lp, &plan.windows[r][kernel])?);
-                if S::ACTIVE {
-                    let cells: u64 = plan.windows[r][kernel].volume();
-                    sink.add(
-                        Counter::HaloBytes,
-                        cells * std::mem::size_of::<f64>() as u64 * lp.grids.len() as u64,
-                    );
-                }
-            }
-            Some(local) => {
-                refresh_ring(local, &cur, &plan.rings[r][kernel], &origin, updated)?;
-                if S::ACTIVE {
-                    let cells: u64 = plan.rings[r][kernel].iter().map(Rect::volume).sum();
-                    sink.add(
-                        Counter::HaloBytes,
-                        cells * std::mem::size_of::<f64>() as u64 * updated.len() as u64,
-                    );
-                }
-            }
-        }
-        if S::ACTIVE {
-            sink.span(kernel, r, TracePhase::Read, read_t0, sink.now());
-        }
-        let local = locals[r].as_mut().expect("window extracted");
-        let route = &routes[r];
-        for i in 1..=dp.h {
-            for s in 0..lp.updates.len() {
-                let domain = dp.local_domain(r, kernel, i, s, plan.stmts);
-                let step = (step_base + i, s);
-                let compute_t0 = sink.now();
-                // Produce first (boundary cells against the pristine
-                // pre-state), so downstream kernels are fed before we turn
-                // to the interior...
-                apply_statement_split(
-                    &plan.compiled[r][kernel],
-                    local,
-                    s,
-                    domain,
-                    &route.out_rects,
-                    scratch,
-                    sink,
-                    {
-                        let out_chans = &route.out_chans;
-                        let out_seqs = &mut *out_seqs;
-                        move |e, values| {
-                            let chan = out_chans[e];
-                            let mut slab = Slab::tagged(step, values, corrupt_tags);
-                            if ctx.limits.integrity {
-                                slab = slab.seal(out_seqs[chan]);
-                                out_seqs[chan] += 1;
-                            }
-                            // Injected payload corruption flips a bit *after*
-                            // sealing: with integrity on the receiver's
-                            // recompute catches it; with integrity off it is
-                            // exactly the silent corruption the checksums
-                            // exist to stop.
-                            if corrupt_payload {
-                                slab = slab.corrupt_payload();
-                            }
-                            pipe_send(&ctx.outs[chan].1, slab, &ctx.token, &ctx.limits, &ctx.sink)
-                        }
-                    },
-                )?;
-                if S::ACTIVE {
-                    sink.span(
-                        kernel,
-                        r,
-                        TracePhase::Compute {
-                            iteration: step_base + i,
-                        },
-                        compute_t0,
-                        sink.now(),
-                    );
-                }
-                // ...then consume: splice the upstream slabs in, in the
-                // plan's edge order.
-                let target = &lp.updates[s].target;
-                let wait_t0 = sink.now();
-                for (chan, dst) in route.in_chans.iter().zip(&route.in_rects) {
-                    let slab = pipe_recv(&ctx.ins[*chan].1, &ctx.token, &ctx.limits, sink)?;
-                    check_slab_step(kernel, slab.step, step)?;
-                    if ctx.limits.integrity {
-                        // An unsealed slab under an integrity run is itself a
-                        // protocol violation — treat it as corruption.
-                        let Some(sum) = slab.checksum else {
-                            return Err(ExecError::SlabCorrupt { kernel, step });
-                        };
-                        verify_slab(kernel, in_seqs[*chan], slab.step, &slab.values, sum, sink)?;
-                        in_seqs[*chan] += 1;
+        step.load(r, &cur)?;
+        let ins = &depth.routes[r][kernel].ins;
+        for i in 1..=depth.h {
+            for s in 0..plan.stmts {
+                let at = (block.step_base + i, s);
+                // Produce first, so downstream kernels are fed before this
+                // kernel turns to its interior...
+                step.compute(depth, r, i, at, |link, mut slab| {
+                    if corrupt_step {
+                        slab = slab.corrupt_step();
                     }
-                    local.grid_mut(target)?.write_window(dst, &slab.values)?;
+                    // With integrity on the receiver's recompute catches a
+                    // flipped payload bit; with it off this is exactly the
+                    // silent corruption the checksums exist to stop.
+                    if corrupt_payload {
+                        slab = slab.corrupt_payload();
+                    }
+                    let tx = ctx.outs[link.pair].as_ref().expect("own pipe endpoint");
+                    pipe_send(tx, slab, &ctx.token, &ctx.limits, sink)
+                })?;
+                // ...then consume the upstream slabs in plan edge order.
+                let wait_t0 = sink.now();
+                for link in ins {
+                    let rx = ctx.ins[link.pair].as_ref().expect("own pipe endpoint");
+                    let slab = pipe_recv(rx, &ctx.token, &ctx.limits, sink)?;
+                    step.splice(r, link, slab, at)?;
                 }
-                if S::ACTIVE && !route.in_chans.is_empty() {
-                    sink.span(
-                        kernel,
-                        r,
-                        TracePhase::PipeWait {
-                            iteration: step_base + i,
-                        },
-                        wait_t0,
-                        sink.now(),
-                    );
+                if S::ACTIVE && !ins.is_empty() {
+                    let phase = TracePhase::PipeWait { iteration: at.0 };
+                    sink.span(kernel, r, phase, wait_t0, sink.now());
                 }
             }
         }
-        let write_t0 = sink.now();
-        let mut next = ctx.buffers[1 - src]
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        write_back(&mut next, local, updated, &origin, &plan.tiles[r][kernel])?;
-        if S::ACTIVE {
-            sink.span(kernel, r, TracePhase::Write, write_t0, sink.now());
-        }
+        step.store(r, &ctx.buffers[1 - block.src])?;
     }
     Ok(())
 }
@@ -1001,19 +694,19 @@ mod tests {
     fn pipe_helpers_observe_cancellation() {
         let off = RunLimits::disabled();
         let (tx, rx) = bounded::<Slab>(1);
-        let token = CancelToken::default();
+        let token = CancelHandle::new();
         token.cancel();
         assert_eq!(
             pipe_recv(&rx, &token, &off, &Disabled).unwrap_err(),
             ExecError::Cancelled
         );
-        let slab = Slab::tagged((1, 0), vec![0.0], false);
+        let slab = Slab::tagged((1, 0), vec![0.0]);
         assert_eq!(
             pipe_send(&tx, slab, &token, &off, &Disabled).unwrap_err(),
             ExecError::Cancelled
         );
         // Without cancellation, a hung-up partner is still classified.
-        let fresh = CancelToken::default();
+        let fresh = CancelHandle::new();
         drop(tx);
         assert!(pipe_recv(&rx, &fresh, &off, &Disabled)
             .unwrap_err()
@@ -1027,13 +720,13 @@ mod tests {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..RunLimits::disabled()
         };
-        let token = CancelToken::default();
+        let token = CancelHandle::new();
         let (tx, rx) = bounded::<Slab>(1);
         assert_eq!(
             pipe_recv(&rx, &token, &expired, &Disabled).unwrap_err(),
             ExecError::DeadlineExceeded { completed: 0 }
         );
-        let slab = Slab::tagged((1, 0), vec![0.0], false);
+        let slab = Slab::tagged((1, 0), vec![0.0]);
         assert_eq!(
             pipe_send(&tx, slab, &token, &expired, &Disabled).unwrap_err(),
             ExecError::DeadlineExceeded { completed: 0 }

@@ -470,6 +470,58 @@ fn persistent_stalls_degrade_gracefully_to_the_sequential_executor() {
 }
 
 #[test]
+fn a_degraded_run_keeps_checkpointing_at_its_own_barriers() {
+    let (p, partition) = scenario();
+    let expect = reference_grid(&p);
+    // Fault-free run into its own store: the final manifest to match.
+    let clean_dir = scratch("degrade-clean");
+    let mut clean = GridState::new(&p, init);
+    run_supervised_opts(&p, &partition, &mut clean, &ckpt_opts(&clean_dir)).unwrap();
+    let clean_final = load_latest(&DirStore::new(&clean_dir), None).unwrap();
+    // Every threaded attempt stalls at its first block, so all 3 blocks
+    // run in the sequential fallback, checkpointed every barrier.
+    let dir = scratch("degrade");
+    let mut plan = FaultPlan::new();
+    for _ in 0..=chaos_policy().max_retries {
+        plan = plan.inject(3, 0, FaultKind::PipeStall);
+    }
+    let faults = Arc::new(plan);
+    let mut got = GridState::new(&p, init);
+    let report = run_supervised_opts(
+        &p,
+        &partition,
+        &mut got,
+        &ckpt_opts(&dir).faults(Arc::clone(&faults)),
+    )
+    .unwrap();
+    assert!(report.degraded());
+    assert_eq!(report.attempts.last().unwrap().start_iteration, 0);
+    assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
+    let store = DirStore::new(&dir);
+    let last = load_latest(&store, None).unwrap();
+    assert_eq!(last.manifest.completed_iterations, 6);
+    assert_eq!(
+        last.manifest.blocks_done, clean_final.manifest.blocks_done,
+        "the final manifest must count the fallback's blocks"
+    );
+    // Drop the final generation: what remains was sealed mid-fallback.
+    store.remove(last.manifest.generation).unwrap();
+    let mid = load_latest(&store, None).unwrap();
+    let completed = mid.manifest.completed_iterations;
+    assert!(
+        0 < completed && completed < 6,
+        "expected a generation sealed at a fallback barrier, got {completed}"
+    );
+    let (state, report, result) =
+        resume_supervised_full(&p, &partition, &dir, &ckpt_opts(&dir)).unwrap();
+    result.unwrap();
+    assert_eq!(report.attempts[0].start_iteration, completed);
+    assert_eq!(expect.max_abs_diff(&state).unwrap(), 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&clean_dir);
+}
+
+#[test]
 fn without_fallback_the_retry_budget_surfaces_as_retries_exhausted() {
     let (p, partition) = scenario();
     let policy = ExecPolicy {

@@ -59,8 +59,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // Non-perturbation: over random star stencils, fusion depths, and both
-    // pool executors, the recording run is bit-exact with the disabled-sink
-    // run and the captured trace is well-formed.
+    // pipe executors, the recording run is bit-exact with the disabled-sink
+    // run, the captured trace is well-formed, and both executors record the
+    // same traffic counters.
     #[test]
     fn recording_never_perturbs_any_executor(
         li in 0i64..=2, hi in 0i64..=2, lj in 0i64..=2, hj in 0i64..=2,
@@ -92,6 +93,13 @@ proptest! {
             run_pipe_shared_opts(p, &partition, s, opts)
         });
         well_formed(&pipe);
+        // Both drivers run the same per-kernel step, so they count the
+        // same traffic.
+        let (a, b) = (&threaded.counters, &pipe.counters);
+        prop_assert_eq!(a.slabs_sent, b.slabs_sent);
+        prop_assert_eq!(a.slabs_received, b.slabs_received);
+        prop_assert_eq!(a.halo_bytes, b.halo_bytes);
+        prop_assert_eq!(a.cells_computed, b.cells_computed);
     }
 }
 

@@ -60,8 +60,6 @@ impl Deserialize for DesignRequest {
 pub struct JobOptions {
     /// Wall-clock deadline for the whole run, milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Vectorized tape-walk lane width (1..=16; every width is bit-exact).
-    pub lanes: Option<usize>,
     /// Supervised retry budget.
     pub retries: Option<u32>,
     /// Arms the numerical-health watchdog with a magnitude bound.
@@ -90,7 +88,6 @@ impl Deserialize for JobOptions {
         }
         Ok(JobOptions {
             deadline_ms: opt(obj, "deadline_ms")?,
-            lanes: opt(obj, "lanes")?,
             retries: opt(obj, "retries")?,
             health_bound: opt(obj, "health_bound")?,
             integrity: opt(obj, "integrity")?,
@@ -312,7 +309,9 @@ mod tests {
         )
         .expect("parses");
         assert_eq!(opts.deadline_ms, Some(250));
-        assert_eq!(opts.lanes, Some(4));
+        // `lanes` is no longer a job knob; requests and journals that
+        // still carry it parse and ignore it.
+        assert!(!serde_json::to_string(&opts).unwrap().contains("lanes"));
         assert_eq!(opts.retries, Some(2));
         assert_eq!(opts.integrity, Some(false));
         assert_eq!(opts.ckpt_dir.as_deref(), Some("/tmp/x"));

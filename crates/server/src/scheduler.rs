@@ -20,7 +20,7 @@
 //! [`ExecOptions::from_config`], then per-request knobs overwrite their
 //! fields. Checkpoint policy is the exception: it comes only from the
 //! request or the journal's per-job assignment, never from the env. The snapshot is read once at scheduler construction, so two
-//! concurrent jobs with different `lanes`/`deadline_ms` each get their own
+//! concurrent jobs with different `deadline_ms`/`retries` each get their own
 //! [`ExecOptions`] and never bleed configuration through process state.
 //!
 //! Graceful drain: [`Scheduler::drain`] stops admission, fires every live
@@ -777,12 +777,6 @@ fn job_options(env: &EnvConfig, req: &SubmitRequest) -> Result<ExecOptions, Stri
     let knobs = &req.options;
     if let Some(ms) = knobs.deadline_ms {
         opts.policy.deadline = Some(Duration::from_millis(ms));
-    }
-    if let Some(lanes) = knobs.lanes {
-        if !(1..=16).contains(&lanes) {
-            return Err(format!("lanes must be in 1..=16, got {lanes}"));
-        }
-        opts.lanes = Some(lanes);
     }
     if let Some(retries) = knobs.retries {
         opts.policy.max_retries = retries;

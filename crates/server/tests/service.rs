@@ -287,12 +287,12 @@ fn per_job_options_do_not_bleed_between_concurrent_jobs() {
         ..SchedulerConfig::default()
     });
     // Job A: generous settings, must finish bit-exact. Job B: a 1 ms
-    // deadline and different lane count, must fail on ITS deadline while
-    // A (running concurrently on the same pool) is untouched.
-    let a = submit_ok(addr, &submit_body("acme", LONG, r#"{"lanes":1}"#));
+    // deadline and a different retry budget, must fail on ITS deadline
+    // while A (running concurrently on the same pool) is untouched.
+    let a = submit_ok(addr, &submit_body("acme", LONG, r#"{"retries":3}"#));
     let b = submit_ok(
         addr,
-        &submit_body("zen", LONG, r#"{"lanes":4,"deadline_ms":1,"retries":0}"#),
+        &submit_body("zen", LONG, r#"{"deadline_ms":1,"retries":0}"#),
     );
 
     let resp = get(addr, &format!("/v1/jobs/{b}/result?wait_ms=30000")).expect("b result");

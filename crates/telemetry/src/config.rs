@@ -32,10 +32,6 @@ pub struct EnvConfig {
     pub health_bound: Option<f64>,
     /// `STENCILCL_HEALTH_STRIDE`: health-scan sampling stride (≥ 1).
     pub health_stride: Option<usize>,
-    /// `STENCILCL_LANES`: cells per tape pass of the compiled row walk
-    /// (1–16); 1 walks one cell per pass, `None` takes the compiler default
-    /// (`LANE_WIDTH`, 256 cells).
-    pub lanes: Option<usize>,
     /// `STENCILCL_CKPT_DIR`: directory durable checkpoint generations are
     /// sealed into; `None` disables checkpointing.
     pub ckpt_dir: Option<PathBuf>,
@@ -55,7 +51,6 @@ impl Default for EnvConfig {
             deadline_ms: None,
             health_bound: None,
             health_stride: None,
-            lanes: None,
             ckpt_dir: None,
             ckpt_every: None,
         }
@@ -103,14 +98,6 @@ impl EnvConfig {
                 Ok(n) if n >= 1 => cfg.health_stride = Some(n),
                 _ => warnings.push(format!(
                     "STENCILCL_HEALTH_STRIDE: ignoring {v:?} (want an integer >= 1)"
-                )),
-            }
-        }
-        if let Some(v) = lookup("STENCILCL_LANES") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if (1..=16).contains(&n) => cfg.lanes = Some(n),
-                _ => warnings.push(format!(
-                    "STENCILCL_LANES: ignoring {v:?} (want an integer in 1..=16)"
                 )),
             }
         }
@@ -198,14 +185,12 @@ mod tests {
     #[test]
     fn well_formed_values_parse() {
         let (cfg, warnings) = EnvConfig::parse(env(&[
-            ("STENCILCL_LANES", "8"),
             ("STENCILCL_WATCHDOG_MS", "1500"),
             ("STENCILCL_DRAIN_MS", "250"),
             ("STENCILCL_MAX_RETRIES", "0"),
             ("STENCILCL_RESULTS", "/tmp/out"),
         ]));
         assert!(warnings.is_empty());
-        assert_eq!(cfg.lanes, Some(8));
         assert_eq!(cfg.watchdog_ms, Some(1500));
         assert_eq!(cfg.drain_ms, Some(250));
         assert_eq!(cfg.max_retries, Some(0));
@@ -216,15 +201,15 @@ mod tests {
     fn malformed_values_warn_by_name_and_fall_back() {
         let (cfg, warnings) = EnvConfig::parse(env(&[
             ("STENCILCL_WATCHDOG_MS", "soon"),
-            ("STENCILCL_LANES", "32"),
+            ("STENCILCL_HEALTH_STRIDE", "0"),
             ("STENCILCL_MAX_RETRIES", "-1"),
         ]));
-        assert_eq!(cfg.lanes, None);
+        assert_eq!(cfg.health_stride, None);
         assert_eq!(cfg.watchdog_ms, None);
         assert_eq!(cfg.max_retries, None);
         assert_eq!(warnings.len(), 3);
         assert!(warnings[0].contains("STENCILCL_WATCHDOG_MS") && warnings[0].contains("soon"));
-        assert!(warnings[1].contains("STENCILCL_LANES") && warnings[1].contains("32"));
+        assert!(warnings[1].contains("STENCILCL_HEALTH_STRIDE") && warnings[1].contains("0"));
         assert!(warnings[2].contains("STENCILCL_MAX_RETRIES") && warnings[2].contains("-1"));
     }
 
@@ -273,8 +258,9 @@ mod tests {
 
     #[test]
     fn lane_and_tile_knobs_parse() {
-        // The tile knobs are retired: setting them is silently ignored.
-        for lanes in ["1", "8", "16"] {
+        // The lane and tile knobs are retired: setting them is silently
+        // ignored (the lane width is the compiler default for every run).
+        for lanes in ["1", "8", "16", "256"] {
             let (cfg, warnings) = EnvConfig::parse(env(&[
                 ("STENCILCL_LANES", lanes),
                 ("STENCILCL_TILE", "64"),
@@ -282,22 +268,25 @@ mod tests {
                 ("STENCILCL_THREADS", "6"),
             ]));
             assert!(warnings.is_empty());
-            assert_eq!(cfg.lanes, Some(lanes.parse().unwrap()));
+            assert_eq!(cfg, EnvConfig::default());
         }
     }
 
     #[test]
     fn malformed_lane_and_tile_knobs_warn_and_fall_back() {
+        // Retired knobs are never read, so even malformed values stay
+        // silent; a malformed live knob beside them still warns.
         for lanes in ["0", "17", "32", "wide"] {
             let (cfg, warnings) = EnvConfig::parse(env(&[
                 ("STENCILCL_LANES", lanes),
                 ("STENCILCL_TILE", "0"),
                 ("STENCILCL_BLOCK_DEPTH", "0"),
                 ("STENCILCL_THREADS", "many"),
+                ("STENCILCL_CKPT_EVERY", "0"),
             ]));
-            assert_eq!(cfg.lanes, None);
+            assert_eq!(cfg, EnvConfig::default());
             assert_eq!(warnings.len(), 1);
-            assert!(warnings[0].contains("STENCILCL_LANES") && warnings[0].contains(lanes));
+            assert!(warnings[0].contains("STENCILCL_CKPT_EVERY"));
         }
     }
 
@@ -327,8 +316,8 @@ mod tests {
 
     #[test]
     fn whitespace_is_trimmed() {
-        let (cfg, warnings) = EnvConfig::parse(env(&[("STENCILCL_LANES", " 4 ")]));
+        let (cfg, warnings) = EnvConfig::parse(env(&[("STENCILCL_HEALTH_STRIDE", " 4 ")]));
         assert!(warnings.is_empty());
-        assert_eq!(cfg.lanes, Some(4));
+        assert_eq!(cfg.health_stride, Some(4));
     }
 }

@@ -90,11 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 7. Every executor above ran compiled kernels: each update statement
     //    compiled once to a flat postfix bytecode tape (dense grid slots,
     //    neighbor offsets folded to linear-index deltas) and executed with
-    //    branch-free row sweeps. `ExecOptions::lanes` (`stencilcl run
-    //    --lanes W`) picks the tape lane width. The tree-walking AST
-    //    `Interpreter` remains the differential-testing oracle; the tape is
-    //    bit-exact with it, performing the same f64 operations in the same
-    //    order per cell:
+    //    branch-free row sweeps, 256 cells per tape pass by default. The
+    //    tree-walking AST `Interpreter` remains the differential-testing
+    //    oracle; the tape is bit-exact with it, performing the same f64
+    //    operations in the same order per cell:
     let compiled = CompiledProgram::compile(&tiny)?;
     println!(
         "compiled `{}`: {} kernel tape(s), e.g. statement 0 = {} ops over {} grid slot(s)",
