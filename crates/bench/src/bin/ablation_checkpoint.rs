@@ -34,8 +34,7 @@ use stencilcl_bench::ab::{
     grid_cases, knobs, report, scratch_dir, time_grid_pairs, timed, AbRow, Spread,
 };
 use stencilcl_exec::{
-    run_supervised_opts, CheckpointPolicy, CheckpointStore, DirStore, ExecOptions, ExecPolicy,
-    Recorder,
+    run_supervised_opts, CheckpointPolicy, DirStore, ExecOptions, ExecPolicy, Recorder,
 };
 use stencilcl_lang::GridState;
 use stencilcl_server::default_init;

@@ -14,11 +14,12 @@
 //!     Generate the OpenCL design for an explicit design point.
 //!
 //! stencilcl validate <file.stencil> --fused N --parallelism KxK --tile WxW
+//!                    [--kind baseline|pipe|hetero]
 //!     Execute the pipe-shared and baseline architectures functionally and
 //!     compare them against the naive reference (use small inputs).
 //!
 //! stencilcl trace <file.stencil> --fused N --parallelism KxK --tile WxW
-//!                 [--out FILE.json]
+//!                 [--kind pipe|hetero] [--out FILE.json]
 //!     Run the threaded executor with the lock-free recorder attached and
 //!     print the calibration report (measured phase totals vs the analytical
 //!     model's terms vs the simulated schedule) plus both Gantt charts;
@@ -73,6 +74,7 @@
 //!
 //! Every `STENCILCL_*` environment knob supplies a default; an explicit
 //! flag always wins over the env value, which is frozen at first read.
+//! Every command rejects a flag it does not read.
 //! ```
 
 use std::fmt::Write as _;
@@ -81,6 +83,7 @@ use std::process::ExitCode;
 
 use stencilcl::prelude::*;
 use stencilcl::Framework;
+use stencilcl_server::{build_design, default_init, parse_kind, MAX_VOLUME};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,8 +104,9 @@ const USAGE: &str = "usage:
   stencilcl features <file.stencil>
   stencilcl synth    <file.stencil> [--parallelism 4x4] [--max-fused N] [--unroll 4,8] [--min-tile N] [--out DIR]
   stencilcl codegen  <file.stencil> --kind baseline|pipe|hetero --fused N --parallelism KxK --tile WxW [--out DIR]
-  stencilcl validate <file.stencil> --fused N --parallelism KxK --tile WxW
-  stencilcl trace    <file.stencil> --fused N --parallelism KxK --tile WxW [--out FILE.json]
+  stencilcl validate <file.stencil> --fused N --parallelism KxK --tile WxW [--kind K]
+  stencilcl trace    <file.stencil> --fused N --parallelism KxK --tile WxW [--kind pipe|hetero]
+                     [--out FILE.json]
   stencilcl run      <file.stencil> --fused N --parallelism KxK --tile WxW [--kind pipe|hetero]
                      [--deadline-ms N] [--health-bound X] [--health-stride N]
                      [--integrity on|off] [--retries N]
@@ -126,6 +130,22 @@ fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
+/// The explicit design-point flags (`codegen`, `validate`, `trace`, `run`).
+const DESIGN_FLAGS: &[&str] = &["kind", "fused", "parallelism", "tile"];
+
+/// The supervision flags `run` and `resume` read through
+/// [`supervised_options`] and [`write_report_json`].
+const SUPERVISION_FLAGS: &[&str] = &[
+    "deadline-ms",
+    "health-bound",
+    "health-stride",
+    "integrity",
+    "retries",
+    "ckpt-dir",
+    "ckpt-every",
+    "report-json",
+];
+
 /// Parses `--flag value` pairs after the input path.
 struct Opts {
     path: PathBuf,
@@ -133,7 +153,10 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses `args`, rejecting any flag not in `accepts` — the flags the
+    /// subcommand reads — so a typo or a retired flag fails loudly instead
+    /// of running with defaults.
+    fn parse(args: &[String], accepts: &[&str]) -> Result<Opts, String> {
         let (path, rest) = args.split_first().ok_or("missing input file")?;
         let mut flags = Vec::new();
         let mut it = rest.iter();
@@ -141,6 +164,9 @@ impl Opts {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got `{flag}`"))?;
+            if !accepts.contains(&name) {
+                return Err(format!("unknown flag `{flag}` for this command"));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.push((name.to_string(), value.clone()));
         }
@@ -190,7 +216,7 @@ fn parse_dims(raw: &str) -> Result<Vec<usize>, String> {
 }
 
 fn features(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, &[])?;
     let program = opts.program()?;
     let f = StencilFeatures::extract(&program).map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -248,7 +274,10 @@ fn write_design(out_dir: Option<&str>, code: &GeneratedCode) -> Result<String, S
 }
 
 fn synth(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(
+        args,
+        &["parallelism", "max-fused", "unroll", "min-tile", "out"],
+    )?;
     let program = opts.program()?;
     let cfg = search_config(&opts, program.dim())?;
     let report = Framework::new()
@@ -263,64 +292,6 @@ fn synth(args: &[String]) -> Result<String, String> {
     );
     out.push_str(&write_design(opts.get("out"), &report.code)?);
     Ok(out)
-}
-
-fn parse_kind(raw: &str) -> Result<DesignKind, String> {
-    match raw {
-        "baseline" => Ok(DesignKind::Baseline),
-        "pipe" | "pipe-shared" => Ok(DesignKind::PipeShared),
-        "hetero" | "heterogeneous" => Ok(DesignKind::Heterogeneous),
-        other => Err(format!("unknown --kind `{other}`")),
-    }
-}
-
-fn kind_name(kind: DesignKind) -> &'static str {
-    match kind {
-        DesignKind::Baseline => "baseline",
-        DesignKind::PipeShared => "pipe",
-        DesignKind::Heterogeneous => "hetero",
-    }
-}
-
-/// Builds the design and partition from resolved knobs — the shared core
-/// of the explicit design flags and of `resume`'s manifest-sealed
-/// [`DesignSpec`] (both spell designs the same way, so a resumed run
-/// reconstructs the identical partition).
-fn build_design(
-    program: &Program,
-    kind: DesignKind,
-    fused: u64,
-    par: &[usize],
-    tile: &[usize],
-) -> Result<(Design, Partition), String> {
-    if fused == 0 {
-        return Err("--fused 0 is not a design: at least one iteration must be \
-                    fused per pass (use --fused 1 for no temporal reuse)"
-            .into());
-    }
-    let dim = program.dim();
-    if par.len() != dim || tile.len() != dim {
-        return Err(format!(
-            "design is {}-D but program is {dim}-D",
-            par.len().max(tile.len())
-        ));
-    }
-    let f = StencilFeatures::extract(program).map_err(|e| e.to_string())?;
-    let design = if kind == DesignKind::Heterogeneous {
-        let lens = (0..dim)
-            .map(|d| {
-                let region = par[d] * tile[d];
-                let boundary = f.extent.len(d) / region > 1;
-                balance_tiles(region, par[d], &f.growth, d, fused, boundary, 2)
-                    .ok_or_else(|| format!("cannot balance dimension {d}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Design::heterogeneous(fused, lens).map_err(|e| e.to_string())?
-    } else {
-        Design::equal(kind, fused, par.to_vec(), tile.to_vec()).map_err(|e| e.to_string())?
-    };
-    let partition = Partition::new(f.extent, &design, &f.growth).map_err(|e| e.to_string())?;
-    Ok((design, partition))
 }
 
 fn explicit_design(
@@ -338,18 +309,11 @@ fn explicit_design(
         .ok_or("--parallelism required")?;
     let tile = opts.dims("tile", dim)?.ok_or("--tile required")?;
     let kind = parse_kind(opts.get("kind").unwrap_or("pipe"))?;
-    let (design, partition) = build_design(program, kind, fused, &par, &tile)?;
-    let spec = DesignSpec {
-        kind: kind_name(kind).to_string(),
-        fused,
-        parallelism: par,
-        tile,
-    };
-    Ok((design, partition, spec))
+    build_design(program, kind, fused, &par, &tile)
 }
 
 fn codegen_cmd(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, &[DESIGN_FLAGS, &["out"]].concat())?;
     let program = opts.program()?;
     let (_, partition, _) = explicit_design(&opts, &program)?;
     let code =
@@ -362,9 +326,9 @@ fn codegen_cmd(args: &[String]) -> Result<String, String> {
 }
 
 fn validate(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, DESIGN_FLAGS)?;
     let program = opts.program()?;
-    if program.extent().volume() > 1 << 22 {
+    if program.extent().volume() > MAX_VOLUME {
         return Err("input too large for functional validation; shrink the grid".into());
     }
     let (design, partition, _) = explicit_design(&opts, &program)?;
@@ -379,14 +343,8 @@ fn validate(args: &[String]) -> Result<String, String> {
     };
     let exec_opts = ExecOptions::from_config(EnvConfig::get());
     for (label, mode) in modes {
-        let diff = verify_design(&program, &partition, *mode, &exec_opts, |name, p| {
-            let mut v = name.len() as f64;
-            for d in 0..p.dim() {
-                v = v * 31.0 + p.coord(d) as f64;
-            }
-            (v * 0.001).sin()
-        })
-        .map_err(|e| e.to_string())?;
+        let diff = verify_design(&program, &partition, *mode, &exec_opts, default_init)
+            .map_err(|e| e.to_string())?;
         let verdict = if diff == 0.0 { "EXACT" } else { "DIVERGED" };
         let _ = writeln!(
             out,
@@ -400,9 +358,9 @@ fn validate(args: &[String]) -> Result<String, String> {
 }
 
 fn trace_cmd(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, &[DESIGN_FLAGS, &["out"]].concat())?;
     let program = opts.program()?;
-    if program.extent().volume() > 1 << 22 {
+    if program.extent().volume() > MAX_VOLUME {
         return Err("input too large for host-side tracing; shrink the grid".into());
     }
     let (design, partition, _) = explicit_design(&opts, &program)?;
@@ -412,13 +370,7 @@ fn trace_cmd(args: &[String]) -> Result<String, String> {
     let features = StencilFeatures::extract(&program).map_err(|e| e.to_string())?;
 
     let rec = Recorder::new();
-    let mut state = GridState::new(&program, |name, p| {
-        let mut v = name.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    });
+    let mut state = GridState::new(&program, default_init);
     let exec_opts = ExecOptions::new().trace(rec.clone());
     run_threaded_opts(&program, &partition, &mut state, &exec_opts).map_err(|e| e.to_string())?;
     let measured = rec.finish();
@@ -552,9 +504,9 @@ fn write_report_json(opts: &Opts, report: &RunReport) -> Result<(), String> {
 }
 
 fn run_cmd(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, &[DESIGN_FLAGS, SUPERVISION_FLAGS].concat())?;
     let program = opts.program()?;
-    if program.extent().volume() > 1 << 22 {
+    if program.extent().volume() > MAX_VOLUME {
         return Err("input too large for host-side execution; shrink the grid".into());
     }
     let (design, partition, spec) = explicit_design(&opts, &program)?;
@@ -570,13 +522,7 @@ fn run_cmd(args: &[String]) -> Result<String, String> {
     }
     let integrity = exec_opts.integrity;
 
-    let mut state = GridState::new(&program, |name, p| {
-        let mut v = name.len() as f64;
-        for d in 0..p.dim() {
-            v = v * 31.0 + p.coord(d) as f64;
-        }
-        (v * 0.001).sin()
-    });
+    let mut state = GridState::new(&program, default_init);
     let (report, result) = run_supervised_full(&program, &partition, &mut state, &exec_opts);
 
     let mut out = String::new();
@@ -622,7 +568,7 @@ fn run_cmd(args: &[String]) -> Result<String, String> {
 }
 
 fn resume_cmd(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, SUPERVISION_FLAGS)?;
     let dir = opts.path.clone();
     // Peek at the newest valid manifest to rebuild the program and the
     // partition; the resume entry point re-validates on its own load.
@@ -642,7 +588,7 @@ fn resume_cmd(args: &[String]) -> Result<String, String> {
                     records a baseline design"
             .into());
     }
-    let (design, partition) =
+    let (design, partition, _) =
         build_design(&program, kind, spec.fused, &spec.parallelism, &spec.tile)?;
     let mut exec_opts = supervised_options(EnvConfig::get(), &opts)?;
     exec_opts.checkpoint.design = Some(spec);
@@ -780,7 +726,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = Opts::parse(&args).unwrap();
+        let o = Opts::parse(&args, &["fused"]).unwrap();
         assert_eq!(o.get("fused"), Some("8"));
         assert_eq!(o.get("missing"), None);
     }
@@ -791,12 +737,12 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert!(Opts::parse(&args).is_err());
+        assert!(Opts::parse(&args, &["fused"]).is_err());
         let args: Vec<String> = ["f.stencil", "fused", "4"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert!(Opts::parse(&args).is_err());
+        assert!(Opts::parse(&args, &["fused"]).is_err());
     }
 
     #[test]
@@ -849,7 +795,7 @@ mod tests {
     fn flag_opts(flags: &[&str]) -> Opts {
         let mut args = vec!["f.stencil".to_string()];
         args.extend(flags.iter().map(|s| s.to_string()));
-        Opts::parse(&args).unwrap()
+        Opts::parse(&args, SUPERVISION_FLAGS).unwrap()
     }
 
     #[test]
@@ -1061,6 +1007,19 @@ mod tests {
         ] {
             let err = run(&stencil_args("run", &path, extra)).unwrap_err();
             assert!(err.contains("--"), "no flag named in: {err}");
+        }
+    }
+
+    #[test]
+    fn run_command_rejects_flags_it_does_not_read() {
+        // `--lanes` was retired; `--retires` is a typo of `--retries`.
+        let path = temp_stencil("unknownflags.stencil");
+        for extra in [&["--lanes", "8"][..], &["--retires", "3"][..]] {
+            let err = run(&stencil_args("run", &path, extra)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag `{}`", extra[0])),
+                "{err}"
+            );
         }
     }
 

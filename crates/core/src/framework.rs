@@ -90,13 +90,13 @@ impl Framework {
     ) -> Result<(), FrameworkError> {
         let partition = self.partition(program, point)?;
         let opts = stencilcl_exec::ExecOptions::new();
-        let diff = stencilcl_exec::verify_design(program, &partition, mode, &opts, |name, p| {
-            let mut v = name.len() as f64;
-            for d in 0..p.dim() {
-                v = v * 31.0 + p.coord(d) as f64;
-            }
-            (v * 0.001).sin()
-        })?;
+        let diff = stencilcl_exec::verify_design(
+            program,
+            &partition,
+            mode,
+            &opts,
+            stencilcl_server::default_init,
+        )?;
         if diff != 0.0 {
             return Err(FrameworkError::ValidationFailed {
                 mode: format!("{mode:?}"),

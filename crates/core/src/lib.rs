@@ -54,9 +54,9 @@ pub mod prelude {
     pub use stencilcl_exec::{
         live_workers, load_latest, resume_supervised_full, run_overlapped_opts,
         run_pipe_shared_opts, run_reference_opts, run_supervised_full, run_supervised_opts,
-        run_threaded_opts, verify_design, CheckpointManifest, CheckpointPolicy, CheckpointStore,
-        DesignSpec, DirStore, ExecMode, ExecOptions, ExecPolicy, HealthMode, HealthPolicy,
-        LoadedCheckpoint, RecoveryPath, RunReport,
+        run_threaded_opts, verify_design, CheckpointManifest, CheckpointPolicy, DesignSpec,
+        DirStore, ExecMode, ExecOptions, ExecPolicy, HealthMode, HealthPolicy, LoadedCheckpoint,
+        RecoveryPath, RunReport,
     };
     pub use stencilcl_grid::{
         Cone, Design, DesignKind, Extent, Grid, Growth, Partition, Point, Rect,

@@ -63,7 +63,8 @@ pub enum FaultKind {
     FsyncFail,
     /// Job-level fault: the pool runner that picks the job up panics
     /// before entering the supervisor. [`ExecPool`](crate::ExecPool) must
-    /// catch the dead runner, respawn it, and requeue the victim job —
+    /// settle the job as [`ExecError::WorkerPanic`](crate::ExecError) and
+    /// keep serving, so a scheduler can re-admit it from its checkpoint —
     /// the service-plane twin of [`FaultKind::WorkerPanic`].
     RunnerPanicAtJob,
     /// Job-level fault: the pool runner wedges for this many milliseconds

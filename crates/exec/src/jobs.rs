@@ -26,7 +26,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -133,58 +133,8 @@ type OnDone = Box<dyn FnOnce(JobOutcome) + Send>;
 
 struct PoolJob {
     spec: Box<JobSpec>,
-    on_start: Option<OnStart>,
+    on_start: OnStart,
     on_done: OnDone,
-    /// Times this job was requeued after its runner died with an escaped
-    /// panic. Past the pool's requeue limit the job fails instead.
-    requeues: u32,
-}
-
-/// Everything a runner thread needs to run jobs, requeue a panic's victim,
-/// and respawn a replacement for itself — shared by the pool and every
-/// runner (original or respawned).
-#[derive(Clone)]
-struct RunnerCtx {
-    rx: Receiver<PoolJob>,
-    /// The pool's long-lived sender, used transiently by panic recovery to
-    /// requeue the victim job. Taken (set to `None`) at drain so blocked
-    /// `recv()`s observe channel closure — runners themselves never hold a
-    /// persistent `Sender`.
-    tx: Arc<Mutex<Option<Sender<PoolJob>>>>,
-    busy: Arc<AtomicUsize>,
-    respawned: Arc<AtomicUsize>,
-    runners: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Name sequence for respawned runner threads.
-    seq: Arc<AtomicUsize>,
-    max_requeues: u32,
-}
-
-impl RunnerCtx {
-    /// Spawns a replacement runner thread (the current one is dying with an
-    /// escaped panic) and registers its handle for drain-time joining.
-    fn respawn(&self) {
-        let ctx = self.clone();
-        let i = self.seq.fetch_add(1, Ordering::SeqCst);
-        // Count before the spawn: the replacement may run, die, and deliver
-        // an outcome before this dying thread resumes, and anyone that
-        // delivery wakes must already observe this respawn.
-        self.respawned.fetch_add(1, Ordering::SeqCst);
-        match thread::Builder::new()
-            .name(format!("stencil-job-runner-r{i}"))
-            .spawn(move || runner_loop(&ctx))
-        {
-            Ok(h) => {
-                self.runners
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(h);
-            }
-            Err(e) => {
-                self.respawned.fetch_sub(1, Ordering::SeqCst);
-                eprintln!("[stencilcl] failed to respawn job runner: {e}");
-            }
-        }
-    }
 }
 
 /// A persistent pool of job-runner threads that multiplexes submitted
@@ -194,133 +144,87 @@ impl RunnerCtx {
 /// ([`run_supervised_full`](crate::run_supervised_full)) for one job at a
 /// time.
 ///
-/// Runners are themselves supervised: a runner that dies with an escaped
-/// panic mid-job is detected on its own unwind path, a replacement thread
-/// is spawned to keep the concurrency budget whole, and the victim job is
-/// requeued — up to [`ExecPool::with_requeue_limit`]'s bound, after which
-/// the job's outcome seals as [`ExecError::WorkerPanic`] instead of being
-/// silently lost.
+/// A job that panics anywhere on its runner thread settles as an ordinary
+/// outcome, [`ExecError::WorkerPanic`] with an empty attempt history, and
+/// the same runner takes the next job. The pool never re-runs a job: the
+/// submitter decides, and a scheduler re-admits it through the same door
+/// as any other resume.
 ///
 /// Dropping the pool (or calling [`ExecPool::shutdown`]) closes the
 /// submission channel and joins every runner; jobs already submitted still
 /// run to completion first. A daemon draining *faster* than that cancels
 /// in-flight jobs through their [`CancelHandle`]s before shutting down.
 pub struct ExecPool {
-    ctx: RunnerCtx,
-    workers: usize,
+    /// Taken at drain so blocked `recv()`s observe channel closure.
+    tx: Option<Sender<PoolJob>>,
+    busy: Arc<AtomicUsize>,
+    runners: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for ExecPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExecPool")
-            .field("runners", &self.workers)
-            .field("busy", &self.ctx.busy.load(Ordering::SeqCst))
-            .field("respawned", &self.ctx.respawned.load(Ordering::SeqCst))
+            .field("runners", &self.runners.len())
+            .field("busy", &self.busy())
             .finish()
     }
 }
 
 impl ExecPool {
-    /// Spawns `workers` (≥ 1, clamped) persistent runner threads with the
-    /// default panic-requeue budget of 2 per job.
+    /// Spawns `workers` (≥ 1, clamped) persistent runner threads.
     pub fn new(workers: usize) -> ExecPool {
-        ExecPool::with_requeue_limit(workers, 2)
-    }
-
-    /// [`ExecPool::new`] with an explicit bound on how many times one job
-    /// may be requeued after killing its runner with an escaped panic.
-    pub fn with_requeue_limit(workers: usize, max_requeues: u32) -> ExecPool {
-        let workers = workers.max(1);
         let (tx, rx) = unbounded::<PoolJob>();
-        let ctx = RunnerCtx {
-            rx,
-            tx: Arc::new(Mutex::new(Some(tx))),
-            busy: Arc::new(AtomicUsize::new(0)),
-            respawned: Arc::new(AtomicUsize::new(0)),
-            runners: Arc::new(Mutex::new(Vec::with_capacity(workers))),
-            seq: Arc::new(AtomicUsize::new(0)),
-            max_requeues,
-        };
-        {
-            let mut runners = ctx.runners.lock().unwrap_or_else(PoisonError::into_inner);
-            for i in 0..workers {
-                let ctx = ctx.clone();
-                runners.push(
-                    thread::Builder::new()
-                        .name(format!("stencil-job-runner-{i}"))
-                        .spawn(move || runner_loop(&ctx))
-                        .expect("spawn job runner"),
-                );
-            }
+        let busy = Arc::new(AtomicUsize::new(0));
+        let runners = (0..workers.max(1))
+            .map(|i| {
+                let rx = rx.clone();
+                let busy = Arc::clone(&busy);
+                thread::Builder::new()
+                    .name(format!("stencil-job-runner-{i}"))
+                    .spawn(move || runner_loop(&rx, &busy))
+                    .expect("spawn job runner")
+            })
+            .collect();
+        ExecPool {
+            tx: Some(tx),
+            busy,
+            runners,
         }
-        ExecPool { ctx, workers }
-    }
-
-    /// A pool sized to the host's available parallelism.
-    pub fn with_host_parallelism() -> ExecPool {
-        let n = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        ExecPool::new(n)
     }
 
     /// Number of runner threads (the concurrency budget).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.runners.len()
     }
 
     /// Runners currently executing a job.
     pub fn busy(&self) -> usize {
-        self.ctx.busy.load(Ordering::SeqCst)
+        self.busy.load(Ordering::SeqCst)
     }
 
-    /// Runner threads respawned after dying with an escaped panic.
-    pub fn respawned(&self) -> usize {
-        self.ctx.respawned.load(Ordering::SeqCst)
-    }
-
-    /// Submits a job; `on_done` runs on the runner thread right after the
-    /// supervisor returns. Never blocks — excess submissions queue in FIFO
-    /// order until a runner frees up.
-    pub fn submit(&self, spec: JobSpec, on_done: impl FnOnce(JobOutcome) + Send + 'static) {
-        self.enqueue(spec, None, Box::new(on_done));
-    }
-
-    /// [`ExecPool::submit`] with an additional `on_start` callback, run on
-    /// the runner thread immediately before the supervisor is entered —
-    /// the seam a scheduler uses to move a job from queued to running.
-    pub fn submit_with_start(
+    /// Submits a job. `on_start` runs on the runner thread immediately
+    /// before the supervisor is entered — the seam a scheduler uses to move
+    /// a job from queued to running — and `on_done` right after the job
+    /// settles. Never blocks: excess submissions queue in FIFO order until
+    /// a runner frees up.
+    pub fn submit(
         &self,
         spec: JobSpec,
         on_start: impl FnOnce() + Send + 'static,
         on_done: impl FnOnce(JobOutcome) + Send + 'static,
     ) {
-        self.enqueue(spec, Some(Box::new(on_start)), Box::new(on_done));
-    }
-
-    fn enqueue(&self, spec: JobSpec, on_start: Option<OnStart>, on_done: OnDone) {
-        let tx = self.ctx.tx.lock().unwrap_or_else(PoisonError::into_inner);
-        let tx = tx.as_ref().expect("pool already shut down");
-        // A send can only fail if every runner died, which only happens
-        // after shutdown took `tx`; treat it as a bug loudly.
+        let tx = self.tx.as_ref().expect("pool already shut down");
+        // Runners outlive the sender and never exit while it is open, so a
+        // failed send is a bug; say so loudly.
         assert!(
             tx.send(PoolJob {
                 spec: Box::new(spec),
-                on_start,
-                on_done,
-                requeues: 0,
+                on_start: Box::new(on_start),
+                on_done: Box::new(on_done),
             })
             .is_ok(),
             "job pool runners gone"
         );
-    }
-
-    /// [`ExecPool::submit`] returning a [`JobWaiter`] instead of taking a
-    /// callback — the convenient shape for tests and benches.
-    pub fn submit_waiter(&self, spec: JobSpec) -> JobWaiter {
-        let (tx, rx) = unbounded();
-        self.submit(spec, move |outcome| {
-            let _ = tx.send(outcome);
-        });
-        JobWaiter(rx)
     }
 
     /// Closes the submission channel and joins every runner after the jobs
@@ -330,37 +234,15 @@ impl ExecPool {
     }
 
     fn drain_and_join(&mut self) {
-        drop(
-            self.ctx
-                .tx
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-        );
+        drop(self.tx.take());
         let me = thread::current().id();
-        // Joined runners may respawn replacements on their way down (a
-        // panic guard runs before the thread exits), so loop until the
-        // handle list stays empty.
-        loop {
-            let handles = std::mem::take(
-                &mut *self
-                    .ctx
-                    .runners
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                // A runner can end up dropping the pool itself (e.g. its
-                // job callback held the last reference to the pool's
-                // owner); a thread cannot join itself, so that runner is
-                // detached — it exits on its own once the closed channel
-                // drains.
-                if h.thread().id() != me {
-                    let _ = h.join();
-                }
+        for h in self.runners.drain(..) {
+            // A runner can end up dropping the pool itself (e.g. its job
+            // callback held the last reference to the pool's owner); a
+            // thread cannot join itself, so that runner is detached — it
+            // exits on its own once the closed channel drains.
+            if h.thread().id() != me {
+                let _ = h.join();
             }
         }
     }
@@ -372,71 +254,50 @@ impl Drop for ExecPool {
     }
 }
 
-/// Blocks on one pooled job's outcome.
-#[derive(Debug)]
-pub struct JobWaiter(Receiver<JobOutcome>);
-
-impl JobWaiter {
-    /// Waits for the job to finish.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool shut down without running the job (cannot happen
-    /// while the pool that issued this waiter is alive).
-    pub fn wait(self) -> JobOutcome {
-        self.0.recv().expect("job pool dropped the job")
-    }
-
-    /// Waits up to `timeout`; `None` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        self.0.recv_timeout(timeout).ok()
-    }
-}
-
-fn runner_loop(ctx: &RunnerCtx) {
-    while let Ok(job) = ctx.rx.recv() {
-        ctx.busy.fetch_add(1, Ordering::SeqCst);
-        let mut guard = RunGuard {
-            job: Some(job),
-            ctx: ctx.clone(),
-        };
-        run_one(&mut guard);
-        ctx.busy.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Runs one pooled job to its outcome. Called under a [`RunGuard`]: if
-/// anything in here panics, the guard's `Drop` requeues (or seals) the job
-/// and respawns a replacement runner.
-fn run_one(guard: &mut RunGuard) {
+fn runner_loop(rx: &Receiver<PoolJob>, busy: &AtomicUsize) {
+    while let Ok(PoolJob {
+        mut spec,
+        on_start,
+        on_done,
+    }) = rx.recv()
     {
-        let job = guard.job.as_mut().expect("guard holds the job");
-        if let Some(f) = job.on_start.take() {
-            f();
-        }
-        match job.spec.opts.faults.fire_job() {
-            Some(FaultKind::RunnerPanicAtJob) => {
-                panic!("injected fault: runner panic at job pickup")
-            }
-            Some(FaultKind::StallJob(ms)) => stall(&job.spec.opts, ms),
-            _ => {}
-        }
-    }
-    let (report, result) = {
-        let job = guard.job.as_mut().expect("guard holds the job");
-        execute(&mut job.spec)
-    };
-    // Past this point the job is settled: disarm the guard so a panic
-    // inside `on_done` cannot re-run a finished job.
-    let job = guard.job.take().expect("guard holds the job");
-    let JobSpec { state, .. } = *job.spec;
-    let _ = catch_unwind(AssertUnwindSafe(move || {
-        (job.on_done)(JobOutcome {
-            state,
-            report,
-            result,
+        busy.fetch_add(1, Ordering::SeqCst);
+        // A panic anywhere in the job — injected at pickup, or escaping the
+        // supervisor — settles it as a lost runner; the thread lives on.
+        let (report, result) = catch_unwind(AssertUnwindSafe(|| {
+            on_start();
+            run_one(&mut spec)
+        }))
+        .unwrap_or_else(|_| {
+            let report = RunReport {
+                attempts: Vec::new(),
+                path: RecoveryPath::Threaded,
+            };
+            (report, Err(ExecError::WorkerPanic { kernel: 0 }))
         });
-    }));
+        let JobSpec { state, .. } = *spec;
+        let _ = catch_unwind(AssertUnwindSafe(move || {
+            on_done(JobOutcome {
+                state,
+                report,
+                result,
+            });
+        }));
+        busy.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Runs one pooled job to its outcome: the job-level fault hook, then the
+/// supervisor.
+fn run_one(spec: &mut JobSpec) -> (RunReport, Result<(), ExecError>) {
+    match spec.opts.faults.fire_job() {
+        Some(FaultKind::RunnerPanicAtJob) => {
+            panic!("injected fault: runner panic at job pickup")
+        }
+        Some(FaultKind::StallJob(ms)) => stall(&spec.opts, ms),
+        _ => {}
+    }
+    execute(spec)
 }
 
 /// Dispatches one job through the supervisor — resume-first when the spec
@@ -476,66 +337,6 @@ fn stall(opts: &ExecOptions, ms: u64) {
     }
 }
 
-/// Panic containment for one in-flight job. While armed (holding the job),
-/// an unwind through the runner requeues the job — bounded by the pool's
-/// requeue limit, past which the outcome seals as
-/// [`ExecError::WorkerPanic`] — and respawns a replacement runner thread so
-/// the concurrency budget survives the loss.
-struct RunGuard {
-    job: Option<PoolJob>,
-    ctx: RunnerCtx,
-}
-
-impl Drop for RunGuard {
-    fn drop(&mut self) {
-        let Some(mut job) = self.job.take() else {
-            return;
-        };
-        if !thread::panicking() {
-            return;
-        }
-        // The runner_loop's matching fetch_sub never runs on this thread
-        // again — the unwind is killing it — so settle the count here.
-        self.ctx.busy.fetch_sub(1, Ordering::SeqCst);
-        job.requeues += 1;
-        if job.requeues <= self.ctx.max_requeues {
-            // Requeue through a transient clone of the pool's sender —
-            // runners never hold one persistently, so a drained pool's
-            // channel still closes. A `None` here means the pool is
-            // draining: nothing will pick the job up, so seal it below.
-            let tx = self
-                .ctx
-                .tx
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            if let Some(tx) = tx {
-                match tx.send(job) {
-                    Ok(()) => {
-                        self.ctx.respawn();
-                        return;
-                    }
-                    Err(back) => job = back.0,
-                }
-            }
-        }
-        // Respawn before delivering the outcome: anyone the delivery wakes
-        // must already observe the replaced runner.
-        self.ctx.respawn();
-        let PoolJob { spec, on_done, .. } = job;
-        let JobSpec { state, .. } = *spec;
-        let outcome = JobOutcome {
-            state,
-            report: RunReport {
-                attempts: Vec::new(),
-                path: RecoveryPath::Threaded,
-            },
-            result: Err(ExecError::WorkerPanic { kernel: 0 }),
-        };
-        let _ = catch_unwind(AssertUnwindSafe(move || on_done(outcome)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,37 +362,58 @@ mod tests {
         (v * 0.001).sin()
     }
 
-    #[test]
-    fn pooled_jobs_match_the_direct_supervisor_bit_exactly() {
-        let (program, partition) = spec(6);
+    /// A fresh 24² Jacobi job with `iterations` and `opts`.
+    fn job(iterations: u64, opts: ExecOptions) -> JobSpec {
+        let (program, partition) = spec(iterations);
+        JobSpec {
+            state: GridState::new(&program, init),
+            program,
+            partition,
+            opts,
+            resume_dir: None,
+        }
+    }
+
+    /// The direct supervisor's digest for [`job`]`(iterations, default)`.
+    fn oracle_digest(iterations: u64) -> u64 {
+        let (program, partition) = spec(iterations);
         let mut oracle = GridState::new(&program, init);
         let (_, result) =
             run_supervised_full(&program, &partition, &mut oracle, &ExecOptions::default());
         result.unwrap();
+        oracle.digest()
+    }
 
+    /// Submits `spec` and hands back a channel that yields its outcome.
+    fn submit_waiting(pool: &ExecPool, spec: JobSpec) -> Receiver<JobOutcome> {
+        let (tx, rx) = unbounded();
+        pool.submit(
+            spec,
+            || {},
+            move |outcome| {
+                let _ = tx.send(outcome);
+            },
+        );
+        rx
+    }
+
+    #[test]
+    fn pooled_jobs_match_the_direct_supervisor_bit_exactly() {
+        let expected = oracle_digest(6);
         let pool = ExecPool::new(2);
-        let waiters: Vec<JobWaiter> = (0..4)
-            .map(|_| {
-                pool.submit_waiter(JobSpec {
-                    program: program.clone(),
-                    partition: partition.clone(),
-                    state: GridState::new(&program, init),
-                    opts: ExecOptions::default(),
-                    resume_dir: None,
-                })
-            })
+        let waiters: Vec<Receiver<JobOutcome>> = (0..4)
+            .map(|_| submit_waiting(&pool, job(6, ExecOptions::default())))
             .collect();
         for w in waiters {
-            let out = w.wait();
+            let out = w.recv().unwrap();
             out.result.unwrap();
-            assert_eq!(out.state.digest(), oracle.digest());
+            assert_eq!(out.state.digest(), expected);
         }
         pool.shutdown();
     }
 
     #[test]
     fn cancel_handle_aborts_promptly_with_the_permanent_error() {
-        let (program, partition) = spec(100_000);
         let cancel = CancelHandle::new();
         let observer = cancel.clone();
         let teardown = CancelHandle::new();
@@ -605,22 +427,13 @@ mod tests {
             }));
 
         let pool = ExecPool::new(1);
-        let waiter = pool.submit_waiter(JobSpec {
-            program,
-            partition,
-            state: GridState::new(
-                &programs::jacobi_2d().with_extent(Extent::new2(24, 24)),
-                init,
-            ),
-            opts,
-            resume_dir: None,
-        });
+        let waiter = submit_waiting(&pool, job(100_000, opts));
         // Let at least one barrier land, then cancel.
         while progressed.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         cancel.cancel();
-        let out = waiter.wait();
+        let out = waiter.recv().unwrap();
         match out.result {
             Err(ExecError::JobCancelled { completed }) => {
                 assert!(completed < 100_000, "cancel landed before the end");
@@ -639,11 +452,11 @@ mod tests {
     fn drop_joins_all_runners() {
         let pool = ExecPool::new(3);
         assert_eq!(pool.workers(), 3);
-        // Every runner owns a clone of the shared context until it exits,
-        // so once the drop has joined them all the probe is the last owner.
+        // Every runner owns a clone of the busy gauge until it exits, so
+        // once the drop has joined them all the probe is the last owner.
         // (The process-wide `live_workers` gauge is no witness here: runners
         // do not register in it, and concurrent tests move it.)
-        let probe = Arc::clone(&pool.ctx.busy);
+        let probe = Arc::clone(&pool.busy);
         drop(pool);
         assert_eq!(Arc::strong_count(&probe), 1);
     }
@@ -652,86 +465,57 @@ mod tests {
     mod chaos {
         use super::*;
         use crate::faults::{FaultKind, FaultPlan};
+        use std::sync::Mutex;
 
         #[test]
-        fn runner_panic_respawns_and_the_job_still_completes_bit_exact() {
-            let (program, partition) = spec(6);
-            let mut oracle = GridState::new(&program, init);
-            let (_, result) =
-                run_supervised_full(&program, &partition, &mut oracle, &ExecOptions::default());
-            result.unwrap();
-
-            let plan = FaultPlan::new().inject_job(FaultKind::RunnerPanicAtJob);
+        fn a_panicking_job_settles_as_worker_panic_and_the_runner_serves_on() {
             let pool = ExecPool::new(1);
-            let waiter = pool.submit_waiter(JobSpec {
-                program,
-                partition,
-                state: GridState::new(
-                    &programs::jacobi_2d().with_extent(Extent::new2(24, 24)),
-                    init,
-                ),
-                opts: ExecOptions::default().faults(Arc::new(plan)),
-                resume_dir: None,
-            });
-            let out = waiter.wait();
-            out.result.unwrap();
-            assert_eq!(out.state.digest(), oracle.digest());
-            assert_eq!(pool.respawned(), 1, "one replacement runner spawned");
-            pool.shutdown();
-        }
-
-        #[test]
-        fn requeue_budget_exhaustion_seals_the_job_as_worker_panic() {
-            let (program, partition) = spec(6);
-            let plan = FaultPlan::new()
-                .inject_job(FaultKind::RunnerPanicAtJob)
-                .inject_job(FaultKind::RunnerPanicAtJob);
-            // Budget of one requeue: the first panic requeues, the second
-            // (the injected schedule re-fires on pickup) exhausts it.
-            let pool = ExecPool::with_requeue_limit(1, 1);
-            let waiter = pool.submit_waiter(JobSpec {
-                program,
-                partition,
-                state: GridState::new(
-                    &programs::jacobi_2d().with_extent(Extent::new2(24, 24)),
-                    init,
-                ),
-                opts: ExecOptions::default().faults(Arc::new(plan)),
-                resume_dir: None,
-            });
-            let out = waiter.wait();
-            match out.result {
-                Err(ExecError::WorkerPanic { .. }) => {}
-                other => panic!("expected WorkerPanic after budget exhaustion, got {other:?}"),
+            let runners = Arc::new(Mutex::new(Vec::new()));
+            let mut waiters = Vec::new();
+            for opts in [
+                ExecOptions::default().faults(Arc::new(
+                    FaultPlan::new().inject_job(FaultKind::RunnerPanicAtJob),
+                )),
+                ExecOptions::default(),
+            ] {
+                let (tx, rx) = unbounded();
+                let seen = Arc::clone(&runners);
+                pool.submit(
+                    job(6, opts),
+                    move || seen.lock().unwrap().push(thread::current().id()),
+                    move |outcome| {
+                        let _ = tx.send(outcome);
+                    },
+                );
+                waiters.push(rx);
             }
-            assert_eq!(pool.respawned(), 2, "both dead runners were replaced");
+            let panicked = waiters[0].recv().unwrap();
+            assert_eq!(panicked.result, Err(ExecError::WorkerPanic { kernel: 0 }));
+            assert!(panicked.report.attempts.is_empty());
+            let next = waiters[1].recv().unwrap();
+            next.result.unwrap();
+            assert_eq!(next.state.digest(), oracle_digest(6));
+            let runners = runners.lock().unwrap().clone();
+            assert_eq!(runners.len(), 2);
+            assert_eq!(runners[0], runners[1], "the same runner took both jobs");
             pool.shutdown();
         }
 
         #[test]
         fn stalled_job_stays_responsive_to_cancellation() {
-            let (program, partition) = spec(100_000);
             let plan = FaultPlan::new().inject_job(FaultKind::StallJob(60_000));
             let cancel = CancelHandle::new();
             let pool = ExecPool::new(1);
-            let waiter = pool.submit_waiter(JobSpec {
-                program,
-                partition,
-                state: GridState::new(
-                    &programs::jacobi_2d().with_extent(Extent::new2(24, 24)),
-                    init,
-                ),
-                opts: ExecOptions::default()
-                    .cancel(cancel.clone())
-                    .faults(Arc::new(plan)),
-                resume_dir: None,
-            });
+            let opts = ExecOptions::default()
+                .cancel(cancel.clone())
+                .faults(Arc::new(plan));
+            let waiter = submit_waiting(&pool, job(100_000, opts));
             // The stall fires before the first barrier; cancel must cut
             // through it long before the 60 s stall elapses.
             thread::sleep(Duration::from_millis(20));
             cancel.cancel();
             let out = waiter
-                .wait_timeout(Duration::from_secs(10))
+                .recv_timeout(Duration::from_secs(10))
                 .expect("cancel cut through the injected stall");
             match out.result {
                 Err(ExecError::JobCancelled { .. }) => {}

@@ -136,12 +136,12 @@ pub use domains::DomainPlan;
 pub use error::ExecError;
 pub use faults::{FaultKind, FaultPlan};
 pub use integrity::{HealthMode, HealthPolicy};
-pub use jobs::{CancelHandle, ExecPool, JobOutcome, JobSpec, JobWaiter, Progress};
+pub use jobs::{CancelHandle, ExecPool, JobOutcome, JobSpec, Progress};
 pub use options::ExecOptions;
 pub use overlapped::run_overlapped_opts;
 pub use persist::{
     load_latest, policy_fingerprint, program_hash, resume_supervised_full, CheckpointManifest,
-    CheckpointPolicy, CheckpointStore, DesignSpec, DirStore, GridMeta, LoadedCheckpoint,
+    CheckpointPolicy, DesignSpec, DirStore, GridMeta, LoadedCheckpoint,
 };
 pub use pipeshare::run_pipe_shared_opts;
 pub use reference::run_reference_opts;

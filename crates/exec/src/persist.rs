@@ -387,19 +387,12 @@ fn decode_checkpoint(
     Ok((manifest, grids))
 }
 
-/// Where checkpoint generations live. [`DirStore`] is the production
-/// filesystem implementation; tests substitute in-memory or misbehaving
-/// stores to exercise the fallback ladder.
-pub trait CheckpointStore {
-    /// Durably stores `bytes` as generation `generation`. Must be atomic:
-    /// after an error, either the full generation exists or none of it.
-    fn save(&self, generation: u64, bytes: &[u8]) -> io::Result<()>;
-    /// Reads back one generation.
-    fn load(&self, generation: u64) -> io::Result<Vec<u8>>;
-    /// All stored generation numbers, ascending. An empty store is `Ok`.
-    fn generations(&self) -> io::Result<Vec<u64>>;
-    /// Deletes one generation (pruning).
-    fn remove(&self, generation: u64) -> io::Result<()>;
+/// Parses `ckpt-<generation>.stckpt` back into its generation number.
+fn parse_generation(name: &str) -> Option<u64> {
+    name.strip_prefix("ckpt-")?
+        .strip_suffix(".stckpt")?
+        .parse()
+        .ok()
 }
 
 /// Filesystem checkpoint store: one `ckpt-<generation>.stckpt` file per
@@ -433,18 +426,10 @@ impl DirStore {
     fn generation_path(&self, generation: u64) -> PathBuf {
         self.dir.join(format!("ckpt-{generation:08}.stckpt"))
     }
-}
 
-/// Parses `ckpt-<generation>.stckpt` back into its generation number.
-fn parse_generation(name: &str) -> Option<u64> {
-    name.strip_prefix("ckpt-")?
-        .strip_suffix(".stckpt")?
-        .parse()
-        .ok()
-}
-
-impl CheckpointStore for DirStore {
-    fn save(&self, generation: u64, bytes: &[u8]) -> io::Result<()> {
+    /// Durably stores `bytes` as generation `generation`, atomically:
+    /// after an error, either the full generation exists or none of it.
+    pub fn save(&self, generation: u64, bytes: &[u8]) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         let fault = self.faults.fire_io(IoOp::Write, generation);
         if matches!(fault, Some(FaultKind::FsyncFail)) {
@@ -485,7 +470,8 @@ impl CheckpointStore for DirStore {
         Ok(())
     }
 
-    fn load(&self, generation: u64) -> io::Result<Vec<u8>> {
+    /// Reads back one generation.
+    pub fn load(&self, generation: u64) -> io::Result<Vec<u8>> {
         let bytes = fs::read(self.generation_path(generation))?;
         Ok(match self.faults.fire_io(IoOp::Read, generation) {
             Some(FaultKind::ShortRead) => bytes[..bytes.len() / 2].to_vec(),
@@ -493,7 +479,8 @@ impl CheckpointStore for DirStore {
         })
     }
 
-    fn generations(&self) -> io::Result<Vec<u64>> {
+    /// All stored generation numbers, ascending. An empty store is `Ok`.
+    pub fn generations(&self) -> io::Result<Vec<u64>> {
         let mut out = Vec::new();
         let entries = match fs::read_dir(&self.dir) {
             Ok(e) => e,
@@ -510,7 +497,8 @@ impl CheckpointStore for DirStore {
         Ok(out)
     }
 
-    fn remove(&self, generation: u64) -> io::Result<()> {
+    /// Deletes one generation (pruning).
+    pub fn remove(&self, generation: u64) -> io::Result<()> {
         fs::remove_file(self.generation_path(generation))
     }
 }
@@ -540,7 +528,7 @@ pub struct LoadedCheckpoint {
 /// hash-incompatible, or every generation fails validation; the detail
 /// string carries the per-generation diagnostics.
 pub fn load_latest(
-    store: &dyn CheckpointStore,
+    store: &DirStore,
     expected_program_hash: Option<u64>,
 ) -> Result<LoadedCheckpoint, ExecError> {
     let generations = store

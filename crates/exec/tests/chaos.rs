@@ -10,9 +10,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use stencilcl_exec::{
     load_latest, resume_supervised_full, run_reference_opts, run_supervised_full,
-    run_supervised_opts, run_threaded_opts, AttemptMode, CheckpointPolicy, CheckpointStore,
-    DirStore, ExecError, ExecOptions, ExecPolicy, FaultKind, FaultPlan, HealthPolicy, Recorder,
-    RecoveryPath,
+    run_supervised_opts, run_threaded_opts, AttemptMode, CheckpointPolicy, DirStore, ExecError,
+    ExecOptions, ExecPolicy, FaultKind, FaultPlan, HealthPolicy, Recorder, RecoveryPath,
 };
 use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point};
 use stencilcl_lang::{programs, GridState, Program, StencilFeatures};

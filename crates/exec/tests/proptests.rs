@@ -422,7 +422,7 @@ proptest! {
         seed in 0i64..1000,
     ) {
         use stencilcl_exec::{resume_supervised_full, run_supervised_full, CheckpointPolicy,
-                             CheckpointStore, DirStore};
+                             DirStore};
         let n = 20usize;
         let src = format!(
             "stencil ckpt {{ grid A[{n}][{n}] : f32; iterations {iters};

@@ -12,8 +12,8 @@ use stencilcl_opt::balance_tiles;
 
 use crate::protocol::DesignRequest;
 
-/// Hard cap on submitted grid volume — the same bound the CLI enforces
-/// for host-side execution.
+/// Hard cap on grid volume for host-side execution — submitted jobs and
+/// the CLI's `validate`, `trace` and `run` alike.
 pub const MAX_VOLUME: u64 = 1 << 22;
 
 /// The deterministic initial-condition the service fills submitted grids
@@ -40,72 +40,90 @@ pub struct PlannedJob {
     pub spec: DesignSpec,
 }
 
-/// Parses the source and builds the design/partition, mirroring the CLI's
-/// validation: fused ≥ 1, dimensions must match, baseline designs are
-/// rejected (the service drives the supervised pipe executors), and the
-/// grid volume is bounded.
-pub fn plan(source: &str, req: &DesignRequest) -> Result<PlannedJob, String> {
-    let program = parse(source).map_err(|e| e.to_string())?;
-    if program.extent().volume() > MAX_VOLUME {
-        return Err("input too large for host-side execution; shrink the grid".into());
+/// Parses a design kind as the CLI's `--kind`, a job request and a
+/// checkpoint manifest all spell it.
+pub fn parse_kind(raw: &str) -> Result<DesignKind, String> {
+    match raw {
+        "baseline" => Ok(DesignKind::Baseline),
+        "pipe" | "pipe-shared" => Ok(DesignKind::PipeShared),
+        "hetero" | "heterogeneous" => Ok(DesignKind::Heterogeneous),
+        other => Err(format!("unknown design kind `{other}`")),
     }
-    let kind = match req.kind.as_str() {
-        "pipe" | "pipe-shared" => DesignKind::PipeShared,
-        "hetero" | "heterogeneous" => DesignKind::Heterogeneous,
-        "baseline" => {
-            return Err("the service drives the supervised pipe executors; \
-                        use kind `pipe` or `hetero`"
-                .into())
-        }
-        other => return Err(format!("unknown design kind `{other}`")),
-    };
-    if req.fused == 0 {
-        return Err("fused 0 is not a design: at least one iteration must be \
-                    fused per pass (use fused 1 for no temporal reuse)"
-            .into());
+}
+
+/// Builds one design point of `program` — fused ≥ 1, dimensions must
+/// match, heterogeneous tiles balanced per dimension — and its partition,
+/// plus the manifest-ready spec in canonical spelling. Every design kind
+/// builds, baseline included; callers that only execute pipe designs
+/// reject baseline themselves.
+pub fn build_design(
+    program: &Program,
+    kind: DesignKind,
+    fused: u64,
+    parallelism: &[usize],
+    tile: &[usize],
+) -> Result<(Design, Partition, DesignSpec), String> {
+    if fused == 0 {
+        return Err(
+            "fused 0 is not a design (--fused 0): at least one iteration \
+                    must be fused per pass (use fused 1 for no temporal reuse)"
+                .into(),
+        );
     }
     let dim = program.dim();
-    if req.parallelism.len() != dim || req.tile.len() != dim {
+    if parallelism.len() != dim || tile.len() != dim {
         return Err(format!(
             "design is {}-D but program is {dim}-D",
-            req.parallelism.len().max(req.tile.len())
+            parallelism.len().max(tile.len())
         ));
     }
-    let f = StencilFeatures::extract(&program).map_err(|e| e.to_string())?;
+    let f = StencilFeatures::extract(program).map_err(|e| e.to_string())?;
     let design = if kind == DesignKind::Heterogeneous {
         let lens = (0..dim)
             .map(|d| {
-                let region = req.parallelism[d] * req.tile[d];
+                let region = parallelism[d] * tile[d];
                 let boundary = f.extent.len(d) / region > 1;
-                balance_tiles(
-                    region,
-                    req.parallelism[d],
-                    &f.growth,
-                    d,
-                    req.fused,
-                    boundary,
-                    2,
-                )
-                .ok_or_else(|| format!("cannot balance dimension {d}"))
+                balance_tiles(region, parallelism[d], &f.growth, d, fused, boundary, 2)
+                    .ok_or_else(|| format!("cannot balance dimension {d}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Design::heterogeneous(req.fused, lens).map_err(|e| e.to_string())?
+        Design::heterogeneous(fused, lens).map_err(|e| e.to_string())?
     } else {
-        Design::equal(kind, req.fused, req.parallelism.clone(), req.tile.clone())
+        Design::equal(kind, fused, parallelism.to_vec(), tile.to_vec())
             .map_err(|e| e.to_string())?
     };
     let partition = Partition::new(f.extent, &design, &f.growth).map_err(|e| e.to_string())?;
     let spec = DesignSpec {
         kind: match kind {
+            DesignKind::Baseline => "baseline",
             DesignKind::PipeShared => "pipe",
             DesignKind::Heterogeneous => "hetero",
-            DesignKind::Baseline => unreachable!("rejected above"),
         }
         .to_string(),
-        fused: req.fused,
-        parallelism: req.parallelism.clone(),
-        tile: req.tile.clone(),
+        fused,
+        parallelism: parallelism.to_vec(),
+        tile: tile.to_vec(),
     };
+    Ok((design, partition, spec))
+}
+
+/// Parses the source and builds the design/partition with
+/// [`build_design`], the CLI's builder: baseline designs are rejected (the
+/// service drives the supervised pipe executors), and the grid volume is
+/// bounded.
+pub fn plan(source: &str, req: &DesignRequest) -> Result<PlannedJob, String> {
+    let program = parse(source).map_err(|e| e.to_string())?;
+    if program.extent().volume() > MAX_VOLUME {
+        return Err("input too large for host-side execution; shrink the grid".into());
+    }
+    let kind = parse_kind(&req.kind)?;
+    if kind == DesignKind::Baseline {
+        return Err("the service drives the supervised pipe executors; \
+                    use kind `pipe` or `hetero`"
+            .into());
+    }
+    let (_, partition, spec) =
+        build_design(&program, kind, req.fused, &req.parallelism, &req.tile)?;
     Ok(PlannedJob {
         program,
         partition,

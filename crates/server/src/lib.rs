@@ -25,7 +25,7 @@ pub mod journal;
 pub mod protocol;
 pub mod scheduler;
 
-pub use design::{default_init, plan, PlannedJob};
+pub use design::{build_design, default_init, parse_kind, plan, PlannedJob, MAX_VOLUME};
 pub use http::{IngressLimits, Server};
 pub use jobs::{JobDone, JobRecord, TenantBook};
 pub use journal::{Journal, OpenJob, Replay, SettledJob};

@@ -46,8 +46,14 @@
 //! heartbeat against the timeout, cancels silent jobs through their cancel
 //! handles, and re-admits them from their latest sealed checkpoint — up to
 //! `max_auto_resumes` times, after which the job seals with the structured
-//! [`ExecError::JobStalled`] error. The same bound caps how many times the
-//! pool requeues a job whose runner died with an escaped panic.
+//! [`ExecError::JobStalled`] error.
+//!
+//! A job whose runner panicked settles as [`ExecError::WorkerPanic`] (the
+//! supervisor retries and degrades inner worker panics, so that error can
+//! only mean a lost runner) and is re-admitted the same way, from its
+//! newest sealed checkpoint, under the same budget; past it the job seals
+//! with the `WorkerPanic` error. Either way the resume is journalled and
+//! counted in the job's `restarts`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -90,9 +96,9 @@ pub struct SchedulerConfig {
     /// progress heartbeat has been silent this long. `None` (default)
     /// disarms the watchdog.
     pub stall_timeout: Option<Duration>,
-    /// How many times one job may be auto-resumed (watchdog stalls) or
-    /// requeued (runner lost to an escaped panic) before it seals with a
-    /// structured error instead.
+    /// How many times one job may be auto-resumed — after a watchdog stall
+    /// or a lost (panicked) runner, from its newest sealed checkpoint —
+    /// before it seals with a structured error instead.
     pub max_auto_resumes: u32,
     /// Deterministic job-level fault schedule shared with every submitted
     /// job — the chaos seam the resilience tests arm. A zero-sized no-op
@@ -197,9 +203,6 @@ pub struct Scheduler {
     /// Jobs settled in a *previous* incarnation, replayed from the journal
     /// so their status/result queries keep answering instead of 404ing.
     settled: Mutex<BTreeMap<String, SettledJob>>,
-    /// Pool respawn count already published to the `RunnerRespawns`
-    /// counter (counters are additive; only deltas are recorded).
-    published_respawns: AtomicU64,
     /// Daemon-wide recorder: admission counters, queue-depth high-water
     /// mark, and the JobQueued/JobStart/JobDone bookkeeping spans.
     recorder: Recorder,
@@ -216,7 +219,7 @@ impl Scheduler {
         } else {
             cfg.workers
         };
-        let pool = ExecPool::with_requeue_limit(workers, cfg.max_auto_resumes);
+        let pool = ExecPool::new(workers);
         let journal = cfg.state_dir.as_deref().map(|dir| {
             Journal::open(dir)
                 .unwrap_or_else(|e| panic!("cannot open job journal under {}: {e}", dir.display()))
@@ -239,7 +242,6 @@ impl Scheduler {
             journal,
             requests: Mutex::new(BTreeMap::new()),
             settled: Mutex::new(BTreeMap::new()),
-            published_respawns: AtomicU64::new(0),
             recorder: Recorder::new(),
         });
         sched.recover(replay);
@@ -409,7 +411,7 @@ impl Scheduler {
             opts,
             resume_dir,
         };
-        self.pool.submit_with_start(
+        self.pool.submit(
             spec,
             {
                 let sched = Arc::downgrade(self);
@@ -453,8 +455,9 @@ impl Scheduler {
 
     /// The runner returned an outcome. Either the job seals (terminal
     /// phase, journal `done`/`interrupted`, quota released) or — when the
-    /// watchdog cancelled it for silence and budget remains — it is
-    /// re-admitted from its latest sealed checkpoint.
+    /// watchdog cancelled it for silence, or its runner panicked, and
+    /// budget remains — it is re-admitted from its latest sealed
+    /// checkpoint.
     fn complete(self: &Arc<Scheduler>, record: &Arc<JobRecord>, outcome: JobOutcome) {
         {
             let mut depth = self.depth.lock().unwrap_or_else(PoisonError::into_inner);
@@ -463,12 +466,13 @@ impl Scheduler {
         let stalled = record.take_stalled();
         let watchdog_cancel =
             stalled && matches!(outcome.result, Err(ExecError::JobCancelled { .. }));
-        if watchdog_cancel && !self.is_draining() {
+        let lost_runner = matches!(outcome.result, Err(ExecError::WorkerPanic { .. }));
+        if (watchdog_cancel || lost_runner) && !self.is_draining() {
             if record.restarts() < u64::from(self.cfg.max_auto_resumes) {
                 if self.resume(record) {
                     return;
                 }
-            } else {
+            } else if watchdog_cancel {
                 // Auto-resume budget spent: seal with the structured
                 // stall error instead of a generic cancellation.
                 let completed = record.completed();
@@ -541,8 +545,8 @@ impl Scheduler {
             .span(0, 0, TracePhase::JobDone, now, self.recorder.now().max(now));
     }
 
-    /// Re-admits a watchdog-cancelled job from its latest sealed
-    /// checkpoint generation. Returns false when the job cannot be
+    /// Re-admits a watchdog-cancelled or runner-lost job from its latest
+    /// sealed checkpoint generation. Returns false when the job cannot be
     /// re-planned (its request vanished — should not happen), in which
     /// case the caller seals it instead.
     fn resume(self: &Arc<Scheduler>, record: &Arc<JobRecord>) -> bool {
@@ -745,14 +749,6 @@ impl Scheduler {
             let depth = self.depth.lock().unwrap_or_else(PoisonError::into_inner);
             (depth.queued, depth.running)
         };
-        // Publish any pool respawns since the last snapshot (counters are
-        // additive; only the delta is recorded).
-        let respawned = self.pool.respawned() as u64;
-        let published = self.published_respawns.swap(respawned, Ordering::SeqCst);
-        if respawned > published {
-            self.recorder
-                .add(Counter::RunnerRespawns, respawned - published);
-        }
         Metrics {
             pool_workers: self.pool.workers() as u64,
             busy_runners: self.pool.busy() as u64,

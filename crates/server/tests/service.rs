@@ -539,12 +539,25 @@ mod chaos {
         drop(server);
     }
 
-    /// A runner thread lost to an escaped panic is respawned and the
-    /// victim job requeued; the pool never shrinks and the job completes.
+    /// Every journal record the daemon under `state` wrote for `job`.
+    fn journal_events(state: &std::path::Path, job: &str) -> Vec<Value> {
+        std::fs::read_to_string(state.join("journal.jsonl"))
+            .expect("journal exists")
+            .lines()
+            .map(parse)
+            .filter(|v| v.get("job") == Some(&Value::Str(job.to_string())))
+            .collect()
+    }
+
+    /// A job whose runner panicked comes back the way a stalled one does:
+    /// the scheduler re-admits it from its checkpoint, journals `resumed`,
+    /// counts the restart, and the job completes bit-exact.
     #[test]
-    fn a_runner_panic_respawns_the_thread_and_requeues_the_job() {
+    fn a_runner_panic_re_admits_the_job_through_resume() {
+        let state = scratch_dir("runner-panic");
         let (server, addr) = boot(SchedulerConfig {
             workers: 1,
+            state_dir: Some(state.clone()),
             faults: Arc::new(FaultPlan::new().inject_job(FaultKind::RunnerPanicAtJob)),
             ..SchedulerConfig::default()
         });
@@ -556,17 +569,48 @@ mod chaos {
         assert_eq!(field_str(&v, "phase"), "Done", "{}", resp.body);
         assert_eq!(field_str(&v, "digest"), expected);
 
-        let resp = get(addr, "/metrics").expect("metrics");
-        let m = parse(&resp.body);
-        let respawns = m
-            .get("counters")
-            .and_then(|c| c.get("runner_respawns"))
-            .cloned();
+        let resp = get(addr, &format!("/v1/jobs/{job}")).expect("status");
         assert!(
-            matches!(respawns, Some(Value::UInt(1..)) | Some(Value::Int(1..))),
-            "runner_respawns missing: {}",
+            field_u64(&parse(&resp.body), "restarts") >= 1,
+            "{}",
             resp.body
         );
         drop(server);
+        let events = journal_events(&state, &job);
+        assert!(
+            events
+                .iter()
+                .any(|e| e.get("event") == Some(&Value::Str("resumed".into()))),
+            "no `resumed` record: {events:?}"
+        );
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// With a zero auto-resume budget a lost runner seals the job as a
+    /// structured `WorkerPanic` failure instead of re-admitting it.
+    #[test]
+    fn an_exhausted_resume_budget_seals_a_runner_panic_as_worker_panic() {
+        let state = scratch_dir("runner-panic-budget");
+        let (server, addr) = boot(SchedulerConfig {
+            workers: 1,
+            state_dir: Some(state.clone()),
+            max_auto_resumes: 0,
+            faults: Arc::new(FaultPlan::new().inject_job(FaultKind::RunnerPanicAtJob)),
+            ..SchedulerConfig::default()
+        });
+        let job = submit_ok(addr, &submit_body("acme", HEAT, "{}"));
+        let resp = get(addr, &format!("/v1/jobs/{job}/result?wait_ms=60000")).expect("result");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let v = parse(&resp.body);
+        assert_eq!(field_str(&v, "phase"), "Failed", "{}", resp.body);
+        let error = field_str(&v, "error");
+        assert!(error.contains("panicked"), "unexpected error: {error}");
+        drop(server);
+        let done = journal_events(&state, &job)
+            .into_iter()
+            .find(|e| e.get("event") == Some(&Value::Str("done".into())))
+            .expect("journalled `done`");
+        assert_eq!(field_str(&done, "error"), "WorkerPanic");
+        let _ = std::fs::remove_dir_all(&state);
     }
 }

@@ -195,7 +195,6 @@ impl Recorder {
             queue_depth: self.counter(Counter::QueueDepth),
             jobs_recovered: self.counter(Counter::JobsRecovered),
             jobs_stalled: self.counter(Counter::JobsStalled),
-            runner_respawns: self.counter(Counter::RunnerRespawns),
         }
     }
 
@@ -336,8 +335,6 @@ pub struct CounterSnapshot {
     pub jobs_recovered: u64,
     /// Jobs cancelled by the stuck-job watchdog after a silent heartbeat.
     pub jobs_stalled: u64,
-    /// Pool runners respawned after an escaped panic.
-    pub runner_respawns: u64,
 }
 
 impl Deserialize for CounterSnapshot {
@@ -367,7 +364,6 @@ impl Deserialize for CounterSnapshot {
                 queue_depth: field("queue_depth")?,
                 jobs_recovered: field("jobs_recovered")?,
                 jobs_stalled: field("jobs_stalled")?,
-                runner_respawns: field("runner_respawns")?,
             }),
             other => Err(serde::DeError::expected(
                 "object for CounterSnapshot",
@@ -535,6 +531,16 @@ mod tests {
         );
         assert_eq!(t.spans[1].phase, TracePhase::Read);
         t.validate_spans().expect("well-formed");
+    }
+
+    #[test]
+    fn counter_snapshots_decode_across_counter_set_changes() {
+        // A snapshot missing a counter reads it as 0; a key for a counter
+        // that no longer exists (`runner_respawns`) is ignored.
+        let old = r#"{"cells_computed":7,"runner_respawns":2}"#;
+        let snap: CounterSnapshot = serde_json::from_str(old).expect("old snapshot decodes");
+        assert_eq!(snap.cells_computed, 7);
+        assert_eq!(snap.jobs_stalled, 0);
     }
 
     #[test]

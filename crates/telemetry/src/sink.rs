@@ -57,14 +57,11 @@ pub enum Counter {
     /// stall timeout — each one is cancelled and auto-resumed (or failed
     /// once the resume budget is spent).
     JobsStalled,
-    /// Pool runner threads respawned after dying with an escaped panic;
-    /// the victim job is requeued.
-    RunnerRespawns,
 }
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 17] = [
         Counter::HaloBytes,
         Counter::SlabsSent,
         Counter::SlabsReceived,
@@ -82,7 +79,6 @@ impl Counter {
         Counter::QueueDepth,
         Counter::JobsRecovered,
         Counter::JobsStalled,
-        Counter::RunnerRespawns,
     ];
 
     /// Stable index into counter arrays.
@@ -105,7 +101,6 @@ impl Counter {
             Counter::QueueDepth => 14,
             Counter::JobsRecovered => 15,
             Counter::JobsStalled => 16,
-            Counter::RunnerRespawns => 17,
         }
     }
 
@@ -129,7 +124,6 @@ impl Counter {
             Counter::QueueDepth => "queue_depth",
             Counter::JobsRecovered => "jobs_recovered",
             Counter::JobsStalled => "jobs_stalled",
-            Counter::RunnerRespawns => "runner_respawns",
         }
     }
 }
