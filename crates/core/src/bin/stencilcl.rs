@@ -40,14 +40,17 @@
 //!     as JSON to `--report-json`, and exits nonzero if the run was
 //!     aborted.
 //!
-//! stencilcl resume <ckpt-dir> [--deadline-ms N] [--retries N]
+//! stencilcl resume <ckpt-dir> [--health-bound X] [--health-stride N]
+//!                  [--integrity on|off] [--retries N] [--ckpt-every N]
 //!                  [--report-json FILE]
 //!     Resume a killed run from the newest valid checkpoint generation in
 //!     <ckpt-dir>. The program and design are rebuilt from the sealed
 //!     manifest — no source file needed. The resumed run continues
 //!     checkpointing into the same store, inherits the original absolute
 //!     deadline (an expired one fails instead of granting new time), and
-//!     produces the same grid digest an uninterrupted run would have.
+//!     produces the same grid digest an uninterrupted run would have. The
+//!     store and the deadline come from the manifest, so `resume` takes no
+//!     `--ckpt-dir` or `--deadline-ms`.
 //!
 //! stencilcl serve [--addr HOST:PORT] [--max-jobs N] [--max-queue N]
 //!                 [--quota N] [--state-dir DIR] [--stall-timeout-ms N]
@@ -78,7 +81,7 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use stencilcl::prelude::*;
@@ -111,7 +114,8 @@ const USAGE: &str = "usage:
                      [--deadline-ms N] [--health-bound X] [--health-stride N]
                      [--integrity on|off] [--retries N]
                      [--ckpt-dir DIR] [--ckpt-every N] [--report-json FILE]
-  stencilcl resume   <ckpt-dir> [--deadline-ms N] [--retries N] [--report-json FILE]
+  stencilcl resume   <ckpt-dir> [--health-bound X] [--health-stride N] [--integrity on|off]
+                     [--retries N] [--ckpt-every N] [--report-json FILE]
   stencilcl serve    [--addr HOST:PORT] [--max-jobs N] [--max-queue N] [--quota N]
                      [--state-dir DIR] [--stall-timeout-ms N] [--max-auto-resumes N]";
 
@@ -133,8 +137,8 @@ fn run(args: &[String]) -> Result<String, String> {
 /// The explicit design-point flags (`codegen`, `validate`, `trace`, `run`).
 const DESIGN_FLAGS: &[&str] = &["kind", "fused", "parallelism", "tile"];
 
-/// The supervision flags `run` and `resume` read through
-/// [`supervised_options`] and [`write_report_json`].
+/// The supervision flags `run` reads through [`supervised_options`] and
+/// [`write_report_json`].
 const SUPERVISION_FLAGS: &[&str] = &[
     "deadline-ms",
     "health-bound",
@@ -142,6 +146,18 @@ const SUPERVISION_FLAGS: &[&str] = &[
     "integrity",
     "retries",
     "ckpt-dir",
+    "ckpt-every",
+    "report-json",
+];
+
+/// The supervision flags `resume` reads: those of `run` except
+/// `--deadline-ms` and `--ckpt-dir`, which the manifest's deadline
+/// remainder and the resumed store replace.
+const RESUME_FLAGS: &[&str] = &[
+    "health-bound",
+    "health-stride",
+    "integrity",
+    "retries",
     "ckpt-every",
     "report-json",
 ];
@@ -411,8 +427,13 @@ fn trace_cmd(args: &[String]) -> Result<String, String> {
 /// correct order is [`ExecOptions::from_config`] first, flags after.
 /// Absent flags leave the env-derived value intact (an env-armed health
 /// watchdog stays armed); `--integrity` alone defaults to on, the `run`
-/// command's documented baseline.
-fn supervised_options(cfg: &EnvConfig, opts: &Opts) -> Result<ExecOptions, String> {
+/// command's documented baseline. `store` is the checkpoint store a
+/// resume continues into; it stands in for `--ckpt-dir`.
+fn supervised_options(
+    cfg: &EnvConfig,
+    opts: &Opts,
+    store: Option<&Path>,
+) -> Result<ExecOptions, String> {
     let mut exec_opts = ExecOptions::from_config(cfg);
     if let Some(v) = opts.get("deadline-ms") {
         let ms: u64 = v.parse().map_err(|_| format!("bad --deadline-ms `{v}`"))?;
@@ -452,8 +473,8 @@ fn supervised_options(cfg: &EnvConfig, opts: &Opts) -> Result<ExecOptions, Strin
         "off" | "false" | "0" => false,
         other => return Err(format!("bad --integrity `{other}` (on|off)")),
     };
-    if let Some(dir) = opts.get("ckpt-dir") {
-        exec_opts.checkpoint.dir = Some(PathBuf::from(dir));
+    if let Some(dir) = store.or_else(|| opts.get("ckpt-dir").map(Path::new)) {
+        exec_opts.checkpoint.dir = Some(dir.to_path_buf());
     }
     if let Some(v) = opts.get("ckpt-every") {
         let every: u64 = v.parse().map_err(|_| format!("bad --ckpt-every `{v}`"))?;
@@ -514,7 +535,7 @@ fn run_cmd(args: &[String]) -> Result<String, String> {
         return Err("run drives the supervised pipe executors; use --kind pipe or hetero".into());
     }
 
-    let mut exec_opts = supervised_options(EnvConfig::get(), &opts)?;
+    let mut exec_opts = supervised_options(EnvConfig::get(), &opts, None)?;
     if exec_opts.checkpoint.enabled() {
         // Seal the resolved design into every manifest so `stencilcl
         // resume <dir>` needs neither the source file nor the flags.
@@ -568,7 +589,7 @@ fn run_cmd(args: &[String]) -> Result<String, String> {
 }
 
 fn resume_cmd(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args, SUPERVISION_FLAGS)?;
+    let opts = Opts::parse(args, RESUME_FLAGS)?;
     let dir = opts.path.clone();
     // Peek at the newest valid manifest to rebuild the program and the
     // partition; the resume entry point re-validates on its own load.
@@ -590,7 +611,7 @@ fn resume_cmd(args: &[String]) -> Result<String, String> {
     }
     let (design, partition, _) =
         build_design(&program, kind, spec.fused, &spec.parallelism, &spec.tile)?;
-    let mut exec_opts = supervised_options(EnvConfig::get(), &opts)?;
+    let mut exec_opts = supervised_options(EnvConfig::get(), &opts, Some(&dir))?;
     exec_opts.checkpoint.design = Some(spec);
 
     let mut out = String::new();
@@ -814,7 +835,7 @@ mod tests {
             "--integrity",
             "off",
         ]);
-        let exec = supervised_options(&cfg, &opts).unwrap();
+        let exec = supervised_options(&cfg, &opts, None).unwrap();
         assert_eq!(
             exec.policy.deadline,
             Some(std::time::Duration::from_millis(250))
@@ -830,7 +851,7 @@ mod tests {
             ("STENCILCL_HEALTH_BOUND", "1e9"),
             ("STENCILCL_HEALTH_STRIDE", "3"),
         ]);
-        let exec = supervised_options(&cfg, &flag_opts(&[])).unwrap();
+        let exec = supervised_options(&cfg, &flag_opts(&[]), None).unwrap();
         assert_eq!(
             exec.policy.deadline,
             Some(std::time::Duration::from_millis(1000))
@@ -846,12 +867,16 @@ mod tests {
     #[test]
     fn health_stride_flag_refines_an_env_armed_watchdog() {
         let cfg = frozen_config(&[("STENCILCL_HEALTH_BOUND", "1e9")]);
-        let exec = supervised_options(&cfg, &flag_opts(&["--health-stride", "9"])).unwrap();
+        let exec = supervised_options(&cfg, &flag_opts(&["--health-stride", "9"]), None).unwrap();
         assert!(exec.health.enabled());
         assert_eq!(exec.health.stride, 9);
         // Without any bound the stride flag still has nothing to refine.
-        let err = supervised_options(&frozen_config(&[]), &flag_opts(&["--health-stride", "9"]))
-            .unwrap_err();
+        let err = supervised_options(
+            &frozen_config(&[]),
+            &flag_opts(&["--health-stride", "9"]),
+            None,
+        )
+        .unwrap_err();
         assert!(err.contains("--health-bound"), "{err}");
     }
 
@@ -896,6 +921,7 @@ mod tests {
         let exec = supervised_options(
             &cfg,
             &flag_opts(&["--ckpt-dir", "/tmp/flag-ckpt", "--ckpt-every", "2"]),
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -905,22 +931,23 @@ mod tests {
         assert_eq!(exec.checkpoint.every_barriers, 2);
         // Env alone arms checkpointing; flags alone arm it; cadence without
         // a directory is a usage error.
-        let exec = supervised_options(&cfg, &flag_opts(&[])).unwrap();
+        let exec = supervised_options(&cfg, &flag_opts(&[]), None).unwrap();
         assert_eq!(
             exec.checkpoint.dir.as_deref(),
             Some("/tmp/env-ckpt".as_ref())
         );
         assert_eq!(exec.checkpoint.every_barriers, 5);
         let bare = frozen_config(&[]);
-        assert!(!supervised_options(&bare, &flag_opts(&[]))
+        assert!(!supervised_options(&bare, &flag_opts(&[]), None)
             .unwrap()
             .checkpoint
             .enabled());
-        let err = supervised_options(&bare, &flag_opts(&["--ckpt-every", "2"])).unwrap_err();
+        let err = supervised_options(&bare, &flag_opts(&["--ckpt-every", "2"]), None).unwrap_err();
         assert!(err.contains("--ckpt-dir"), "{err}");
         let err = supervised_options(
             &bare,
             &flag_opts(&["--ckpt-dir", "/tmp/x", "--ckpt-every", "0"]),
+            None,
         )
         .unwrap_err();
         assert!(err.contains("--ckpt-every"), "{err}");
@@ -984,6 +1011,23 @@ mod tests {
         assert!(out.contains("resume completed"), "{out}");
         assert_eq!(digest_line(&out), expect);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_the_flags_its_manifest_overrides() {
+        // The manifest's deadline remainder and the resumed store replace
+        // both, so accepting them would silently ignore the caller.
+        let dir = scratch_dir("resumeflags");
+        let store = dir.to_string_lossy().to_string();
+        for extra in [["--deadline-ms", "0"], ["--ckpt-dir", "X"]] {
+            let mut args = vec!["resume".to_string(), store.clone()];
+            args.extend(extra.iter().map(|s| s.to_string()));
+            let err = run(&args).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag `{}`", extra[0])),
+                "{err}"
+            );
+        }
     }
 
     #[test]

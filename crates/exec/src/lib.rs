@@ -20,8 +20,9 @@
 //!   re-simulation.
 //!
 //! The two pipe executors are two drivers of **one** per-kernel pipe
-//! step: load the kernel's window, compute a statement boundary-first and
-//! emit its slabs, splice the neighbors' slabs, store the tile. The
+//! step: load the kernel's window, sweep a statement over its domain and
+//! commit it, gather and emit its slabs from the committed window, splice
+//! the neighbors' slabs, store the tile. The
 //! threaded pool runs one step per worker thread and moves slabs over
 //! channels; the sequential executor runs every kernel's step in lockstep
 //! on the calling thread and buffers the slabs. Routing — each kernel's

@@ -415,60 +415,36 @@ pub(crate) fn check_slab_step(
     }
 }
 
-/// Reusable per-run scratch for [`apply_statement_split`]: the boundary
-/// cache (values + occupancy, keyed by the cell's linear index inside the
-/// clipped domain), the committed-values buffer, and the tape walk's value
-/// stack. Hoisting these into one allocation per run (instead of
-/// fresh vectors per fused block and statement) removes the allocator from
-/// the inner loop.
+/// Reusable per-run scratch for [`apply_statement_split`]: the swept
+/// values of the clipped domain and the row walk's value stack, allocated
+/// once per run instead of per fused block and statement.
 #[derive(Debug, Default)]
 pub(crate) struct SplitScratch {
-    cached: Vec<f64>,
-    have: Vec<bool>,
     values: Vec<f64>,
-    stack: Vec<f64>,
     eval: stencilcl_lang::EvalScratch,
-}
-
-impl SplitScratch {
-    fn reset(&mut self, volume: usize) {
-        self.cached.clear();
-        self.cached.resize(volume, 0.0);
-        self.have.clear();
-        self.have.resize(volume, false);
-        self.values.clear();
-    }
-}
-
-/// Clipped-domain linear index of `p` (row-major over `clipped`), the key
-/// of the boundary cache.
-fn clipped_lin(clipped: &Rect, p: &stencilcl_grid::Point) -> usize {
-    let lo = clipped.lo();
-    let mut i = 0u64;
-    for d in 0..clipped.dim() {
-        i = i * clipped.len(d) + (p.coord(d) - lo.coord(d)) as u64;
-    }
-    i as usize
 }
 
 /// Applies statement `s` over the **pre-clipped** local domain `clipped`
 /// (already intersected with the statement's updatable interior — see
-/// [`DepthPlans::local_domain`]) with the paper's latency-hiding element
-/// ordering (Section 3.1): the cells feeding outgoing slabs are evaluated
-/// first — against the pristine pre-statement state — and each slab is
-/// handed to `emit` before any interior work, so downstream kernels can
-/// start consuming while this kernel computes its interior. All writes
-/// commit only after every evaluation, preserving the snapshot semantics
-/// (and therefore bit-exactness with the reference execution).
+/// [`DepthPlans::local_domain`]), then hands every outgoing slab to `emit`.
 ///
-/// Both the boundary cache and the interior are evaluated through the
-/// statement's bytecode tape; the interior is a row-major sweep over
-/// contiguous rows through the row-chunk walk
-/// ([`CompiledProgram::eval_row_into`]), no `Point` construction, and
-/// bounds proven once per row. Boundary cells already in the cache are
-/// recomputed as part of their row — the cache is memoization over the
-/// unmutated pre-statement state, so the recompute is bit-identical and
-/// the row stays contiguous for the chunked tape passes.
+/// The domain is swept once, row by row, through the row-chunk walk
+/// ([`CompiledProgram::eval_row_into`]) against the unmutated
+/// pre-statement state, and committed with one `write_window`. Each slab
+/// is then read from the committed window: its cells inside `clipped`
+/// carry the swept values, and its cells outside (grid-boundary cells
+/// the statement never updates) still carry their pre-statement values,
+/// because the commit writes `clipped` and nothing else. Snapshot
+/// semantics, and therefore bit-exactness with the reference execution,
+/// hold because every evaluation precedes the commit.
+///
+/// Section 3.1 evaluates the slab cells first so a neighbor can start
+/// early; the simulator and the generated OpenCL keep that order. The host
+/// step does not: that order needs every slab cell memoized or evaluated
+/// twice, and at 1024²×64, pipe 4×4, fused 4 that bookkeeping made one
+/// sequential pipe step cost about twice the plain sweep per cell, while a
+/// 2-core host has no idle core for an early slab to feed. Gathering after
+/// the sweep costs one row copy per overlap row.
 ///
 /// `outs[e].rect` is the local-coordinate source rect of outgoing slab
 /// `e`; `emit(e, values)` receives the post-statement values of the target
@@ -487,40 +463,10 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
     if S::ACTIVE {
         sink.add(Counter::CellsComputed, clipped.volume());
     }
-    scratch.reset(clipped.volume() as usize);
     let target = cp.kernel(s).target();
-    {
+    if !clipped.is_empty() {
+        scratch.values.clear();
         let views = cp.views(local)?;
-        for (e, link) in outs.iter().enumerate() {
-            let overlap = &link.rect;
-            let mut values = local.grid(target)?.read_window(overlap)?;
-            if !clipped.is_empty() {
-                for (slot, p) in overlap.iter().enumerate() {
-                    if clipped.contains(&p) {
-                        let i = clipped_lin(clipped, &p);
-                        let v = if scratch.have[i] {
-                            scratch.cached[i]
-                        } else {
-                            let idx = cp.extent().linearize(&p)?;
-                            let v = cp.eval_idx(s, &views, idx, &mut scratch.stack);
-                            scratch.cached[i] = v;
-                            scratch.have[i] = true;
-                            v
-                        };
-                        values[slot] = v;
-                    }
-                }
-            }
-            emit(e, values)?;
-        }
-        if clipped.is_empty() {
-            return Ok(());
-        }
-        // Interior sweep: whole contiguous rows through the
-        // lane-parallel tape walk. The boundary cache above is pure
-        // memoization — `local` is unmutated until the write below —
-        // so re-evaluating cached cells as part of their row is
-        // bit-identical and keeps the sweep branch-free.
         let row_len = clipped.len(clipped.dim() - 1) as usize;
         for start in clipped.row_starts() {
             let base = cp.extent().linearize(&start)?;
@@ -533,9 +479,14 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
                 &mut scratch.values,
             )?;
         }
+        local
+            .grid_mut(target)?
+            .write_window(clipped, &scratch.values)?;
     }
-    let target_grid = local.grid_mut(target)?;
-    target_grid.write_window(clipped, &scratch.values)?;
+    let target_grid = local.grid(target)?;
+    for (e, link) in outs.iter().enumerate() {
+        emit(e, target_grid.read_window(&link.rect)?)?;
+    }
     Ok(())
 }
 
@@ -601,10 +552,10 @@ impl<'p, S: TraceSink> KernelStep<'p, S> {
         Ok(())
     }
 
-    /// Computes statement `at.1` of fused level `i` in region `r` and hands
-    /// every outgoing slab — tagged with the global step `at` and, under
-    /// integrity, sealed with its pipe's sequence number — to `emit` before
-    /// the interior is swept.
+    /// Computes statement `at.1` of fused level `i` in region `r`, then
+    /// hands every outgoing slab — gathered from the swept window, tagged
+    /// with the global step `at` and, under integrity, sealed with its
+    /// pipe's sequence number — to `emit`.
     pub fn compute(
         &mut self,
         depth: &DepthPlans,

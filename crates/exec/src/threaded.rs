@@ -95,9 +95,9 @@ struct WorkerCtx<S: TraceSink> {
 /// This is the threaded driver of the one per-kernel pipe step that
 /// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) drives
 /// sequentially: each worker runs its kernel's step — refresh the halo
-/// ring of its persistent local window, compute each statement with the
-/// boundary cells feeding the pipes evaluated and sent before the interior
-/// (Section 3.1 of the paper), splice the neighbors' slabs as they arrive,
+/// ring of its persistent local window, sweep each statement and send the
+/// slabs the pipes carry, gathered from the swept window, splice the
+/// neighbors' slabs as they arrive,
 /// and write its tile back into the spare global buffer — while the main
 /// thread runs the shared barrier loop, broadcasting one order per fused
 /// block. Results must be identical to the sequential driver (and

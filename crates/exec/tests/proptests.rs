@@ -184,6 +184,7 @@ proptest! {
         regions in 1usize..=2,
         hetero in 0usize..=1,
         skew in 0usize..2,
+        narrow in 0usize..=2,
         fused in 1u64..=3,
         iters in 1u64..=6,
         lanes in 1usize..=9,
@@ -202,7 +203,14 @@ proptest! {
         let program = parse(&src).unwrap();
         let design = if hetero == 1 {
             let lens = split(2 * t, 2, skew);
-            Design::heterogeneous(fused, vec![lens.clone(), lens]).unwrap()
+            // A 1- or 2-column first tile (no narrower than the stencil's
+            // column reach, which partitioning requires): its outgoing
+            // slabs are columns that run through the grid's top and bottom
+            // boundary rows, which lie outside the statement's clipped
+            // domain.
+            let w = narrow.max(lj.max(hj) as usize);
+            let cols = if narrow > 0 { vec![w, 2 * t - w] } else { lens.clone() };
+            Design::heterogeneous(fused, vec![lens, cols]).unwrap()
         } else {
             Design::equal(DesignKind::PipeShared, fused, vec![2, 2], vec![t, t]).unwrap()
         };

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{Extent, GridError, Point, Rect};
+use crate::{Extent, GridError, Point, Rect, MAX_DIM};
 
 /// A dense, row-major N-dimensional array of stencil data.
 ///
@@ -133,8 +133,7 @@ impl<T: Clone> Grid<T> {
             return Ok(out);
         }
         let row_len = clipped.len(clipped.dim() - 1) as usize;
-        for start in clipped.row_starts() {
-            let base = self.extent.linearize(&start)?;
+        for base in RowStarts::new(&self.extent, &clipped)? {
             out.extend_from_slice(&self.data[base..base + row_len]);
         }
         Ok(out)
@@ -163,11 +162,9 @@ impl<T: Clone> Grid<T> {
             return Ok(());
         }
         let row_len = clipped.len(clipped.dim() - 1) as usize;
-        let mut off = 0usize;
-        for start in clipped.row_starts() {
-            let base = self.extent.linearize(&start)?;
-            self.data[base..base + row_len].clone_from_slice(&values[off..off + row_len]);
-            off += row_len;
+        let rows = RowStarts::new(&self.extent, &clipped)?;
+        for (base, row) in rows.zip(values.chunks_exact(row_len)) {
+            self.data[base..base + row_len].clone_from_slice(row);
         }
         Ok(())
     }
@@ -204,12 +201,72 @@ impl<T: Clone> Grid<T> {
             return Ok(());
         }
         let row_len = dst_clip.len(dst_clip.dim() - 1) as usize;
-        for (dst_start, src_start) in dst_clip.row_starts().zip(src_clip.row_starts()) {
-            let d = self.extent.linearize(&dst_start)?;
-            let s = src.extent.linearize(&src_start)?;
+        let dst_rows = RowStarts::new(&self.extent, &dst_clip)?;
+        for (d, s) in dst_rows.zip(RowStarts::new(&src.extent, &src_clip)?) {
             self.data[d..d + row_len].clone_from_slice(&src.data[s..s + row_len]);
         }
         Ok(())
+    }
+}
+
+/// Linear indices of the row starts of a non-empty box inside an extent,
+/// in row-major order: one [`Extent::linearize`] of the box's corner, then
+/// an odometer over the leading axes that adds each axis's stride and, on
+/// wrap, takes back the whole axis it walked. No `Point` is built per row,
+/// so a one-cell-wide column costs one add per cell.
+struct RowStarts {
+    next: usize,
+    rows: usize,
+    /// Leading axes only (the last axis is the row itself).
+    outer: usize,
+    strides: [usize; MAX_DIM],
+    lens: [usize; MAX_DIM],
+    cursor: [usize; MAX_DIM],
+}
+
+impl RowStarts {
+    fn new(extent: &Extent, rect: &Rect) -> Result<Self, GridError> {
+        let dim = rect.dim();
+        let next = extent.linearize(&rect.lo())?;
+        let mut strides = [0usize; MAX_DIM];
+        let mut lens = [0usize; MAX_DIM];
+        let mut stride = 1usize;
+        for d in (0..dim).rev() {
+            strides[d] = stride;
+            lens[d] = rect.len(d) as usize;
+            stride *= extent.len(d);
+        }
+        let outer = dim - 1;
+        Ok(RowStarts {
+            next,
+            rows: lens[..outer].iter().product(),
+            outer,
+            strides,
+            lens,
+            cursor: [0; MAX_DIM],
+        })
+    }
+}
+
+impl Iterator for RowStarts {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.rows == 0 {
+            return None;
+        }
+        self.rows -= 1;
+        let start = self.next;
+        for d in (0..self.outer).rev() {
+            self.cursor[d] += 1;
+            if self.cursor[d] < self.lens[d] {
+                self.next += self.strides[d];
+                break;
+            }
+            self.cursor[d] = 0;
+            self.next -= (self.lens[d] - 1) * self.strides[d];
+        }
+        Some(start)
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property-based tests for the geometric substrate.
 
 use proptest::prelude::*;
-use stencilcl_grid::{Cone, Design, DesignKind, Extent, FaceKind, Growth, Partition, Point, Rect};
+use stencilcl_grid::{
+    Cone, Design, DesignKind, Extent, FaceKind, Grid, Growth, Partition, Point, Rect,
+};
 
 fn arb_extent() -> impl Strategy<Value = Extent> {
     (1usize..=3).prop_flat_map(|dim| {
@@ -164,6 +166,80 @@ proptest! {
                     prop_assert!(g.hi(d) >= c as u64);
                 }
             }
+        }
+    }
+}
+
+/// Per axis: the grid length, the window's low corner and length (reaching
+/// past both grid edges, and empty at length 0), and the offset of the
+/// source window that `copy_window_from` reads.
+type WindowAxis = (usize, i64, i64, i64);
+
+fn arb_window_case() -> impl Strategy<Value = Vec<WindowAxis>> {
+    (1usize..=3).prop_flat_map(|dim| {
+        prop::collection::vec((1usize..=9, -3i64..=9, 0i64..=12, -4i64..=4), dim)
+    })
+}
+
+fn window_rect(lo: impl Iterator<Item = i64>, hi: impl Iterator<Item = i64>) -> Rect {
+    let lo: Vec<i64> = lo.collect();
+    let hi: Vec<i64> = hi.collect();
+    Rect::new(Point::new(&lo).unwrap(), Point::new(&hi).unwrap()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The row-stride walks of the three window copies agree with a
+    // point-by-point oracle: every clipped cell in row-major order, and
+    // nothing outside the clipped window touched.
+    #[test]
+    fn window_copies_match_a_per_point_oracle(
+        axes in arb_window_case(),
+        column in 0usize..=1,
+    ) {
+        let mut axes = axes;
+        if column == 1 {
+            // A one-cell-wide column: every row is a single cell.
+            axes.last_mut().unwrap().2 = 1;
+        }
+        let lens: Vec<usize> = axes.iter().map(|a| a.0).collect();
+        let extent = Extent::new(&lens).unwrap();
+        let window = window_rect(axes.iter().map(|a| a.1), axes.iter().map(|a| a.1 + a.2));
+        let clipped = Rect::from_extent(&extent).intersect(&window).unwrap();
+        let grid = Grid::from_fn(extent, |p| extent.linearize(p).unwrap() as i64);
+
+        let want: Vec<i64> = clipped.iter().map(|p| *grid.get(&p).unwrap()).collect();
+        prop_assert_eq!(grid.read_window(&window).unwrap(), want);
+
+        let values: Vec<i64> = (0..clipped.volume() as i64).map(|v| -1 - v).collect();
+        let mut written = grid.clone();
+        written.write_window(&window, &values).unwrap();
+        let mut oracle = grid.clone();
+        for (p, v) in clipped.iter().zip(&values) {
+            oracle.set(&p, *v).unwrap();
+        }
+        prop_assert_eq!(written.as_slice(), oracle.as_slice());
+
+        let src_window = window_rect(
+            axes.iter().map(|a| a.1 + a.3),
+            axes.iter().map(|a| a.1 + a.2 + a.3),
+        );
+        let src = Grid::from_fn(extent, |p| 1000 + extent.linearize(p).unwrap() as i64);
+        let src_clip = Rect::from_extent(&extent).intersect(&src_window).unwrap();
+        let same_shape = (0..extent.dim()).all(|d| clipped.len(d) == src_clip.len(d));
+        let mut copied = grid.clone();
+        let result = copied.copy_window_from(&window, &src, &src_window);
+        if same_shape {
+            prop_assert!(result.is_ok());
+            let mut oracle = grid.clone();
+            for (d, s) in clipped.iter().zip(src_clip.iter()) {
+                oracle.set(&d, *src.get(&s).unwrap()).unwrap();
+            }
+            prop_assert_eq!(copied.as_slice(), oracle.as_slice());
+        } else {
+            prop_assert!(result.is_err());
+            prop_assert_eq!(copied.as_slice(), grid.as_slice());
         }
     }
 }

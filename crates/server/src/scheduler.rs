@@ -210,9 +210,11 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Boots the scheduler: freezes the env snapshot, spawns the
-    /// persistent pool (the only place executor concurrency is created —
-    /// submission never spawns), opens the journal and replays it to
-    /// re-admit interrupted jobs, and arms the stuck-job watchdog.
+    /// persistent pool of job runners (submission never adds a runner; a
+    /// runner executing a pipe job still spawns one thread per kernel in
+    /// the threaded executor, for that job's lifetime), opens the journal
+    /// and replays it to re-admit interrupted jobs, and arms the stuck-job
+    /// watchdog.
     pub fn new(cfg: SchedulerConfig) -> Arc<Scheduler> {
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
