@@ -5,7 +5,7 @@
 //! Exercises the robustness ladder of `run_supervised_opts` on Jacobi-2D:
 //! a clean threaded run, fault-free supervision (its overhead), a
 //! checkpointed retry after a pipe stall, recovery from a worker panic,
-//! and forced degradation to the sequential executor — each checked
+//! and forced degradation to one worker — each checked
 //! bit-exactly against `run_reference_opts` and timed.
 
 use std::sync::Arc;

@@ -16,17 +16,18 @@
 
 use std::fmt;
 
-/// What an injected fault makes the targeted worker do at the start of the
-/// triggering fused block.
+/// What an injected fault makes the worker that owns the targeted kernel
+/// do at the start of the triggering fused block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultKind {
-    /// The worker thread panics — the watchdog must classify the silent,
-    /// dead worker as [`ExecError::WorkerPanic`](crate::ExecError).
+    /// The kernel's step panics — its worker catches the panic and reports
+    /// it as [`ExecError::WorkerPanic`](crate::ExecError) for that kernel.
     WorkerPanic,
-    /// The worker wedges silently (never reports the block) until the pool
-    /// is cancelled — the executor-level shape of a stuck FIFO, classified
-    /// as [`ExecError::PipeStall`](crate::ExecError).
+    /// The worker wedges silently, with every kernel it owns (never
+    /// reports the block), until the pool is cancelled — the
+    /// executor-level shape of a stuck FIFO, classified as
+    /// [`ExecError::PipeStall`](crate::ExecError).
     PipeStall,
     /// The worker delays the block by this many milliseconds before
     /// computing. Below the watchdog deadline the run must absorb the
@@ -156,8 +157,8 @@ mod plan {
             Self::default()
         }
 
-        /// Adds a one-shot fault fired by worker `kernel` when it begins
-        /// global fused block `block` (block indices count from 0 across
+        /// Adds a one-shot fault fired for `kernel` by its worker when it
+        /// begins global fused block `block` (block indices count from 0 across
         /// the whole supervised run, surviving checkpointed retries).
         #[must_use]
         pub fn inject(mut self, kernel: usize, block: u64, kind: FaultKind) -> Self {
@@ -188,8 +189,9 @@ mod plan {
                 .count()
         }
 
-        /// One-shot trigger check, called by worker `kernel` at the start
-        /// of fused block `block`. At most one armed entry fires per call.
+        /// One-shot trigger check, called for `kernel` by its worker at the
+        /// start of fused block `block`. At most one armed entry fires per
+        /// call.
         pub(crate) fn fire(&self, kernel: usize, block: u64) -> Option<FaultKind> {
             self.faults.iter().find_map(|f| {
                 (f.kernel == kernel
@@ -327,6 +329,11 @@ mod plan {
         #[inline]
         pub(crate) fn fire_job(&self) -> Option<FaultKind> {
             None
+        }
+
+        /// Whether the plan is empty: always, without the feature.
+        pub fn is_empty(&self) -> bool {
+            true
         }
     }
 }

@@ -14,42 +14,40 @@
 //!   advance in lockstep and exchange boundary slabs after every statement,
 //!   exactly what the OpenCL pipes carry (works for both equal and
 //!   heterogeneous tilings);
-//! * [`run_threaded_opts`] — the pipe design again, but with a persistent
-//!   pool of one OS thread per kernel and bounded crossbeam channels as the
-//!   pipes: a live concurrent execution of the dataflow, not a
-//!   re-simulation.
+//! * [`run_threaded_opts`] — the pipe design on real threads: a fixed set
+//!   of `min(cores, kernels)` workers (one for a sweep too small to split;
+//!   it runs on the calling thread), each driving a contiguous group of
+//!   tile kernels in lockstep, with bounded crossbeam channels as the pipes
+//!   between groups — a live concurrent execution of the dataflow, not a
+//!   re-simulation. [`run_pipe_shared_opts`] is its one-worker case.
 //!
-//! The two pipe executors are two drivers of **one** per-kernel pipe
-//! step: load the kernel's window, sweep a statement over its domain and
-//! commit it, gather and emit its slabs from the committed window, splice
-//! the neighbors' slabs, store the tile. The
-//! threaded pool runs one step per worker thread and moves slabs over
-//! channels; the sequential executor runs every kernel's step in lockstep
-//! on the calling thread and buffers the slabs. Routing — each kernel's
-//! outgoing and incoming edges, in local coordinates, with the pipe that
-//! carries each — lives in the per-run pipeline plan, and both drivers
-//! splice a receiver's slabs in plan edge order, so a halo corner covered
-//! by two neighbors gets the same last writer in both by construction.
-//! Geometry is planned once, each tile keeps a persistent local window
-//! whose halo ring is refreshed incrementally between fused blocks, and
-//! the global grid is double-buffered instead of snapshot-cloned per
-//! block. One barrier loop, shared by both drivers, checks the deadline,
-//! scans health before committing, swaps the buffers, and offers every
-//! committed barrier to the durable checkpoint writer. The threaded
-//! executor keeps its workers and channels alive for the whole run,
-//! guarded by a watchdog that turns a wedged pipeline into
-//! [`ExecError::PipeStall`]; its deadlines come from an [`ExecPolicy`] and
-//! a failed pool is torn down through its own cooperative
-//! [`CancelHandle`], so worker threads never outlive the call.
+//! One driver runs **one** per-kernel pipe step for every worker count:
+//! load the kernel's window, sweep a statement over its domain and commit
+//! it, gather and emit its slabs from the committed window, splice the
+//! neighbors' slabs, store the tile. Slabs between two kernels of one
+//! worker go through its edge buffer, slabs between workers through a
+//! channel, and every receiver splices in plan edge order, so a halo
+//! corner covered by two neighbors gets the same last writer for every
+//! worker count. Geometry and routing are planned once per run, each tile
+//! keeps a persistent local window whose halo ring is refreshed
+//! incrementally between fused blocks, and the global grid is
+//! double-buffered instead of snapshot-cloned per block. The barrier loop
+//! checks the deadline, scans health before committing, swaps the
+//! buffers, and offers every committed barrier to the durable checkpoint
+//! writer. Workers report their own failures, panics included; a watchdog
+//! turns a silent, wedged pipeline into [`ExecError::PipeStall`], its
+//! deadlines come from an [`ExecPolicy`], and a failed pool is torn down
+//! through its own cooperative [`CancelHandle`], so worker threads never
+//! outlive the call.
 //!
-//! On top of the threaded executor, [`run_supervised_opts`] (and
+//! On top of the pipe executor, [`run_supervised_opts`] (and
 //! [`run_supervised_full`], which also reports failed runs) adds
 //! production robustness: the double-buffered grid is a checkpoint at every
 //! fused-block barrier, transient faults (panics, stalls, pipe-protocol
 //! skew) trigger checkpointed retries with exponential backoff, and once
-//! [`ExecPolicy::max_retries`] is spent the run degrades to the sequential
-//! driver — which keeps sealing checkpoint generations at its own
-//! barriers — every attempt recorded in a [`RunReport`].
+//! [`ExecPolicy::max_retries`] is spent the run degrades to one worker —
+//! which keeps sealing checkpoint generations at its own barriers — every
+//! attempt recorded in a [`RunReport`].
 //! [`resume_supervised_full`] restarts a dead run from its newest durable
 //! checkpoint. The `fault-injection` cargo feature arms a deterministic
 //! fault plan ([`ExecOptions::faults`]) for chaos-testing these paths;
@@ -152,7 +150,7 @@ pub use supervise::{
 };
 pub use threaded::{live_workers, run_threaded_opts};
 pub use verify::{verify_design, ExecMode};
-pub use window::{copy_slab, extract_window, halo_ring, refresh_ring, write_back};
+pub use window::{extract_window, halo_ring, refresh_ring, write_back};
 
 // Telemetry vocabulary re-exported so executor callers need not depend on
 // the telemetry crate directly for the common case.

@@ -70,7 +70,9 @@ pub struct ExecOptions {
     /// behind the service's streamed job events. `None` by default.
     pub progress: Option<Progress>,
     /// Deterministic fault schedule — the chaos-testing seam. Worker
-    /// faults reach the threaded pool, I/O faults the checkpoint store,
+    /// faults reach the pipe pool's workers (never the one-worker
+    /// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) run), I/O
+    /// faults the checkpoint store,
     /// and job-level faults (runner panics, silent stalls) the
     /// [`ExecPool`](crate::ExecPool) runners. Empty by default; without the
     /// `fault-injection` feature this is a zero-sized no-op.

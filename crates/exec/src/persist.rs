@@ -2,7 +2,7 @@
 //! process-level resume.
 //!
 //! The supervisor's in-memory recovery ladder (checkpointed retry, then
-//! sequential degradation) survives *thread* failures but not *process*
+//! one-worker degradation) survives *thread* failures but not *process*
 //! failures — a SIGKILL, OOM kill, or power loss discards every fused-block
 //! barrier the run had reached. This module extends the same checkpoint
 //! discipline to disk:

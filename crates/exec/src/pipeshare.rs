@@ -1,134 +1,41 @@
-use std::sync::PoisonError;
-
 use stencilcl_grid::Partition;
 use stencilcl_lang::{GridState, Program};
-use stencilcl_telemetry::{Disabled, TracePhase, TraceSink};
 
-use crate::integrity::RunLimits;
 use crate::options::ExecOptions;
-use crate::persist::CheckpointWriter;
-use crate::pool::{
-    double_buffer, into_barrier, run_barriers, DriverRun, KernelStep, PipelinePlan, Slab,
-};
+use crate::threaded::{one_worker, run_threaded_opts};
 use crate::ExecError;
 
 /// Runs the paper's pipe-shared execution (equal or heterogeneous tiling):
 /// the tiles of each region advance through the fused iterations in
 /// lockstep, and after every update statement each tile pushes the freshly
 /// computed boundary slab of the statement's target array to its pipe
-/// neighbors, which splice it into their local halos.
+/// neighbors, which splice them into their local halos.
 ///
-/// This is the sequential driver of the one per-kernel pipe step that
-/// [`run_threaded_opts`](crate::run_threaded_opts) drives with a pool of
-/// worker threads: here every kernel's step runs in lockstep on the
-/// calling thread. Per statement, every kernel computes against its own
-/// pre-splice window and its slabs are buffered; then each receiver
-/// splices its slabs in plan edge order — the order a threaded worker
-/// receives them in — so a halo corner covered by two neighbors' slabs
-/// gets the same last writer in both drivers by construction. Both must
-/// match [`run_reference_opts`](crate::run_reference_opts) exactly.
-/// Because this driver is sequential, a trace ([`ExecOptions::trace`])
-/// shows the dataflow's logical order — slab splices appear as `Dependent`
-/// spans on the receiving kernel's row.
-///
-/// All geometry and routing is planned once per run; each tile's local
-/// window persists across fused blocks with only its halo ring refreshed,
-/// and the global grid is double-buffered instead of cloned per block.
+/// This is the one-worker case of
+/// [`run_threaded_opts`](crate::run_threaded_opts): one worker, on the
+/// calling thread, drives every kernel's step and buffers every slab, no
+/// pipe or thread is created,
+/// and injected worker faults ([`ExecOptions::faults`]) do not fire — the
+/// configuration the supervisor degrades to. Like every worker count, it
+/// matches [`run_reference_opts`](crate::run_reference_opts) exactly.
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::BadConfiguration`] for baseline partitions,
-/// [`ExecError::DiagonalAccess`] for non-star stencils, and propagates
-/// geometry/evaluation errors; `state` then holds the grid as of the last
-/// completed fused-block barrier.
+/// As [`run_threaded_opts`](crate::run_threaded_opts); `state` then holds
+/// the grid as of the last completed fused-block barrier.
 pub fn run_pipe_shared_opts(
     program: &Program,
     partition: &Partition,
     state: &mut GridState,
     opts: &ExecOptions,
 ) -> Result<(), ExecError> {
-    let limits = opts.limits();
-    let (_, result) = match &opts.trace {
-        Some(rec) => sequential_run(program, partition, state, opts, 0, limits, None, rec),
-        None => sequential_run(program, partition, state, opts, 0, limits, None, &Disabled),
-    };
-    result
-}
-
-/// The sequential driver, with the same contract as
-/// [`pool_run`](crate::threaded::pool_run) so the supervisor's degraded
-/// attempt is booked like a pool attempt: it keeps the run's lane width,
-/// sink, block numbering, and checkpoint writer, and seals generations at
-/// its own barriers. It never fires injected faults — the fallback must
-/// not be able to wedge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sequential_run<S: TraceSink>(
-    program: &Program,
-    partition: &Partition,
-    state: &mut GridState,
-    opts: &ExecOptions,
-    block_base: u64,
-    limits: RunLimits,
-    ckpt: Option<&CheckpointWriter>,
-    sink: &S,
-) -> (DriverRun, Result<(), ExecError>) {
-    let plan = match PipelinePlan::new(program, partition, opts.lanes) {
-        Ok(plan) => plan,
-        Err(e) => return (DriverRun::default(), Err(e)),
-    };
-    let buffers = double_buffer(state);
-    let mut steps: Vec<KernelStep<'_, S>> = (0..plan.kernels())
-        .map(|k| KernelStep::new(&plan, k, limits.integrity, sink))
-        .collect();
-    // One buffered slab per planned edge of the current region.
-    let mut slabs: Vec<Option<Slab>> = Vec::new();
-    let (run, result) = run_barriers(&plan, &buffers, &limits, ckpt, block_base, sink, |block| {
-        let depth = &plan.depths[block.depth];
-        let cur = buffers[block.src]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        for r in 0..plan.regions.len() {
-            for step in &mut steps {
-                step.load(r, &cur)?;
-            }
-            slabs.resize_with(depth.edges[r].len(), || None);
-            for i in 1..=depth.h {
-                for s in 0..plan.stmts {
-                    let at = (block.step_base + i, s);
-                    for step in &mut steps {
-                        step.compute(depth, r, i, at, |link, slab| {
-                            slabs[link.edge] = Some(slab);
-                            Ok(())
-                        })?;
-                    }
-                    for (k, step) in steps.iter_mut().enumerate() {
-                        for link in &depth.routes[r][k].ins {
-                            let t0 = sink.now();
-                            let slab = slabs[link.edge].take().expect("every edge emits");
-                            step.splice(r, link, slab, at)?;
-                            if S::ACTIVE {
-                                let phase = TracePhase::Dependent { iteration: at.0 };
-                                sink.span(k, r, phase, t0, sink.now());
-                            }
-                        }
-                    }
-                }
-            }
-            for step in &steps {
-                step.store(r, &buffers[1 - block.src])?;
-            }
-        }
-        Ok(())
-    });
-    drop(steps);
-    *state = into_barrier(buffers, run.blocks);
-    (run, result)
+    run_threaded_opts(program, partition, state, &one_worker(opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_reference_opts;
+    use crate::threaded::tests::check;
     use stencilcl_grid::{Design, DesignKind, Extent, Point};
     use stencilcl_lang::{programs, StencilFeatures};
 
@@ -138,21 +45,6 @@ mod tests {
             v = v * 37.0 + p.coord(d) as f64;
         }
         (v * 0.0017).cos()
-    }
-
-    fn check(program: &Program, design: &Design) {
-        let features = StencilFeatures::extract(program).unwrap();
-        let partition = Partition::new(program.extent(), design, &features.growth).unwrap();
-        let mut expect = GridState::new(program, init);
-        run_reference_opts(program, &mut expect, &ExecOptions::new()).unwrap();
-        let mut got = GridState::new(program, init);
-        run_pipe_shared_opts(program, &partition, &mut got, &ExecOptions::new()).unwrap();
-        assert_eq!(
-            expect.max_abs_diff(&got).unwrap(),
-            0.0,
-            "{} diverged from reference",
-            program.name
-        );
     }
 
     #[test]

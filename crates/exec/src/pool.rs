@@ -114,8 +114,9 @@ pub(crate) struct Link {
 /// A kernel's routing for one `(depth, region)`: its outgoing and incoming
 /// links, each in plan edge order. Outgoing order is the order
 /// [`apply_statement_split`] emits slabs in; incoming order is the order
-/// both drivers splice them in, so when two neighbors' slabs cover the
-/// same halo corner the same one is written last.
+/// every worker splices them in, whether a slab comes from its own edge
+/// buffer or from a pipe, so when two neighbors' slabs cover the same halo
+/// corner the same one is written last for every worker count.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Route {
     pub outs: Vec<Link>,
@@ -382,6 +383,16 @@ impl PipelinePlan {
         self.tiles.first().map_or(0, Vec::len)
     }
 
+    /// Cells one statement sweeps across every kernel's window in the
+    /// largest region.
+    pub fn cells_per_statement(&self) -> u64 {
+        self.windows
+            .iter()
+            .map(|ws| ws.iter().map(Rect::volume).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Index into [`Self::depths`] for a block of depth `h`.
     ///
     /// # Panics
@@ -490,15 +501,15 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
     Ok(())
 }
 
-/// One kernel's share of the paper's pipe protocol (Section 3.1), written
-/// once and driven by both pipe executors: the threaded pool runs one step
-/// per worker thread and moves slabs over channels; the sequential
-/// executor runs every kernel's step in lockstep on the calling thread and
-/// buffers the slabs. The step owns the kernel's persistent local windows
-/// (one per region, extracted on the first block and halo-refreshed
-/// afterwards), its split scratch, and its per-pipe slab sequence numbers:
-/// both ends of every pipe count from 0 for the whole run, so a sealed
-/// slab also proves nothing was dropped or reordered.
+/// One kernel's share of the paper's pipe protocol (Section 3.1), driven
+/// by the pipe executor's workers: each worker runs the steps of the
+/// kernels it owns in lockstep, buffering slabs between its own kernels
+/// and moving the rest over channels. The step owns the kernel's
+/// persistent local windows (one per region, extracted on the first block
+/// and halo-refreshed afterwards), its split scratch, and its per-pipe
+/// slab sequence numbers: both ends of every pipe count from 0 for the
+/// whole run, so a sealed slab also proves nothing was dropped or
+/// reordered.
 pub(crate) struct KernelStep<'p, S> {
     plan: &'p PipelinePlan,
     kernel: usize,
@@ -525,6 +536,11 @@ impl<'p, S: TraceSink> KernelStep<'p, S> {
             sent: vec![0; plan.pairs.len()],
             received: vec![0; plan.pairs.len()],
         }
+    }
+
+    /// The kernel this step drives.
+    pub fn kernel(&self) -> usize {
+        self.kernel
     }
 
     /// Loads region `r`'s window from the block's source grid `cur`: the
@@ -666,11 +682,14 @@ pub(crate) struct Block {
 /// roles swap and no full-grid snapshot is ever cloned.
 pub(crate) type Buffers = [Arc<RwLock<GridState>>; 2];
 
-/// Both buffers, initialized to `state`.
-pub(crate) fn double_buffer(state: &GridState) -> Buffers {
+/// Both buffers, initialized to `state`, which moves into buffer 0: one
+/// full-grid copy per run, for the spare. `state` stays empty until
+/// [`into_barrier`] hands the committed grid back.
+pub(crate) fn double_buffer(state: &mut GridState) -> Buffers {
+    let spare = state.clone();
     [
-        Arc::new(RwLock::new(state.clone())),
-        Arc::new(RwLock::new(state.clone())),
+        Arc::new(RwLock::new(std::mem::take(state))),
+        Arc::new(RwLock::new(spare)),
     ]
 }
 
@@ -688,7 +707,7 @@ pub(crate) fn into_barrier(buffers: Buffers, blocks: u64) -> GridState {
 
 /// What one driver run accomplished before returning: completed (and
 /// checkpointed) iterations, fused blocks, and worker threads that had to
-/// be abandoned at teardown (always 0 for the sequential driver).
+/// be abandoned at teardown.
 #[derive(Debug, Default)]
 pub(crate) struct DriverRun {
     pub iterations: u64,
@@ -696,8 +715,8 @@ pub(crate) struct DriverRun {
     pub leaked: usize,
 }
 
-/// The barrier loop both pipe drivers share; `run_block` is the only
-/// driver-specific part. Per fused block it checks the deadline and
+/// The pipe driver's barrier loop; `run_block` runs one fused block on
+/// the workers. Per fused block it checks the deadline and
 /// external cancellation, picks the block depth, runs the block, scans the
 /// block's output for numerical health *before* committing (so on
 /// divergence the source buffer is still the last healthy checkpoint),

@@ -9,14 +9,14 @@
 //! worker thread outlives the run), rolls back to that barrier, and
 //! retries the remaining iterations with bounded exponential backoff.
 //! After [`ExecPolicy::max_retries`] failed retries it degrades to the
-//! sequential driver of the same per-kernel pipe step
+//! same driver on one worker with no injected faults
 //! ([`run_pipe_shared_opts`](crate::run_pipe_shared_opts)) — provably
-//! equivalent, since both drivers are bit-exact against the reference for
-//! any iteration count, and stencil iteration composes:
+//! equivalent, since every worker count is bit-exact against the reference
+//! for any iteration count, and stencil iteration composes:
 //! `reference(n − k) ∘ reference(k) = reference(n)`.
 //!
-//! Both drivers share one barrier loop, so the degraded attempt is booked
-//! like a pool attempt: it continues the global block numbering, seals
+//! The degraded attempt is the same pool lifecycle, so it is booked like
+//! any other attempt: it continues the global block numbering, seals
 //! checkpoint generations at its own barriers on the run's cadence, and
 //! its blocks count in the final manifest.
 //!
@@ -34,13 +34,12 @@ use stencilcl_telemetry::{Counter, Disabled, EnvConfig, TraceSink};
 
 use crate::options::ExecOptions;
 use crate::persist::CheckpointWriter;
-use crate::pipeshare::sequential_run;
-use crate::threaded::pool_run;
+use crate::threaded::{one_worker, pool_run};
 use crate::ExecError;
 
-/// Deadlines and recovery limits governing the threaded executor and
-/// [`run_supervised_opts`] — the replacement for the watchdog/drain
-/// constants that used to be hardcoded in the executor.
+/// Deadlines, recovery limits, and the worker count governing the pipe
+/// executor and [`run_supervised_opts`] — the replacement for the
+/// watchdog/drain constants that used to be hardcoded in the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// How long the collector waits for any worker to report a fused block
@@ -60,8 +59,10 @@ pub struct ExecPolicy {
     pub backoff_base: Duration,
     /// Ceiling on the exponential backoff.
     pub backoff_max: Duration,
-    /// Whether to degrade to the sequential pipe executor once retries are
-    /// exhausted; when `false`, [`run_supervised_opts`] returns
+    /// Whether to degrade to one worker with no injected faults (the
+    /// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts)
+    /// configuration) once retries are exhausted; when `false`,
+    /// [`run_supervised_opts`] returns
     /// [`ExecError::RetriesExhausted`](crate::ExecError) instead.
     pub sequential_fallback: bool,
     /// Wall-clock budget for the whole run, shared across supervised
@@ -76,6 +77,14 @@ pub struct ExecPolicy {
     /// their retry storms; `Some(seed)` makes the sleep sequence
     /// reproducible for tests.
     pub jitter_seed: Option<u64>,
+    /// Worker threads of a pipe run. `None` (the default) means
+    /// `min(available_parallelism, kernels)`, cut to one worker per 8 Ki
+    /// cells a statement sweeps (at least one); `Some(w)` pins `w`, clamped
+    /// to `1..=kernels`, so tests can cover every worker count on any
+    /// host. A library seam only — no env knob, CLI flag, or job option
+    /// sets it — and outside the checkpoint's policy fingerprint, because
+    /// results are bit-identical for every count.
+    pub workers: Option<usize>,
 }
 
 impl Default for ExecPolicy {
@@ -90,6 +99,7 @@ impl Default for ExecPolicy {
             sequential_fallback: true,
             deadline: None,
             jitter_seed: None,
+            workers: None,
         }
     }
 }
@@ -194,9 +204,9 @@ impl DecorrelatedJitter {
 /// Which executor a supervised attempt ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptMode {
-    /// The concurrent worker-pool executor.
+    /// The worker pool at its configured worker count.
     Threaded,
-    /// The sequential pipe executor (degradation path).
+    /// One worker with no injected faults (degradation path).
     Sequential,
 }
 
@@ -225,7 +235,7 @@ pub enum RecoveryPath {
     Threaded,
     /// A checkpointed threaded retry succeeded.
     Retried,
-    /// The run degraded to the sequential executor.
+    /// The run degraded to one worker.
     Sequential,
 }
 
@@ -252,7 +262,7 @@ impl RunReport {
             .collect()
     }
 
-    /// Whether the run fell back to the sequential executor.
+    /// Whether the run fell back to one worker.
     pub fn degraded(&self) -> bool {
         self.path == RecoveryPath::Sequential
     }
@@ -347,9 +357,9 @@ impl serde::Serialize for RunReport {
 
 /// Runs the pipe design under supervision and always returns the
 /// [`RunReport`], even when the run fails: threaded execution with
-/// checkpointed retry on transient faults, then graceful degradation to the
-/// sequential executor (see the module docs for the recovery ladder). The
-/// report's attempts record how far the run got and what ended it (e.g.
+/// checkpointed retry on transient faults, then graceful degradation to one
+/// worker (see the module docs for the recovery ladder). The report's
+/// attempts record how far the run got and what ended it (e.g.
 /// the last healthy checkpoint preserved in `state` after a
 /// [`ExecError::NumericDivergence`](crate::ExecError) abort, or the
 /// progress made before [`ExecError::DeadlineExceeded`](crate::ExecError)).
@@ -422,10 +432,11 @@ pub(crate) fn dispatch(
 
 /// The supervision loop. The run's integrity envelope (deadline clock,
 /// health policy, checksum switch) is anchored here, once, so every retry
-/// shares the same wall-clock budget. Every attempt — threaded or the
-/// degraded sequential one — is booked the same way: it starts from the
-/// last checkpoint, continues the global block numbering, offers its
-/// barriers to the checkpoint writer, and banks its `(iterations, blocks)`.
+/// shares the same wall-clock budget. Every attempt — at the configured
+/// worker count or the degraded one-worker one — is booked the same way:
+/// it starts from the last checkpoint, continues the global block
+/// numbering, offers its barriers to the checkpoint writer, and banks its
+/// `(iterations, blocks)`.
 fn supervised<S: TraceSink>(
     program: &Program,
     partition: &Partition,
@@ -451,18 +462,22 @@ fn supervised<S: TraceSink>(
         if let Some(w) = ckpt {
             w.begin_attempt(done);
         }
-        // Degraded: finish the remaining iterations sequentially from the
+        // Degraded: finish the remaining iterations on one worker from the
         // checkpoint, keeping the run's lane width, sink, and checkpoint
-        // writer. No pool, no pipes to wedge.
-        let driver = match mode {
-            AttemptMode::Threaded => pool_run::<S>,
-            AttemptMode::Sequential => sequential_run::<S>,
+        // writer. No pipes to wedge, no injected faults.
+        let degraded;
+        let attempt_opts = match mode {
+            AttemptMode::Threaded => opts,
+            AttemptMode::Sequential => {
+                degraded = one_worker(opts);
+                &degraded
+            }
         };
-        let (run, result) = driver(
+        let (run, result) = pool_run(
             &rest,
             partition,
             state,
-            opts,
+            attempt_opts,
             blocks,
             limits.clone(),
             ckpt,

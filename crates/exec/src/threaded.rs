@@ -1,5 +1,8 @@
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -37,6 +40,50 @@ pub fn live_workers() -> usize {
     LIVE_WORKERS.load(Ordering::SeqCst)
 }
 
+/// The host's cores, read once per process (`available_parallelism` reads
+/// the cgroup quota on every call).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Cells each worker must sweep per statement. Below it a second worker's
+/// slab handoffs (a futex wake each, and a partner core that must be
+/// running at that moment) cost more CPU than the sweep it takes over, and
+/// a stall on either core stalls the whole lockstep job.
+const WORKER_GRAIN_CELLS: u64 = 1 << 13;
+
+/// The one worker-count rule of every pipe run: `pinned`
+/// ([`ExecPolicy::workers`](crate::ExecPolicy::workers)) if set, otherwise
+/// `min(host cores, kernels, cells / WORKER_GRAIN_CELLS)`, where `cells`
+/// is what one statement sweeps in the plan's largest region; clamped to
+/// `1..=kernels`.
+pub(crate) fn worker_count(pinned: Option<usize>, kernels: usize, cells: u64) -> usize {
+    let by_work = usize::try_from(cells / WORKER_GRAIN_CELLS).unwrap_or(usize::MAX);
+    pinned
+        .unwrap_or_else(|| host_cores().min(by_work))
+        .clamp(1, kernels.max(1))
+}
+
+/// Worker `g` of `workers` owns the contiguous kernels
+/// `g·K/W .. (g+1)·K/W`.
+fn kernel_groups(kernels: usize, workers: usize) -> Vec<Range<usize>> {
+    (0..workers)
+        .map(|g| g * kernels / workers..(g + 1) * kernels / workers)
+        .collect()
+}
+
+/// `opts` for the one-worker run: every kernel on one thread, no injected
+/// worker faults — the configuration of
+/// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) and of the
+/// supervisor's degraded attempt, which must not be able to wedge.
+pub(crate) fn one_worker(opts: &ExecOptions) -> ExecOptions {
+    let mut one = opts.clone();
+    one.policy.workers = Some(1);
+    one.faults = Arc::new(FaultPlan::new());
+    one
+}
+
 /// RAII registration of one worker in the process-wide and per-run gauges.
 /// Dropping (normal return or panic unwind) deregisters, so the gauges
 /// never overcount dead threads.
@@ -61,14 +108,16 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// A worker's end-of-block report: `(kernel, outcome)`.
+/// A worker's end-of-block report: `(worker, outcome)`.
 type Done = (usize, Result<(), ExecError>);
 
 /// Everything a worker thread owns for the whole run. `outs`/`ins` are
-/// indexed by [`PipelinePlan::pairs`] and hold only this kernel's pipe
-/// endpoints, so a dying worker's dropped endpoints unblock its partners.
+/// indexed by [`PipelinePlan::pairs`] and hold only the endpoints of pipes
+/// that cross into or out of this worker's kernels, so a dying worker's
+/// dropped endpoints unblock its partners; a pair between two of its own
+/// kernels has no pipe and goes through the worker's edge buffer.
 struct WorkerCtx<S: TraceSink> {
-    kernel: usize,
+    kernels: Range<usize>,
     plan: Arc<PipelinePlan>,
     buffers: Buffers,
     outs: Vec<Option<Sender<Slab>>>,
@@ -86,39 +135,37 @@ struct WorkerCtx<S: TraceSink> {
     sink: S,
 }
 
-/// Runs the pipe-shared design with **real concurrency**: a persistent pool
-/// of one OS thread per tile kernel, alive for the whole run, connected by
-/// bounded crossbeam channels that play the role of the OpenCL pipes
-/// (created once per directed kernel pair and reused across every region
-/// and fused block).
+/// Runs the pipe-shared design on a fixed set of worker threads — the
+/// host's cores play the paper's processing elements. `W = min(cores,
+/// kernels, cells / grain)` workers ([`ExecPolicy::workers`](crate::ExecPolicy)
+/// pins `W`) live for the whole run; worker `g` owns kernels
+/// `g·K/W .. (g+1)·K/W`. A run whose statement sweeps fewer than two grains
+/// of cells gets one worker, which (without injected faults) runs on the
+/// calling thread.
+/// Per statement a worker runs each owned kernel's step (sweep, then emit
+/// the slabs gathered from the swept window) and then splices each owned
+/// kernel's incoming slabs in plan edge order — from its edge buffer when
+/// both kernels are its own, else from a bounded crossbeam channel, the
+/// OpenCL pipe, created once per directed cross-worker kernel pair. A
+/// worker starts the next statement only once it holds every slab of this
+/// one, so no pipe holds more than its capacity of 2 slabs. Results are
+/// bit-identical for every `W`, and to the reference.
 ///
-/// This is the threaded driver of the one per-kernel pipe step that
-/// [`run_pipe_shared_opts`](crate::run_pipe_shared_opts) drives
-/// sequentially: each worker runs its kernel's step — refresh the halo
-/// ring of its persistent local window, sweep each statement and send the
-/// slabs the pipes carry, gathered from the swept window, splice the
-/// neighbors' slabs as they arrive,
-/// and write its tile back into the spare global buffer — while the main
-/// thread runs the shared barrier loop, broadcasting one order per fused
-/// block. Results must be identical to the sequential driver (and
-/// therefore to the reference): the protocol only moves the same values
-/// through channels instead of a buffer.
-///
-/// [`ExecOptions::policy`] sets the watchdog deadlines and
+/// [`ExecOptions::policy`] sets the watchdog deadlines and `W`, and
 /// [`ExecOptions::faults`] arms injected worker faults; see
 /// [`run_supervised_opts`](crate::run_supervised_opts) for automatic
-/// recovery. The telemetry sink is chosen here — at plan time — and the
-/// whole pool monomorphizes against it, so an untraced run pays nothing
-/// for the instrumentation.
+/// recovery. The whole pool monomorphizes against the telemetry sink, so
+/// an untraced run pays nothing for the instrumentation.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_pipe_shared_opts`](crate::run_pipe_shared_opts),
-/// plus [`ExecError::WorkerPanic`] if a worker thread dies and
-/// [`ExecError::PipeStall`] if the watchdog sees no progress within its
-/// deadline. On error the pool is cancelled cooperatively and joined —
-/// worker threads do not outlive the call — and `state` is rolled back to
-/// the last consistent fused-block barrier.
+/// [`ExecError::BadConfiguration`] for baseline partitions,
+/// [`ExecError::DiagonalAccess`] for non-star stencils, geometry and
+/// evaluation errors, [`ExecError::WorkerPanic`] naming the kernel whose
+/// step panicked, and [`ExecError::PipeStall`] if the watchdog sees no
+/// report within its deadline. On error the pool is cancelled
+/// cooperatively and joined, and `state` is rolled back to the last
+/// consistent fused-block barrier.
 pub fn run_threaded_opts(
     program: &Program,
     partition: &Partition,
@@ -133,22 +180,18 @@ pub fn run_threaded_opts(
     result
 }
 
-/// One complete pool lifecycle: spawn, run every fused block through the
-/// shared barrier loop, tear down.
-///
-/// `opts` supplies the watchdog policy, the fault plan, and the lane
-/// width; `limits` is passed separately because the supervisor anchors it
-/// once for all of its attempts. `block_base` offsets the fused-block
-/// indices used as fault-injection triggers, so a supervised retry
-/// continues the global block numbering instead of restarting it. `ckpt`
-/// is the optional durable-checkpoint writer the barrier loop offers every
-/// committed barrier to.
+/// One complete pool lifecycle: spawn the workers, run every fused block
+/// through the barrier loop, tear down. `opts` supplies the policy, the
+/// fault plan, and the lane width; `limits` is passed separately because
+/// the supervisor anchors it once for all of its attempts. `block_base`
+/// continues the global fused-block numbering (the fault triggers) across
+/// supervised attempts, and `ckpt` is the optional durable-checkpoint
+/// writer offered every committed barrier.
 ///
 /// On failure the pool is cancelled via its internal [`CancelHandle`],
 /// workers are joined (or, past `policy.teardown_grace`, abandoned and
-/// counted in [`DriverRun::leaked`]), and `state` receives the grid as of
-/// the **last consistent fused-block barrier** — the supervisor's
-/// checkpoint — along with how many iterations that checkpoint represents.
+/// counted in [`DriverRun::leaked`]), and `state` receives the grid of the
+/// **last consistent fused-block barrier** — the supervisor's checkpoint.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pool_run<S: TraceSink>(
     program: &Program,
@@ -169,74 +212,107 @@ pub(crate) fn pool_run<S: TraceSink>(
         return (DriverRun::default(), Ok(()));
     }
     let kernels = plan.kernels();
+    let groups = kernel_groups(
+        kernels,
+        worker_count(policy.workers, kernels, plan.cells_per_statement()),
+    );
     let token = CancelHandle::new();
-    let live = Arc::new(AtomicUsize::new(0));
     let buffers = double_buffer(state);
 
-    // One bounded channel per directed kernel pair, for the whole run.
-    let mut outs: Vec<Vec<Option<Sender<Slab>>>> =
-        (0..kernels).map(|_| vec![None; plan.pairs.len()]).collect();
+    // One bounded channel per directed cross-worker kernel pair, for the
+    // whole run.
+    let owner = |k: usize| groups.iter().position(|g| g.contains(&k)).unwrap_or(0);
+    let mut outs: Vec<Vec<Option<Sender<Slab>>>> = vec![vec![None; plan.pairs.len()]; groups.len()];
     let mut ins: Vec<Vec<Option<Receiver<Slab>>>> =
-        (0..kernels).map(|_| vec![None; plan.pairs.len()]).collect();
+        vec![vec![None; plan.pairs.len()]; groups.len()];
     for (p, &(from, to)) in plan.pairs.iter().enumerate() {
-        let (tx, rx) = bounded::<Slab>(PIPE_CAPACITY);
-        outs[from][p] = Some(tx);
-        ins[to][p] = Some(rx);
+        if owner(from) != owner(to) {
+            let (tx, rx) = bounded::<Slab>(PIPE_CAPACITY);
+            outs[owner(from)][p] = Some(tx);
+            ins[owner(to)][p] = Some(rx);
+        }
     }
-
-    let (done_tx, done_rx) = unbounded::<Done>();
-    let mut cmd_txs = Vec::with_capacity(kernels);
-    let mut handles = Vec::with_capacity(kernels);
-    for (k, (k_outs, k_ins)) in outs.into_iter().zip(ins).enumerate() {
-        let (cmd_tx, cmd_rx) = unbounded::<Block>();
-        let ctx = WorkerCtx {
-            kernel: k,
+    let mut ctxs: Vec<WorkerCtx<S>> = groups
+        .iter()
+        .zip(outs.into_iter().zip(ins))
+        .map(|(kernels, (outs, ins))| WorkerCtx {
+            kernels: kernels.clone(),
             plan: Arc::clone(&plan),
             buffers: buffers.clone(),
-            outs: k_outs,
-            ins: k_ins,
+            outs,
+            ins,
             token: token.clone(),
             faults: Arc::clone(&opts.faults),
             limits: limits.clone(),
             sink: sink.clone(),
-        };
+        })
+        .collect();
+
+    if groups.len() == 1 && opts.faults.is_empty() {
+        // One worker without injected faults has no pipe and nothing that
+        // can wedge it, so it runs on this thread: no spawn, no command or
+        // report handoff per block, and no watchdog to arm.
+        let ctx = ctxs.pop().expect("one worker context");
+        let mut worker = Worker::new(&ctx);
+        let (run, outcome) = run_barriers(&plan, &buffers, &limits, ckpt, block_base, sink, |b| {
+            worker.block(&ctx, b)
+        });
+        worker.finish(&ctx);
+        // The context's buffer handles go first, so the barrier grid is
+        // moved out rather than cloned.
+        drop(ctx);
+        *state = into_barrier(buffers, run.blocks);
+        return (run, outcome);
+    }
+
+    let live = Arc::new(AtomicUsize::new(0));
+    let (done_tx, done_rx) = unbounded::<Done>();
+    let mut cmd_txs = Vec::with_capacity(groups.len());
+    let mut handles = Vec::with_capacity(groups.len());
+    let mut spawn_error = None;
+    for (g, ctx) in ctxs.into_iter().enumerate() {
+        let (cmd_tx, cmd_rx) = unbounded::<Block>();
         let done_tx = done_tx.clone();
         let guard = WorkerGuard::register(&live);
         let spawned = thread::Builder::new()
-            .name(format!("stencil-worker-{k}"))
+            .name(format!("stencil-worker-{g}"))
             .spawn(move || {
                 let _guard = guard;
-                worker_loop(&ctx, &cmd_rx, &done_tx);
+                worker_loop(g, &ctx, &cmd_rx, &done_tx);
             });
         match spawned {
             Ok(handle) => handles.push(handle),
             Err(e) => {
-                let e = ExecError::config(format!("failed to spawn worker {k}: {e}"));
-                return (DriverRun::default(), Err(e));
+                spawn_error = Some(ExecError::config(format!(
+                    "failed to spawn worker {g}: {e}"
+                )));
+                break;
             }
         }
         cmd_txs.push(cmd_tx);
     }
     drop(done_tx);
 
-    let (mut run, mut outcome) =
-        run_barriers(&plan, &buffers, &limits, ckpt, block_base, sink, |block| {
+    let (mut run, mut outcome) = match spawn_error {
+        Some(e) => (DriverRun::default(), Err(e)),
+        None => run_barriers(&plan, &buffers, &limits, ckpt, block_base, sink, |block| {
             for tx in &cmd_txs {
-                // A send can only fail if the worker already died; the
-                // collector below classifies that as a panic or surfaces
-                // its error.
+                // A send can only fail if the worker already exited; the
+                // collector below surfaces its report or its silence.
                 let _ = tx.send(block);
             }
-            collect_block(&done_rx, kernels, policy.watchdog, policy.drain, |k| {
-                handles[k].is_finished()
-            })
-        });
+            collect_block(&done_rx, &groups, policy.watchdog, policy.drain)
+        }),
+    };
 
+    // Closing the command channels ends every worker loop. A pass reports
+    // its own panics; a join error is a panic outside any pass.
     drop(cmd_txs);
     if outcome.is_ok() {
-        for (k, handle) in handles.into_iter().enumerate() {
+        for (g, handle) in handles.into_iter().enumerate() {
             if handle.join().is_err() && outcome.is_ok() {
-                outcome = Err(ExecError::WorkerPanic { kernel: k });
+                let kernel = groups[g].start;
+                outcome = Err(ExecError::WorkerPanic { kernel });
             }
         }
     } else {
@@ -266,43 +342,39 @@ pub(crate) fn pool_run<S: TraceSink>(
     (run, outcome)
 }
 
-/// Waits for every worker's end-of-block report, with a watchdog: if no
-/// report arrives within `deadline`, the lowest-numbered silent worker is
-/// blamed — [`ExecError::WorkerPanic`] if its thread already exited
-/// (a panic never reports), [`ExecError::PipeStall`] if it is still wedged.
-/// When some workers fail and others report hang-up cascades, the
-/// root-cause error (non-cascade, lowest kernel) wins.
+/// Waits for every worker's end-of-block report, with a watchdog. A worker
+/// reports its own failures, panics included, so silence means a wedge: if
+/// no report arrives within `deadline` (or within `drain` once another
+/// worker has failed), the lowest-numbered silent worker is blamed with
+/// [`ExecError::PipeStall`] on its first kernel. When some workers fail and
+/// others report hang-up cascades, the root-cause error (non-cascade,
+/// lowest worker) wins.
 fn collect_block(
     done_rx: &Receiver<Done>,
-    workers: usize,
+    groups: &[Range<usize>],
     deadline: Duration,
     drain: Duration,
-    worker_finished: impl Fn(usize) -> bool,
 ) -> Result<(), ExecError> {
-    let mut reported = vec![false; workers];
+    let mut reported = vec![false; groups.len()];
     let mut failures: Vec<(usize, ExecError)> = Vec::new();
     while let Some(silent) = reported.iter().position(|r| !r) {
         let wait = if failures.is_empty() { deadline } else { drain };
         match done_rx.recv_timeout(wait) {
-            Ok((k, Ok(()))) => reported[k] = true,
-            Ok((k, Err(e))) => {
-                reported[k] = true;
-                failures.push((k, e));
+            Ok((g, Ok(()))) => reported[g] = true,
+            Ok((g, Err(e))) => {
+                reported[g] = true;
+                failures.push((g, e));
             }
             Err(_) => {
-                let e = if worker_finished(silent) {
-                    ExecError::WorkerPanic { kernel: silent }
-                } else {
-                    ExecError::PipeStall { kernel: silent }
-                };
-                failures.push((silent, e));
+                let kernel = groups[silent].start;
+                failures.push((silent, ExecError::PipeStall { kernel }));
                 break;
             }
         }
     }
     match failures
         .into_iter()
-        .min_by_key(|(k, e)| (is_cascade(e), *k))
+        .min_by_key(|(g, e)| (is_cascade(e), *g))
     {
         None => Ok(()),
         Some((_, e)) => Err(e),
@@ -316,11 +388,26 @@ fn is_cascade(e: &ExecError) -> bool {
         || matches!(e, ExecError::BadConfiguration { detail } if detail.contains("hung up"))
 }
 
-/// Sends one slab, re-checking the cancellation token and the run deadline
-/// every [`TICK`] while the pipe is full. With an active sink, counts the
-/// wall time spent blocked on a full pipe (the step counts the slab
-/// itself). A deadline hit reports `completed: 0` — workers cannot know
-/// the run's progress, so the barrier loop patches in the checkpoint count.
+/// The checks every blocking worker operation repeats each [`TICK`]: pool
+/// teardown, external cancellation, and the run deadline. A deadline hit
+/// reports `completed: 0` — workers cannot know the run's progress, so the
+/// barrier loop patches in the checkpoint count.
+fn interrupted(token: &CancelHandle, limits: &RunLimits) -> Result<(), ExecError> {
+    if token.is_cancelled() {
+        return Err(ExecError::Cancelled);
+    }
+    if limits.cancel_requested() {
+        return Err(ExecError::JobCancelled { completed: 0 });
+    }
+    if limits.deadline_passed() {
+        return Err(ExecError::DeadlineExceeded { completed: 0 });
+    }
+    Ok(())
+}
+
+/// Sends one slab, re-checking [`interrupted`] every [`TICK`] while the
+/// pipe is full. With an active sink, counts the wall time spent blocked on
+/// a full pipe (the step counts the slab itself).
 fn pipe_send<S: TraceSink>(
     tx: &Sender<Slab>,
     mut slab: Slab,
@@ -330,15 +417,7 @@ fn pipe_send<S: TraceSink>(
 ) -> Result<(), ExecError> {
     let t0 = sink.now();
     loop {
-        if token.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        if limits.cancel_requested() {
-            return Err(ExecError::JobCancelled { completed: 0 });
-        }
-        if limits.deadline_passed() {
-            return Err(ExecError::DeadlineExceeded { completed: 0 });
-        }
+        interrupted(token, limits)?;
         match tx.send_timeout(slab, TICK) {
             Ok(()) => {
                 if S::ACTIVE {
@@ -354,10 +433,9 @@ fn pipe_send<S: TraceSink>(
     }
 }
 
-/// Receives one slab, re-checking the cancellation token and the run
-/// deadline every [`TICK`] while the pipe is empty. With an active sink,
-/// counts the wall time spent blocked on an empty pipe. See [`pipe_send`]
-/// for the `completed: 0` deadline convention.
+/// Receives one slab, re-checking [`interrupted`] every [`TICK`] while the
+/// pipe is empty. With an active sink, counts the wall time spent blocked
+/// on an empty pipe.
 fn pipe_recv<S: TraceSink>(
     rx: &Receiver<Slab>,
     token: &CancelHandle,
@@ -366,15 +444,7 @@ fn pipe_recv<S: TraceSink>(
 ) -> Result<Slab, ExecError> {
     let t0 = sink.now();
     loop {
-        if token.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        if limits.cancel_requested() {
-            return Err(ExecError::JobCancelled { completed: 0 });
-        }
-        if limits.deadline_passed() {
-            return Err(ExecError::DeadlineExceeded { completed: 0 });
-        }
+        interrupted(token, limits)?;
         match rx.recv_timeout(TICK) {
             Ok(slab) => {
                 if S::ACTIVE {
@@ -390,58 +460,153 @@ fn pipe_recv<S: TraceSink>(
     }
 }
 
-/// Sleeps for `total`, waking early if the pool is cancelled.
-fn sleep_cancellable(token: &CancelHandle, total: Duration) {
+/// Sleeps for `total` — an injected slab delay — re-checking
+/// [`interrupted`] every [`TICK`] like a blocked pipe operation.
+fn delay(token: &CancelHandle, limits: &RunLimits, total: Duration) -> Result<(), ExecError> {
     let deadline = Instant::now() + total;
-    while !token.is_cancelled() {
+    loop {
+        interrupted(token, limits)?;
         let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-            return;
+            return Ok(());
         };
         thread::sleep(left.min(TICK));
     }
 }
 
-/// Body of one pool worker: serve [`Block`] orders with this kernel's
-/// [`KernelStep`] until the command channel closes. The first error is
-/// reported on the done channel and ends the worker; dropping its pipe
-/// endpoints unblocks any partners waiting on it. Every
-/// potentially-blocking operation observes the pool's cancellation token,
-/// so a teardown is never blocked on this thread. Injected faults fire
-/// here, and only here.
-fn worker_loop<S: TraceSink>(ctx: &WorkerCtx<S>, cmd_rx: &Receiver<Block>, done_tx: &Sender<Done>) {
-    let kernel = ctx.kernel;
-    let mut step = KernelStep::new(&ctx.plan, kernel, ctx.limits.integrity, &ctx.sink);
-    // Idle accounting: from spawn until the first command this worker is in
-    // its Launch phase; between a block's done-report and the next command
-    // it sits at the fused-block Barrier. Flushed as a span at the moment
-    // each command arrives (same thread, so spans stay sequential).
-    let mut idle_since = S::ACTIVE.then(|| (ctx.sink.now(), TracePhase::Launch));
+/// Injected slab corruptions one kernel applies to every slab it emits
+/// during a block, after the step sealed it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Corrupt {
+    step: bool,
+    payload: bool,
+}
+
+/// Body of pool worker `g`: serve [`Block`] orders with a [`Worker`]
+/// until the command channel closes. The first error is reported on the
+/// done channel and ends the worker; dropping its pipe endpoints unblocks
+/// any partners waiting on it. Every potentially-blocking operation
+/// observes the pool's cancellation token, so a teardown is never blocked
+/// on this thread.
+fn worker_loop<S: TraceSink>(
+    g: usize,
+    ctx: &WorkerCtx<S>,
+    cmd_rx: &Receiver<Block>,
+    done_tx: &Sender<Done>,
+) {
+    let mut worker = Worker::new(ctx);
     while let Ok(block) = cmd_rx.recv() {
-        if let Some((t0, phase)) = idle_since.take() {
-            ctx.sink.span(kernel, 0, phase, t0, ctx.sink.now());
+        let result = worker.block(ctx, block);
+        let failed = result.is_err();
+        if done_tx.send((g, result)).is_err() || failed {
+            return;
         }
-        let (mut corrupt_step, mut corrupt_payload) = (false, false);
-        match ctx.faults.fire(kernel, block.index) {
+    }
+    worker.finish(ctx);
+}
+
+/// One worker's state for the whole run: its kernels' [`KernelStep`]s,
+/// the block's injected corruptions, and the edge buffer.
+struct Worker<'p, S: TraceSink> {
+    steps: Vec<KernelStep<'p, S>>,
+    corrupt: Vec<Corrupt>,
+    /// One buffered slab per planned edge of the current region; only
+    /// intra-worker edges use it.
+    slabs: Vec<Option<Slab>>,
+    /// Idle accounting: from the start until the first block every owned
+    /// kernel is in its Launch phase; between blocks it sits at the
+    /// fused-block Barrier. Flushed as one span per owned kernel when the
+    /// next block starts (same thread, so each kernel's spans stay
+    /// sequential).
+    idle_since: Option<(u64, TracePhase)>,
+}
+
+impl<'p, S: TraceSink> Worker<'p, S> {
+    fn new(ctx: &'p WorkerCtx<S>) -> Self {
+        let plan = &*ctx.plan;
+        Worker {
+            steps: ctx
+                .kernels
+                .clone()
+                .map(|k| KernelStep::new(plan, k, ctx.limits.integrity, &ctx.sink))
+                .collect(),
+            corrupt: vec![Corrupt::default(); ctx.kernels.len()],
+            slabs: Vec::new(),
+            idle_since: S::ACTIVE.then(|| (ctx.sink.now(), TracePhase::Launch)),
+        }
+    }
+
+    /// Runs this worker's share of one block under `catch_unwind`, so a
+    /// panic is reported as [`ExecError::WorkerPanic`] for the kernel
+    /// whose step panicked instead of leaving the collector to wait out
+    /// its watchdog. Injected faults fire here, per owned kernel at block
+    /// start, and only here.
+    fn block(&mut self, ctx: &WorkerCtx<S>, block: Block) -> Result<(), ExecError> {
+        if let Some((t0, phase)) = self.idle_since.take() {
+            idle(ctx, t0, phase);
+        }
+        let mut at_kernel = ctx.kernels.start;
+        let Worker {
+            steps,
+            corrupt,
+            slabs,
+            ..
+        } = self;
+        let pass = catch_unwind(AssertUnwindSafe(|| {
+            corrupt.fill(Corrupt::default());
+            fire_faults(ctx, block, corrupt, &mut at_kernel)?;
+            run_pass(ctx, steps, slabs, block, corrupt, &mut at_kernel)
+        }));
+        if S::ACTIVE {
+            self.idle_since = Some((ctx.sink.now(), TracePhase::Barrier));
+        }
+        pass.unwrap_or(Err(ExecError::WorkerPanic { kernel: at_kernel }))
+    }
+
+    /// Flushes the trailing barrier wait, so the final teardown idle shows
+    /// up in the trace.
+    fn finish(self, ctx: &WorkerCtx<S>) {
+        if let Some((t0, phase)) = self.idle_since {
+            idle(ctx, t0, phase);
+        }
+    }
+}
+
+/// Records one idle span `[t0, now)` on every owned kernel's row.
+fn idle<S: TraceSink>(ctx: &WorkerCtx<S>, t0: u64, phase: TracePhase) {
+    let now = ctx.sink.now();
+    for k in ctx.kernels.clone() {
+        ctx.sink.span(k, 0, phase, t0, now);
+    }
+}
+
+/// Fires the block-start faults of every owned kernel, in kernel order:
+/// panics and delays happen here, and corruptions are recorded in
+/// `corrupt`. A stall wedges the whole worker silently — the block is
+/// never reported — until the pool is cancelled.
+fn fire_faults<S: TraceSink>(
+    ctx: &WorkerCtx<S>,
+    block: Block,
+    corrupt: &mut [Corrupt],
+    at_kernel: &mut usize,
+) -> Result<(), ExecError> {
+    for (k, c) in ctx.kernels.clone().zip(corrupt) {
+        *at_kernel = k;
+        match ctx.faults.fire(k, block.index) {
             None => {}
             Some(FaultKind::WorkerPanic) => {
-                panic!(
-                    "injected worker panic (kernel {kernel}, block {})",
-                    block.index
-                )
+                panic!("injected worker panic (kernel {k}, block {})", block.index)
             }
             Some(FaultKind::PipeStall) => {
-                // Wedge silently — never report this block — until the
-                // supervisor cancels the pool, then exit cleanly.
                 while !ctx.token.is_cancelled() {
                     thread::sleep(TICK);
                 }
-                return;
+                return Err(ExecError::Cancelled);
             }
             Some(FaultKind::DelayedSlab(ms)) => {
-                sleep_cancellable(&ctx.token, Duration::from_millis(ms));
+                delay(&ctx.token, &ctx.limits, Duration::from_millis(ms))?;
             }
-            Some(FaultKind::CorruptStepTag) => corrupt_step = true,
-            Some(FaultKind::CorruptPayload) => corrupt_payload = true,
+            Some(FaultKind::CorruptStepTag) => c.step = true,
+            Some(FaultKind::CorruptPayload) => c.payload = true,
             // I/O fault kinds are dispatched by `FaultPlan::fire_io` from
             // the checkpoint store, and job-level kinds by
             // `FaultPlan::fire_job` from pool runners — never by the
@@ -455,78 +620,89 @@ fn worker_loop<S: TraceSink>(ctx: &WorkerCtx<S>, cmd_rx: &Receiver<Block>, done_
                 | FaultKind::StallJob(_),
             ) => {}
         }
-        let result = run_pass(ctx, &mut step, block, corrupt_step, corrupt_payload);
-        let failed = result.is_err();
-        if S::ACTIVE {
-            idle_since = Some((ctx.sink.now(), TracePhase::Barrier));
-        }
-        if done_tx.send((kernel, result)).is_err() || failed {
-            return;
-        }
     }
-    // Command channel closed: flush the trailing barrier wait so the final
-    // teardown idle shows up in the trace.
-    if let Some((t0, phase)) = idle_since {
-        ctx.sink.span(kernel, 0, phase, t0, ctx.sink.now());
-    }
+    Ok(())
 }
 
-/// One worker's share of one fused block, across all of its regions: the
-/// step's operations, with slabs moved over this kernel's pipes. The
-/// injected corruptions are applied after the step sealed the slab.
+/// One worker's share of one fused block, across all of its regions: its
+/// kernels' steps in lockstep, two phases per statement. Compute runs
+/// every owned kernel's step and routes each slab into the edge buffer
+/// (receiver owned here) or its pipe; splice then feeds each owned kernel
+/// its incoming slabs in plan edge order. `at_kernel` tracks the kernel
+/// being stepped, so a panic can be attributed to it.
 fn run_pass<S: TraceSink>(
     ctx: &WorkerCtx<S>,
-    step: &mut KernelStep<'_, S>,
+    steps: &mut [KernelStep<'_, S>],
+    slabs: &mut Vec<Option<Slab>>,
     block: Block,
-    corrupt_step: bool,
-    corrupt_payload: bool,
+    corrupt: &[Corrupt],
+    at_kernel: &mut usize,
 ) -> Result<(), ExecError> {
-    let (kernel, sink, plan) = (ctx.kernel, &ctx.sink, &ctx.plan);
+    let (sink, plan) = (&ctx.sink, &*ctx.plan);
     let depth = &plan.depths[block.depth];
     let cur = ctx.buffers[block.src]
         .read()
         .unwrap_or_else(PoisonError::into_inner);
     for r in 0..plan.regions.len() {
-        step.load(r, &cur)?;
-        let ins = &depth.routes[r][kernel].ins;
+        for step in steps.iter_mut() {
+            *at_kernel = step.kernel();
+            step.load(r, &cur)?;
+        }
+        slabs.resize_with(depth.edges[r].len(), || None);
         for i in 1..=depth.h {
             for s in 0..plan.stmts {
                 let at = (block.step_base + i, s);
-                // Produce first, so downstream kernels are fed before this
-                // kernel turns to its interior...
-                step.compute(depth, r, i, at, |link, mut slab| {
-                    if corrupt_step {
-                        slab = slab.corrupt_step();
-                    }
-                    // With integrity on the receiver's recompute catches a
-                    // flipped payload bit; with it off this is exactly the
-                    // silent corruption the checksums exist to stop.
-                    if corrupt_payload {
-                        slab = slab.corrupt_payload();
-                    }
-                    let tx = ctx.outs[link.pair].as_ref().expect("own pipe endpoint");
-                    pipe_send(tx, slab, &ctx.token, &ctx.limits, sink)
-                })?;
-                // ...then consume the upstream slabs in plan edge order.
-                let wait_t0 = sink.now();
-                for link in ins {
-                    let rx = ctx.ins[link.pair].as_ref().expect("own pipe endpoint");
-                    let slab = pipe_recv(rx, &ctx.token, &ctx.limits, sink)?;
-                    step.splice(r, link, slab, at)?;
+                for (step, c) in steps.iter_mut().zip(corrupt) {
+                    *at_kernel = step.kernel();
+                    step.compute(depth, r, i, at, |link, mut slab| {
+                        if c.step {
+                            slab = slab.corrupt_step();
+                        }
+                        // With integrity on the receiver's recompute
+                        // catches a flipped payload bit; with it off this
+                        // is exactly the silent corruption the checksums
+                        // exist to stop.
+                        if c.payload {
+                            slab = slab.corrupt_payload();
+                        }
+                        match &ctx.outs[link.pair] {
+                            Some(tx) => pipe_send(tx, slab, &ctx.token, &ctx.limits, sink),
+                            None => {
+                                slabs[link.edge] = Some(slab);
+                                Ok(())
+                            }
+                        }
+                    })?;
                 }
-                if S::ACTIVE && !ins.is_empty() {
-                    let phase = TracePhase::PipeWait { iteration: at.0 };
-                    sink.span(kernel, r, phase, wait_t0, sink.now());
+                for step in steps.iter_mut() {
+                    let k = step.kernel();
+                    *at_kernel = k;
+                    let ins = &depth.routes[r][k].ins;
+                    let wait_t0 = sink.now();
+                    for link in ins {
+                        let slab = match &ctx.ins[link.pair] {
+                            Some(rx) => pipe_recv(rx, &ctx.token, &ctx.limits, sink)?,
+                            None => slabs[link.edge].take().expect("every edge emits"),
+                        };
+                        step.splice(r, link, slab, at)?;
+                    }
+                    if S::ACTIVE && !ins.is_empty() {
+                        let phase = TracePhase::PipeWait { iteration: at.0 };
+                        sink.span(k, r, phase, wait_t0, sink.now());
+                    }
                 }
             }
         }
-        step.store(r, &ctx.buffers[1 - block.src])?;
+        for step in steps.iter() {
+            *at_kernel = step.kernel();
+            step.store(r, &ctx.buffers[1 - block.src])?;
+        }
     }
     Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{run_pipe_shared_opts, run_reference_opts, ExecPolicy};
     use stencilcl_grid::{Design, DesignKind, Extent, Point};
@@ -540,7 +716,10 @@ mod tests {
         (v * 0.003).sin()
     }
 
-    fn check(program: &Program, design: &Design) {
+    /// Runs `design` at the default worker count, on one worker and on one
+    /// worker per kernel, and checks each against the reference, bit for
+    /// bit.
+    pub(crate) fn check(program: &Program, design: &Design) {
         let features = StencilFeatures::extract(program).unwrap();
         let partition = Partition::new(program.extent(), design, &features.growth).unwrap();
         let mut expect = GridState::new(program, init);
@@ -558,6 +737,16 @@ mod tests {
         let mut sequential = GridState::new(program, init);
         run_pipe_shared_opts(program, &partition, &mut sequential, &opts).unwrap();
         assert_eq!(sequential.max_abs_diff(&threaded).unwrap(), 0.0);
+        // Small test grids sit under the worker grain, so the default run
+        // above is one worker; pin the widest pool too.
+        let kernels = partition.kernel_count();
+        let widest = ExecPolicy {
+            workers: Some(kernels),
+            ..ExecPolicy::default()
+        };
+        let mut wide = GridState::new(program, init);
+        run_threaded_opts(program, &partition, &mut wide, &opts.clone().policy(widest)).unwrap();
+        assert_eq!(expect.max_abs_diff(&wide).unwrap(), 0.0);
     }
 
     #[test]
@@ -640,33 +829,60 @@ mod tests {
     }
 
     #[test]
+    fn workers_own_contiguous_kernel_ranges() {
+        assert_eq!(kernel_groups(4, 3), vec![0..1, 1..2, 2..4]);
+        assert_eq!(kernel_groups(16, 2), vec![0..8, 8..16]);
+        assert_eq!(kernel_groups(5, 1), vec![0..5]);
+        // A pinned count is clamped to 1..=kernels whatever the work;
+        // unpinned never exceeds the kernel count, and a sweep under one
+        // grain stays on one worker.
+        assert_eq!(worker_count(Some(9), 4, 0), 4);
+        assert_eq!(worker_count(Some(0), 4, u64::MAX), 1);
+        assert_eq!(worker_count(Some(3), 4, 0), 3);
+        assert_eq!(worker_count(None, 1, u64::MAX), 1);
+        assert!((1..=16).contains(&worker_count(None, 16, u64::MAX)));
+        assert_eq!(worker_count(None, 16, WORKER_GRAIN_CELLS - 1), 1);
+        assert_eq!(
+            worker_count(None, 16, 2 * WORKER_GRAIN_CELLS),
+            host_cores().min(2)
+        );
+    }
+
+    #[test]
     fn watchdog_reports_a_stall_with_the_kernel_id() {
         let (done_tx, done_rx) = unbounded::<Done>();
         done_tx.send((0, Ok(()))).unwrap();
         let err = collect_block(
             &done_rx,
-            2,
+            &[0..1, 1..2],
             Duration::from_millis(50),
             Duration::from_millis(50),
-            |_| false,
         )
         .unwrap_err();
         assert_eq!(err, ExecError::PipeStall { kernel: 1 });
     }
 
     #[test]
-    fn watchdog_reports_a_panic_when_the_silent_worker_is_dead() {
+    fn a_reported_panic_is_surfaced_before_the_watchdog() {
+        // Worker 0 (kernels 0..2) reports the panic of its kernel 1 and
+        // exits; the collector returns it at once instead of waiting out
+        // a 30 s watchdog or drain.
         let (done_tx, done_rx) = unbounded::<Done>();
+        done_tx
+            .send((0, Err(ExecError::WorkerPanic { kernel: 1 })))
+            .unwrap();
+        done_tx.send((1, Ok(()))).unwrap();
         drop(done_tx);
+        let t0 = Instant::now();
         let err = collect_block(
             &done_rx,
-            1,
-            Duration::from_millis(50),
-            Duration::from_millis(50),
-            |_| true,
+            &[0..2, 2..4],
+            Duration::from_secs(30),
+            Duration::from_secs(30),
         )
         .unwrap_err();
-        assert_eq!(err, ExecError::WorkerPanic { kernel: 0 });
+        assert_eq!(err, ExecError::WorkerPanic { kernel: 1 });
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
@@ -681,10 +897,9 @@ mod tests {
         done_tx.send((2, Err(ExecError::Cancelled))).unwrap();
         let err = collect_block(
             &done_rx,
-            3,
+            &[0..1, 1..2, 2..3],
             Duration::from_secs(5),
             Duration::from_secs(5),
-            |_| false,
         )
         .unwrap_err();
         assert!(err.to_string().contains("protocol skew"));
@@ -729,6 +944,10 @@ mod tests {
         let slab = Slab::tagged((1, 0), vec![0.0]);
         assert_eq!(
             pipe_send(&tx, slab, &token, &expired, &Disabled).unwrap_err(),
+            ExecError::DeadlineExceeded { completed: 0 }
+        );
+        assert_eq!(
+            delay(&token, &expired, Duration::from_secs(30)).unwrap_err(),
             ExecError::DeadlineExceeded { completed: 0 }
         );
     }

@@ -11,9 +11,11 @@ use crate::{
 pub enum ExecMode {
     /// Baseline overlapped tiling.
     Overlapped,
-    /// Sequential pipe-shared execution.
+    /// Pipe-shared execution on one worker, on the calling thread.
     PipeShared,
-    /// Threaded pipe-shared execution (real channels).
+    /// Pipe-shared execution on the default worker count
+    /// (`min(cores, kernels)`, one for a small sweep; real channels between
+    /// workers).
     Threaded,
 }
 

@@ -124,36 +124,6 @@ pub fn refresh_ring(
     Ok(())
 }
 
-/// Copies array `name` over the absolute region `overlap` from one local
-/// window (rooted at `src_origin`) into another (rooted at `dst_origin`) —
-/// one pipe transfer of a boundary slab.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] when the overlap falls outside either window.
-pub fn copy_slab(
-    src: &GridState,
-    src_origin: &Point,
-    dst: &mut GridState,
-    dst_origin: &Point,
-    name: &str,
-    overlap: &Rect,
-) -> Result<(), ExecError> {
-    if overlap.is_empty() {
-        return Ok(());
-    }
-    let src_rect = overlap.translate(&-*src_origin)?;
-    let values = src.grid(name)?.read_window(&src_rect)?;
-    if values.len() as u64 != overlap.volume() {
-        return Err(ExecError::config(format!(
-            "slab {overlap} extends outside the source window"
-        )));
-    }
-    let dst_rect = overlap.translate(&-*dst_origin)?;
-    dst.grid_mut(name)?.write_window(&dst_rect, &values)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,43 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_slab_moves_overlap_between_windows() {
-        let p = program(8);
-        let local_p = p.with_extent(Extent::new2(4, 4));
-        let state = GridState::new(&p, |_, pt| (pt.coord(0) * 8 + pt.coord(1)) as f64);
-        // Window 1 at (0,0), window 2 at (0,3) (overlapping column 3).
-        let r1 = Rect::new(Point::new2(0, 0), Point::new2(4, 4)).unwrap();
-        let r2 = Rect::new(Point::new2(0, 3), Point::new2(4, 7)).unwrap();
-        let w1 = extract_window(&state, &p, &local_p, &r1).unwrap();
-        let mut w2 = extract_window(&state, &p, &local_p, &r2).unwrap();
-        // Zero w2's copy of column 3, then restore it from w1.
-        for x in 0..4 {
-            w2.grid_mut("A")
-                .unwrap()
-                .set(&Point::new2(x, 0), 0.0)
-                .unwrap();
-        }
-        let overlap = Rect::new(Point::new2(0, 3), Point::new2(4, 4)).unwrap();
-        copy_slab(&w1, &r1.lo(), &mut w2, &r2.lo(), "A", &overlap).unwrap();
-        assert_eq!(
-            *w2.grid("A").unwrap().get(&Point::new2(2, 0)).unwrap(),
-            19.0
-        );
-    }
-
-    #[test]
-    fn copy_slab_rejects_out_of_window_overlap() {
-        let p = program(8);
-        let local_p = p.with_extent(Extent::new2(4, 4));
-        let state = GridState::uniform(&p, 0.0);
-        let r1 = Rect::new(Point::new2(0, 0), Point::new2(4, 4)).unwrap();
-        let w1 = extract_window(&state, &p, &local_p, &r1).unwrap();
-        let mut w2 = w1.clone();
-        let outside = Rect::new(Point::new2(0, 4), Point::new2(4, 5)).unwrap();
-        assert!(copy_slab(&w1, &r1.lo(), &mut w2, &r1.lo(), "A", &outside).is_err());
-    }
-
-    #[test]
     fn halo_ring_partitions_window_minus_tile() {
         let window = Rect::new(Point::new2(2, 1), Point::new2(10, 9)).unwrap();
         let tile = Rect::new(Point::new2(4, 3), Point::new2(8, 7)).unwrap();
@@ -303,18 +236,5 @@ mod tests {
             *local.grid("A").unwrap().get(&Point::new2(1, 1)).unwrap(),
             -1.0
         );
-    }
-
-    #[test]
-    fn empty_slab_is_noop() {
-        let p = program(8);
-        let local_p = p.with_extent(Extent::new2(4, 4));
-        let state = GridState::uniform(&p, 1.0);
-        let r1 = Rect::new(Point::new2(0, 0), Point::new2(4, 4)).unwrap();
-        let w1 = extract_window(&state, &p, &local_p, &r1).unwrap();
-        let mut w2 = w1.clone();
-        let empty = Rect::new(Point::new2(2, 2), Point::new2(2, 4)).unwrap();
-        copy_slab(&w1, &r1.lo(), &mut w2, &r1.lo(), "A", &empty).unwrap();
-        assert_eq!(w1, w2);
     }
 }

@@ -35,7 +35,10 @@ fn quiet_injected_panics() {
 }
 
 /// A chaos-test policy: deadlines short enough to classify injected stalls
-/// quickly, backoff short enough to keep the suite fast.
+/// quickly, backoff short enough to keep the suite fast, and two workers
+/// over the 2×2 scenario on any host — kernels 0–1 on one, 2–3 on the
+/// other — so every injected fault crosses both an intra-worker link and a
+/// cross-worker pipe.
 fn chaos_policy() -> ExecPolicy {
     ExecPolicy {
         watchdog: Duration::from_millis(250),
@@ -47,6 +50,7 @@ fn chaos_policy() -> ExecPolicy {
         sequential_fallback: true,
         deadline: None,
         jitter_seed: Some(7),
+        workers: Some(2),
     }
 }
 
@@ -159,6 +163,33 @@ fn the_options_fault_plan_reaches_the_unsupervised_threaded_pool() {
     assert_eq!(err, ExecError::WorkerPanic { kernel: 1 });
     assert_eq!(faults.fired(), 1);
     // No supervisor: the pool rolls back to the block-0 barrier and stops.
+    let mut barrier = GridState::new(&p, init);
+    run_reference_opts(&p.with_iterations(2), &mut barrier, &ExecOptions::new()).unwrap();
+    assert_eq!(barrier.max_abs_diff(&got).unwrap(), 0.0);
+}
+
+#[test]
+fn a_one_worker_panic_is_reported_not_waited_out() {
+    // One worker owns every kernel, so no partner can cascade a hang-up:
+    // the panic must be reported by the worker itself, naming the kernel
+    // whose step panicked, long before the 30 s watchdog.
+    quiet_injected_panics();
+    let (p, partition) = scenario();
+    let faults = Arc::new(FaultPlan::new().inject(2, 1, FaultKind::WorkerPanic));
+    let opts = ExecOptions::new()
+        .policy(ExecPolicy {
+            workers: Some(1),
+            watchdog: Duration::from_secs(30),
+            ..ExecPolicy::default()
+        })
+        .faults(Arc::clone(&faults));
+    let mut got = GridState::new(&p, init);
+    let t0 = std::time::Instant::now();
+    let err = run_threaded_opts(&p, &partition, &mut got, &opts).unwrap_err();
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    assert_eq!(err, ExecError::WorkerPanic { kernel: 2 });
+    assert_eq!(faults.fired(), 1);
+    // Rolled back to the block-0 barrier.
     let mut barrier = GridState::new(&p, init);
     run_reference_opts(&p.with_iterations(2), &mut barrier, &ExecOptions::new()).unwrap();
     assert_eq!(barrier.max_abs_diff(&got).unwrap(), 0.0);

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stencilcl_exec::{
     run_pipe_shared_opts, run_reference_opts, run_supervised_opts, run_threaded_opts,
-    verify_design, ExecMode, ExecOptions, ExecPolicy, HealthPolicy, RecoveryPath,
+    verify_design, ExecMode, ExecOptions, ExecPolicy, HealthPolicy, Recorder, RecoveryPath,
 };
 use stencilcl_grid::{Design, DesignKind, Extent, Partition, Point, Rect};
 use stencilcl_lang::{
@@ -246,6 +246,129 @@ proptest! {
         prop_assert_eq!(reference.max_abs_diff(&supervised).unwrap(), 0.0);
         prop_assert_eq!(report.path, RecoveryPath::Threaded);
         prop_assert_eq!(report.leaked_workers(), 0);
+    }
+}
+
+/// `parts` tile lengths summing to `parts * t`; with `skew` the first
+/// tile gives up to `skew` cells to the last, never going below `min`.
+fn tile_lens(parts: usize, t: usize, skew: usize, min: usize) -> Vec<usize> {
+    let mut v = vec![t; parts];
+    let give = skew.min(t.saturating_sub(min.max(1)));
+    if parts >= 2 {
+        v[0] -= give;
+        v[parts - 1] += give;
+    }
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // The worker count is a scheduling choice only: over random star
+    // stencils in 1-D, 2-D and 3-D, equal and heterogeneous partitions,
+    // fused depths with partial final blocks, and integrity on and off,
+    // every W in 1..=kernels (uneven splits such as 3 workers over 4
+    // kernels included) is bit-exact with the reference and moves
+    // exactly the same traffic as the one-worker run.
+    #[test]
+    fn every_worker_count_is_bit_exact_and_moves_the_same_traffic(
+        dim in 1usize..=3,
+        lo in prop::collection::vec(0usize..=1, 3),
+        hi in prop::collection::vec(0usize..=1, 3),
+        far in 0usize..=1,
+        parts0 in 2usize..=4,
+        parts1 in 1usize..=2,
+        t in 2usize..=4,
+        hetero in 0usize..=1,
+        skew in 0usize..=2,
+        regions in 1usize..=2,
+        fused in 1u64..=3,
+        iters in 1u64..=5,
+        integrity in 0usize..=1,
+        seed in 0i64..1000,
+    ) {
+        // Axis 0 may reach 2 cells (`far`); tiles are at least 2 wide.
+        let mut reach: Vec<(usize, usize)> = (0..dim).map(|a| (lo[a], hi[a])).collect();
+        reach[0].1 += far;
+        if reach.iter().all(|&(l, h)| l + h == 0) {
+            return Ok(()); // pointwise: no slabs to route
+        }
+        let parts: Vec<usize> = match dim {
+            1 => vec![parts0],
+            2 => vec![parts0.min(3), 2],
+            _ => vec![2, 2, parts1],
+        };
+        let tile_lens: Vec<Vec<usize>> = parts
+            .iter()
+            .enumerate()
+            .map(|(a, &n)| {
+                let min = reach[a].0.max(reach[a].1);
+                tile_lens(n, t, if hetero == 1 { skew } else { 0 }, min)
+            })
+            .collect();
+        let extent: Vec<usize> = parts
+            .iter()
+            .enumerate()
+            .map(|(a, &n)| n * t * if a == 0 { regions } else { 1 })
+            .collect();
+        let idx = ["i", "j", "k"];
+        let at = |a: usize, off: i64| -> String {
+            (0..dim)
+                .map(|b| match off {
+                    o if b == a && o < 0 => format!("[{}-{}]", idx[b], -o),
+                    o if b == a && o > 0 => format!("[{}+{}]", idx[b], o),
+                    _ => format!("[{}]", idx[b]),
+                })
+                .collect()
+        };
+        let mut rhs = format!("0.3 * A{}", at(0, 0));
+        for (a, &(l, h)) in reach.iter().enumerate() {
+            let w = [0.2, 0.15, 0.1][a];
+            rhs += &format!(" + {w} * (A{} + A{})", at(a, -(l as i64)), at(a, h as i64));
+        }
+        let dims: String = extent.iter().map(|n| format!("[{n}]")).collect();
+        let src = format!(
+            "stencil star {{ grid A{dims} : f32; iterations {iters}; A{} = {rhs}; }}",
+            at(0, 0)
+        );
+        let program = parse(&src).unwrap();
+        let design = if hetero == 1 {
+            Design::heterogeneous(fused, tile_lens).unwrap()
+        } else {
+            Design::equal(DesignKind::PipeShared, fused, parts.clone(), vec![t; dim]).unwrap()
+        };
+        let f = StencilFeatures::extract(&program).unwrap();
+        let partition = Partition::new(program.extent(), &design, &f.growth).unwrap();
+        let init = |name: &str, p: &Point| {
+            let mut v = (name.len() as i64 + seed) as f64;
+            for d in 0..p.dim() {
+                v = v * 17.0 + p.coord(d) as f64;
+            }
+            (v * 0.0013).cos()
+        };
+        let mut reference = GridState::new(&program, init);
+        run_reference_opts(&program, &mut reference, &ExecOptions::new()).unwrap();
+        let kernels: usize = parts.iter().product();
+        let mut traffic = None;
+        for w in 1..=kernels {
+            let rec = Recorder::new();
+            let opts = ExecOptions::new()
+                .integrity(integrity == 1)
+                .trace(rec.clone())
+                .policy(ExecPolicy { workers: Some(w), ..ExecPolicy::default() });
+            let mut got = GridState::new(&program, init);
+            run_threaded_opts(&program, &partition, &mut got, &opts).unwrap();
+            prop_assert_eq!(reference.max_abs_diff(&got).unwrap(), 0.0);
+            let trace = rec.finish();
+            prop_assert!(trace.validate_spans().is_ok());
+            let c = &trace.counters;
+            let seen = (c.slabs_sent, c.slabs_received, c.halo_bytes, c.cells_computed);
+            prop_assert_eq!(c.slabs_sent, c.slabs_received);
+            match traffic {
+                None => traffic = Some(seen),
+                Some(one) => prop_assert_eq!(one, seen),
+            }
+        }
     }
 }
 

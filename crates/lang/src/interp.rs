@@ -6,8 +6,9 @@ use crate::ast::{BinOp, Expr, Func, Program, UnaryOp};
 use crate::LangError;
 
 /// The values of all of a program's grids at some point in time — the
-/// functional analogue of the accelerator's global memory.
-#[derive(Debug, Clone, PartialEq)]
+/// functional analogue of the accelerator's global memory. The default is
+/// the empty state (no grids).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GridState {
     grids: BTreeMap<String, Grid<f64>>,
 }

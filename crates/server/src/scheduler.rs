@@ -211,8 +211,10 @@ pub struct Scheduler {
 impl Scheduler {
     /// Boots the scheduler: freezes the env snapshot, spawns the
     /// persistent pool of job runners (submission never adds a runner; a
-    /// runner executing a pipe job still spawns one thread per kernel in
-    /// the threaded executor, for that job's lifetime), opens the journal
+    /// runner executing a pipe job runs it on `min(cores, kernels)` pipe
+    /// workers for that job's lifetime, each driving a contiguous group of
+    /// kernels — or, for a small job, on the runner thread itself), opens
+    /// the journal
     /// and replays it to re-admit interrupted jobs, and arms the stuck-job
     /// watchdog.
     pub fn new(cfg: SchedulerConfig) -> Arc<Scheduler> {
