@@ -1,5 +1,5 @@
 //! Criterion microbench: functional executor throughput (reference vs
-//! overlapped vs pipe-shared vs threaded on a small grid).
+//! the baseline design vs pipe-shared vs threaded on a small grid).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -34,10 +34,10 @@ fn bench_executors(c: &mut Criterion) {
     let cases: [(&str, &Program, &Partition, Run); 6] = [
         ("reference/jacobi2d_64x64_h8", &program, &pipe, reference),
         (
-            "overlapped/jacobi2d_64x64_h8",
+            "baseline/jacobi2d_64x64_h8",
             &program,
             &base,
-            run_overlapped_opts,
+            run_pipe_shared_opts,
         ),
         (
             "pipe_shared/jacobi2d_64x64_h8",

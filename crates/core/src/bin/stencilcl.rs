@@ -15,18 +15,19 @@
 //!
 //! stencilcl validate <file.stencil> --fused N --parallelism KxK --tile WxW
 //!                    [--kind baseline|pipe|hetero]
-//!     Execute the pipe-shared and baseline architectures functionally and
-//!     compare them against the naive reference (use small inputs).
+//!     Execute the design functionally on one worker and on the threaded
+//!     pool and compare both against the naive reference (use small
+//!     inputs).
 //!
 //! stencilcl trace <file.stencil> --fused N --parallelism KxK --tile WxW
-//!                 [--kind pipe|hetero] [--out FILE.json]
+//!                 [--kind baseline|pipe|hetero] [--out FILE.json]
 //!     Run the threaded executor with the lock-free recorder attached and
 //!     print the calibration report (measured phase totals vs the analytical
 //!     model's terms vs the simulated schedule) plus both Gantt charts;
 //!     `--out` additionally writes the Chrome-tracing JSON.
 //!
 //! stencilcl run <file.stencil> --fused N --parallelism KxK --tile WxW
-//!               [--kind pipe|hetero] [--deadline-ms N] [--health-bound X]
+//!               [--kind baseline|pipe|hetero] [--deadline-ms N] [--health-bound X]
 //!               [--health-stride N] [--integrity on|off] [--retries N]
 //!               [--ckpt-dir DIR] [--ckpt-every N] [--report-json FILE]
 //!     Execute under full supervision: slab checksums at every pipe splice
@@ -108,9 +109,9 @@ const USAGE: &str = "usage:
   stencilcl synth    <file.stencil> [--parallelism 4x4] [--max-fused N] [--unroll 4,8] [--min-tile N] [--out DIR]
   stencilcl codegen  <file.stencil> --kind baseline|pipe|hetero --fused N --parallelism KxK --tile WxW [--out DIR]
   stencilcl validate <file.stencil> --fused N --parallelism KxK --tile WxW [--kind K]
-  stencilcl trace    <file.stencil> --fused N --parallelism KxK --tile WxW [--kind pipe|hetero]
+  stencilcl trace    <file.stencil> --fused N --parallelism KxK --tile WxW [--kind K]
                      [--out FILE.json]
-  stencilcl run      <file.stencil> --fused N --parallelism KxK --tile WxW [--kind pipe|hetero]
+  stencilcl run      <file.stencil> --fused N --parallelism KxK --tile WxW [--kind K]
                      [--deadline-ms N] [--health-bound X] [--health-stride N]
                      [--integrity on|off] [--retries N]
                      [--ckpt-dir DIR] [--ckpt-every N] [--report-json FILE]
@@ -347,19 +348,14 @@ fn validate(args: &[String]) -> Result<String, String> {
     if program.extent().volume() > MAX_VOLUME {
         return Err("input too large for functional validation; shrink the grid".into());
     }
-    let (design, partition, _) = explicit_design(&opts, &program)?;
+    let (_, partition, _) = explicit_design(&opts, &program)?;
     let mut out = String::new();
-    let modes: &[(&str, ExecMode)] = if design.kind() == DesignKind::Baseline {
-        &[("overlapped", ExecMode::Overlapped)]
-    } else {
-        &[
-            ("pipe-shared", ExecMode::PipeShared),
-            ("threaded", ExecMode::Threaded),
-        ]
-    };
     let exec_opts = ExecOptions::from_config(EnvConfig::get());
-    for (label, mode) in modes {
-        let diff = verify_design(&program, &partition, *mode, &exec_opts, default_init)
+    for (label, mode) in [
+        ("one-worker", ExecMode::PipeShared),
+        ("threaded", ExecMode::Threaded),
+    ] {
+        let diff = verify_design(&program, &partition, mode, &exec_opts, default_init)
             .map_err(|e| e.to_string())?;
         let verdict = if diff == 0.0 { "EXACT" } else { "DIVERGED" };
         let _ = writeln!(
@@ -380,9 +376,6 @@ fn trace_cmd(args: &[String]) -> Result<String, String> {
         return Err("input too large for host-side tracing; shrink the grid".into());
     }
     let (design, partition, _) = explicit_design(&opts, &program)?;
-    if design.kind() == DesignKind::Baseline {
-        return Err("trace drives the threaded executor; use --kind pipe or hetero".into());
-    }
     let features = StencilFeatures::extract(&program).map_err(|e| e.to_string())?;
 
     let rec = Recorder::new();
@@ -531,9 +524,6 @@ fn run_cmd(args: &[String]) -> Result<String, String> {
         return Err("input too large for host-side execution; shrink the grid".into());
     }
     let (design, partition, spec) = explicit_design(&opts, &program)?;
-    if design.kind() == DesignKind::Baseline {
-        return Err("run drives the supervised pipe executors; use --kind pipe or hetero".into());
-    }
 
     let mut exec_opts = supervised_options(EnvConfig::get(), &opts, None)?;
     if exec_opts.checkpoint.enabled() {
@@ -604,11 +594,6 @@ fn resume_cmd(args: &[String]) -> Result<String, String> {
          resume it programmatically via resume_supervised_full",
     )?;
     let kind = parse_kind(&spec.kind)?;
-    if kind == DesignKind::Baseline {
-        return Err("resume drives the supervised pipe executors; the manifest \
-                    records a baseline design"
-            .into());
-    }
     let (design, partition, _) =
         build_design(&program, kind, spec.fused, &spec.parallelism, &spec.tile)?;
     let mut exec_opts = supervised_options(EnvConfig::get(), &opts, Some(&dir))?;
@@ -1083,32 +1068,25 @@ mod tests {
         let out = run(&[String::from("features"), path.clone()]).unwrap();
         assert!(out.contains("dimensions : 2"));
 
-        let out = run(&[
-            "validate".into(),
-            path.clone(),
-            "--fused".into(),
-            "3".into(),
-            "--parallelism".into(),
-            "2x2".into(),
-            "--tile".into(),
-            "8x8".into(),
-        ])
-        .unwrap();
-        assert!(out.contains("EXACT"), "{out}");
+        for kind in ["pipe", "baseline"] {
+            let flags = ["--fused", "3", "--parallelism", "2x2", "--tile", "8x8"];
+            let design: Vec<String> = flags
+                .into_iter()
+                .chain(["--kind", kind])
+                .map(String::from)
+                .collect();
+            let out =
+                run(&[vec!["validate".into(), path.clone()], design.clone()].concat()).unwrap();
+            assert!(
+                out.contains("one-worker") && out.contains("threaded"),
+                "{out}"
+            );
+            assert_eq!(out.matches("EXACT").count(), 2, "{out}");
 
-        let out = run(&[
-            "trace".into(),
-            path.clone(),
-            "--fused".into(),
-            "3".into(),
-            "--parallelism".into(),
-            "2x2".into(),
-            "--tile".into(),
-            "8x8".into(),
-        ])
-        .unwrap();
-        assert!(out.contains("calibration:"), "{out}");
-        assert!(out.contains("measured schedule"), "{out}");
+            let out = run(&[vec!["trace".into(), path.clone()], design].concat()).unwrap();
+            assert!(out.contains("calibration:"), "{out}");
+            assert!(out.contains("measured schedule"), "{out}");
+        }
 
         let out = run(&[
             "codegen".into(),

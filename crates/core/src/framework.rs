@@ -184,8 +184,9 @@ mod tests {
         let baseline =
             eval(Design::equal(DesignKind::Baseline, 4, vec![2, 2], vec![8, 8]).unwrap());
         let hetero = eval(Design::heterogeneous(4, vec![vec![6, 10], vec![10, 6]]).unwrap());
-        fw.validate(&p, &baseline, ExecMode::Overlapped).unwrap();
-        fw.validate(&p, &hetero, ExecMode::PipeShared).unwrap();
-        fw.validate(&p, &hetero, ExecMode::Threaded).unwrap();
+        for mode in ExecMode::ALL {
+            fw.validate(&p, &baseline, mode).unwrap();
+            fw.validate(&p, &hetero, mode).unwrap();
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Process-level durability: a `stencilcl run` hard-killed (SIGKILL — no
 //! destructors, no flushing) mid-run is resumed by `stencilcl resume` from
 //! its on-disk checkpoint store and produces the identical grid digest an
-//! uninterrupted run prints. This is the end-to-end guarantee the in-crate
-//! persistence tests cannot give: the dying and the resuming supervisor
-//! live in different processes.
+//! uninterrupted run prints, for a pipe and a baseline design alike. This
+//! is the end-to-end guarantee the in-crate persistence tests cannot
+//! give: the dying and the resuming supervisor live in different
+//! processes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -33,9 +34,11 @@ fn write_stencil(dir: &Path) -> PathBuf {
     file
 }
 
-fn design_flags(file: &Path) -> Vec<String> {
+fn design_flags(file: &Path, kind: &str) -> Vec<String> {
     vec![
         file.to_string_lossy().to_string(),
+        "--kind".into(),
+        kind.into(),
         "--fused".into(),
         "2".into(),
         "--parallelism".into(),
@@ -71,12 +74,13 @@ fn generation_count(store: &Path) -> usize {
 fn sigkilled_run_resumes_to_the_identical_digest() {
     let dir = scratch("resume");
     let file = write_stencil(&dir);
-    let store = dir.join("store");
 
     // Reference: the digest of an uninterrupted run of the same program.
+    // Every design kind computes the same grid, so one digest serves both
+    // round trips.
     let clean = Command::new(bin())
         .arg("run")
-        .args(design_flags(&file))
+        .args(design_flags(&file, "pipe"))
         .output()
         .unwrap();
     assert!(
@@ -85,13 +89,23 @@ fn sigkilled_run_resumes_to_the_identical_digest() {
         String::from_utf8_lossy(&clean.stderr)
     );
     let expect = digest_of(&String::from_utf8_lossy(&clean.stdout));
+    for kind in ["pipe", "baseline"] {
+        kill_and_resume(&dir, &file, kind, &expect);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// SIGKILLs a checkpointing `kind` run of `file` and resumes it twice,
+/// expecting the uninterrupted digest `expect` each time.
+fn kill_and_resume(dir: &Path, file: &Path, kind: &str, expect: &str) {
+    let store = dir.join(format!("store-{kind}"));
 
     // The victim: same run, checkpointing every barrier. SIGKILL it as soon
     // as a couple of generations are sealed — mid-computation, with no
     // chance to flush or unwind.
     let mut child = Command::new(bin())
         .arg("run")
-        .args(design_flags(&file))
+        .args(design_flags(file, kind))
         .args(["--ckpt-dir", store.to_str().unwrap(), "--ckpt-every", "1"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -125,7 +139,7 @@ fn sigkilled_run_resumes_to_the_identical_digest() {
 
     // Resume in a fresh process: manifest-only (no source file, no design
     // flags), same digest, and a machine-readable report.
-    let report_path = dir.join("resume-report.json");
+    let report_path = dir.join(format!("resume-report-{kind}.json"));
     let resumed = Command::new(bin())
         .arg("resume")
         .arg(store.to_str().unwrap())
@@ -139,7 +153,7 @@ fn sigkilled_run_resumes_to_the_identical_digest() {
         "resume failed:\n{stdout}\n{stderr}"
     );
     assert!(stdout.contains("resume completed"), "{stdout}");
-    assert_eq!(digest_of(&stdout), expect, "{stdout}");
+    assert_eq!(digest_of(&stdout), expect, "{kind}: {stdout}");
     let report = std::fs::read_to_string(&report_path).unwrap();
     assert!(report.contains("\"attempts\""), "{report}");
 
@@ -155,6 +169,5 @@ fn sigkilled_run_resumes_to_the_identical_digest() {
         .unwrap();
     let stdout = String::from_utf8_lossy(&again.stdout);
     assert!(again.status.success(), "{stdout}");
-    assert_eq!(digest_of(&stdout), expect, "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(digest_of(&stdout), expect, "{kind}: {stdout}");
 }

@@ -17,7 +17,7 @@ use crate::ExecError;
 /// growths within one iteration, intersected with the statement's global
 /// update domain (which handles the fixed grid-boundary ring).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DomainPlan {
+pub(crate) struct DomainPlan {
     cone: Cone,
     buffer: Rect,
     total: Growth,

@@ -17,8 +17,10 @@ pub enum ExecError {
         /// The offending statement's target grid.
         statement: String,
     },
-    /// The design/partition is inconsistent with the program (e.g. baseline
-    /// executor asked to run a pipe partition).
+    /// The run cannot proceed as configured: geometry that disagrees with
+    /// the program (a window or tile that does not fit), a pipe-protocol
+    /// skew, a hung-up pipe partner, or a worker thread that failed to
+    /// spawn.
     BadConfiguration {
         /// Human-readable description.
         detail: String,

@@ -7,29 +7,29 @@
 //!
 //! * [`run_reference_opts`] — the naive algorithm: every iteration updates
 //!   the whole grid with a global synchronization (Figure 3 of the paper);
-//! * [`run_overlapped_opts`] — the baseline (Nacci et al.): each tile loads
-//!   its expanded cone footprint and computes all fused iterations
-//!   independently, recomputing the overlap with its neighbors;
-//! * [`run_pipe_shared_opts`] — the paper's design: tiles of one region
-//!   advance in lockstep and exchange boundary slabs after every statement,
-//!   exactly what the OpenCL pipes carry (works for both equal and
-//!   heterogeneous tilings);
-//! * [`run_threaded_opts`] — the pipe design on real threads: a fixed set
+//! * [`run_pipe_shared_opts`] — every tiled design on one worker: under
+//!   the paper's pipe designs (equal and heterogeneous tilings) the tiles of
+//!   one region advance in lockstep and exchange boundary slabs after every
+//!   statement, exactly what the OpenCL pipes carry; under the baseline
+//!   (Nacci et al.) each tile computes its full expanded cone and exchanges
+//!   nothing, recomputing the overlap with its neighbors;
+//! * [`run_threaded_opts`] — the same designs on real threads: a fixed set
 //!   of `min(cores, kernels)` workers (one for a sweep too small to split;
 //!   it runs on the calling thread), each driving a contiguous group of
 //!   tile kernels in lockstep, with bounded crossbeam channels as the pipes
 //!   between groups — a live concurrent execution of the dataflow, not a
 //!   re-simulation. [`run_pipe_shared_opts`] is its one-worker case.
 //!
-//! One driver runs **one** per-kernel pipe step for every worker count:
-//! load the kernel's window, sweep a statement over its domain and commit
-//! it, gather and emit its slabs from the committed window, splice the
-//! neighbors' slabs, store the tile. Slabs between two kernels of one
-//! worker go through its edge buffer, slabs between workers through a
-//! channel, and every receiver splices in plan edge order, so a halo
-//! corner covered by two neighbors gets the same last writer for every
-//! worker count. Geometry and routing are planned once per run, each tile
-//! keeps a persistent local window whose halo ring is refreshed
+//! One driver runs **one** per-kernel tiled step for every design kind and
+//! worker count: load the kernel's window, sweep a statement over its
+//! domain and commit it, gather and emit its slabs from the committed
+//! window, splice the neighbors' slabs, store the tile. A baseline plan
+//! routes no slab, so its step is load, sweep, store. Slabs between two
+//! kernels of one worker go through its edge buffer, slabs between workers
+//! through a channel, and every receiver splices in plan edge order, so a
+//! halo corner covered by two neighbors gets the same last writer for
+//! every worker count. Geometry and routing are planned once per run,
+//! each tile keeps a persistent local window whose halo ring is refreshed
 //! incrementally between fused blocks, and the global grid is
 //! double-buffered instead of snapshot-cloned per block. The barrier loop
 //! checks the deadline, scans health before committing, swaps the
@@ -40,7 +40,7 @@
 //! through its own cooperative [`CancelHandle`], so worker threads never
 //! outlive the call.
 //!
-//! On top of the pipe executor, [`run_supervised_opts`] (and
+//! On top of the tiled executor, [`run_supervised_opts`] (and
 //! [`run_supervised_full`], which also reports failed runs) adds
 //! production robustness: the double-buffered grid is a checkpoint at every
 //! fused-block barrier, transient faults (panics, stalls, pipe-protocol
@@ -61,7 +61,7 @@
 //!
 //! Every executor evaluates update statements through flat bytecode
 //! kernels (`stencilcl_lang::CompiledProgram`) compiled once per run — per
-//! (region, kernel) for the pipe executors — that walk each row in chunks
+//! (region, kernel) for the tiled executors — that walk each row in chunks
 //! of [`ExecOptions::lanes`] cells per tape pass (256 by default; the
 //! lanes run across cells, never within one, so every width is
 //! bit-exact). The tree-walking `stencilcl_lang::Interpreter` stays in the
@@ -77,18 +77,20 @@
 //! region) phase spans (launch, halo read, compute, pipe wait, write-back,
 //! barrier) and event counters (halo bytes, slabs sent/received, cells
 //! computed, pipe-stall nanoseconds, retries) from inside every executor,
-//! lock-free. The executors are generic over the [`TraceSink`], so the
+//! lock-free. `RedundantCells` counts the evaluations outside a kernel's
+//! own tile: a baseline cone's overlap, a pipe design's region-boundary
+//! halo. The executors are generic over the [`TraceSink`], so the
 //! default untraced run monomorphizes against a zero-sized no-op sink and
 //! pays nothing. The `ablation_trace` bench bin and the CLI `trace`
 //! subcommand export Chrome-tracing JSON and calibration reports.
 //!
 //! # Limitations
 //!
-//! Pipe-based executors exchange data across tile *faces* only. Stencils
-//! whose statements read diagonal offsets (more than one nonzero coordinate)
-//! would need corner exchanges and are rejected with
+//! Pipe designs exchange data across tile *faces* only. Under a pipe
+//! design, stencils whose statements read diagonal offsets (more than one
+//! nonzero coordinate) would need corner exchanges and are rejected with
 //! [`ExecError::DiagonalAccess`]; all seven paper benchmarks are star
-//! stencils. (The baseline executor handles any shape.)
+//! stencils. A baseline design exchanges nothing and runs any shape.
 //!
 //! # Example
 //!
@@ -131,13 +133,11 @@ mod threaded;
 mod verify;
 mod window;
 
-pub use domains::DomainPlan;
 pub use error::ExecError;
 pub use faults::{FaultKind, FaultPlan};
 pub use integrity::{HealthMode, HealthPolicy};
 pub use jobs::{CancelHandle, ExecPool, JobOutcome, JobSpec, Progress};
 pub use options::ExecOptions;
-pub use overlapped::run_overlapped_opts;
 pub use persist::{
     load_latest, policy_fingerprint, program_hash, resume_supervised_full, CheckpointManifest,
     CheckpointPolicy, DesignSpec, DirStore, GridMeta, LoadedCheckpoint,
@@ -150,7 +150,6 @@ pub use supervise::{
 };
 pub use threaded::{live_workers, run_threaded_opts};
 pub use verify::{verify_design, ExecMode};
-pub use window::{extract_window, halo_ring, refresh_ring, write_back};
 
 // Telemetry vocabulary re-exported so executor callers need not depend on
 // the telemetry crate directly for the common case.

@@ -113,18 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_baseline_partition() {
-        let p = programs::jacobi_1d()
-            .with_extent(Extent::new1(32))
-            .with_iterations(2);
-        let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
-        let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
-        let mut s = GridState::uniform(&p, 0.0);
-        assert!(run_pipe_shared_opts(&p, &partition, &mut s, &ExecOptions::new()).is_err());
-    }
-
-    #[test]
     fn rejects_diagonal_stencils() {
         let p = stencilcl_lang::parse(
             "stencil d { grid A[16][16] : f32; iterations 2;
@@ -139,6 +127,11 @@ mod tests {
             run_pipe_shared_opts(&p, &partition, &mut s, &ExecOptions::new()).unwrap_err(),
             ExecError::DiagonalAccess { .. }
         ));
+        // A baseline design exchanges no slab, so the same stencil runs.
+        for (parallelism, tile) in [(vec![2, 2], vec![4, 4]), (vec![4, 2], vec![2, 4])] {
+            let d = Design::equal(DesignKind::Baseline, 2, parallelism, tile).unwrap();
+            check(&p, &d);
+        }
     }
 
     #[test]

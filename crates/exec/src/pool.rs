@@ -1,12 +1,11 @@
 use std::sync::{Arc, PoisonError, RwLock};
 
-use stencilcl_grid::{FaceKind, Partition, Rect};
+use stencilcl_grid::{Extent, FaceKind, Partition, Rect};
 use stencilcl_lang::{CompiledProgram, GridState, Program, StencilFeatures};
 use stencilcl_telemetry::{Counter, TracePhase, TraceSink};
 
 use crate::domains::{reject_diagonals, DomainPlan};
 use crate::integrity::{scan_state, verify_slab, RunLimits};
-use crate::overlapped::window_extent;
 use crate::persist::CheckpointWriter;
 use crate::window::{extract_window, halo_ring, refresh_ring, write_back};
 use crate::ExecError;
@@ -160,7 +159,9 @@ impl DepthPlans {
     }
 }
 
-/// Everything the pipe executors precompute once per run.
+/// Everything the tiled executors precompute once per run, for every design
+/// kind. A baseline plan has no edges, routes or pairs: each tile's window
+/// is its full cone, and no kernel exchanges a slab.
 ///
 /// The plan fixes the invariants the persistent-window executors rely on:
 ///
@@ -224,24 +225,22 @@ pub(crate) fn pass_depths(fused: u64, iterations: u64) -> Vec<u64> {
 }
 
 impl PipelinePlan {
-    /// Builds the full per-run plan, validating the design kind and stencil
-    /// shape exactly like the original per-pass executors did. `lanes` is
-    /// the run's cells per tape pass of the compiled row walk (`None` = the
-    /// compiler default).
+    /// Builds the full per-run plan for any design kind. Pipe designs must
+    /// be star stencils ([`ExecError::DiagonalAccess`] otherwise); a
+    /// baseline tile has no shared face, so its cone expands everywhere
+    /// but the grid boundary, it has no edges or routes, and any stencil
+    /// shape plans. `lanes` is the run's cells per tape pass of the
+    /// compiled row walk (`None` = the compiler default).
     pub fn new(
         program: &Program,
         partition: &Partition,
         lanes: Option<usize>,
     ) -> Result<Self, ExecError> {
         let features = StencilFeatures::extract(program)?;
-        if !partition.design().kind().uses_pipes() {
-            return Err(ExecError::config(
-                "pipe executors expect a pipe-shared or heterogeneous design",
-            ));
-        }
-        reject_diagonals(&features)?;
-
         let kind = partition.design().kind();
+        if kind.uses_pipes() {
+            reject_diagonals(&features)?;
+        }
         let grid_rect = Rect::from_extent(&program.extent());
         let updated: Vec<String> = program
             .updated_grids()
@@ -406,6 +405,12 @@ impl PipelinePlan {
     }
 }
 
+/// The extent of a local window over `rect`.
+pub(crate) fn window_extent(rect: &Rect) -> Result<Extent, ExecError> {
+    let lens: Vec<usize> = (0..rect.dim()).map(|d| rect.len(d) as usize).collect();
+    Extent::new(&lens).map_err(ExecError::from)
+}
+
 /// Verifies a received slab carries the expected global
 /// `(iteration, statement)` tag. A mismatch means the pipe protocol skewed
 /// — a real executor bug, so this is a hard runtime error, not a debug
@@ -551,7 +556,7 @@ impl<'p, S: TraceSink> KernelStep<'p, S> {
         let (cells, arrays) = match &mut self.locals[r] {
             slot @ None => {
                 let lp = &plan.local_programs[r][k];
-                *slot = Some(extract_window(cur, lp, lp, &plan.windows[r][k])?);
+                *slot = Some(extract_window(cur, lp, &plan.windows[r][k])?);
                 (plan.windows[r][k].volume(), lp.grids.len())
             }
             Some(local) => {
@@ -583,12 +588,21 @@ impl<'p, S: TraceSink> KernelStep<'p, S> {
         let (plan, k, sink) = (self.plan, self.kernel, self.sink);
         let outs = &depth.routes[r][k].outs;
         let (integrity, sent) = (self.integrity, &mut self.sent);
+        let clipped = depth.local_domain(r, k, i, at.1, plan.stmts);
+        if S::ACTIVE {
+            // Cells outside the kernel's own tile are halo recompute that a
+            // neighboring tile owns: a baseline cone, or a pipe design's
+            // region-boundary halo.
+            let tile = plan.tiles[r][k].translate(&-plan.windows[r][k].lo())?;
+            let own = clipped.intersect(&tile)?.volume();
+            sink.add(Counter::RedundantCells, clipped.volume() - own);
+        }
         let t0 = sink.now();
         apply_statement_split(
             &plan.compiled[r][k],
             self.locals[r].as_mut().expect("window loaded"),
             at.1,
-            depth.local_domain(r, k, i, at.1, plan.stmts),
+            clipped,
             outs,
             &mut self.scratch,
             sink,
@@ -892,16 +906,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn rejects_baseline_designs() {
-        let p = programs::jacobi_1d()
-            .with_extent(Extent::new1(32))
-            .with_iterations(2);
-        let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
-        let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
-        assert!(PipelinePlan::new(&p, &partition, None).is_err());
     }
 }

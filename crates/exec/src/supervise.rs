@@ -625,15 +625,18 @@ mod tests {
 
     #[test]
     fn configuration_errors_are_not_retried() {
-        let p = programs::jacobi_1d()
-            .with_extent(Extent::new1(32))
-            .with_iterations(2);
+        let p = stencilcl_lang::parse(
+            "stencil d { grid A[16][16] : f32; iterations 2;
+             A[i][j] = 0.5 * (A[i-1][j-1] + A[i+1][j+1]); }",
+        )
+        .unwrap();
         let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
+        let d = Design::equal(DesignKind::PipeShared, 2, vec![2, 2], vec![4, 4]).unwrap();
         let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
         let mut s = GridState::uniform(&p, 0.0);
-        let err = run_supervised_opts(&p, &partition, &mut s, &ExecOptions::new()).unwrap_err();
-        assert!(matches!(err, ExecError::BadConfiguration { .. }));
+        let (report, result) = run_supervised_full(&p, &partition, &mut s, &ExecOptions::new());
+        assert!(matches!(result, Err(ExecError::DiagonalAccess { .. })));
+        assert_eq!(report.attempts.len(), 1);
     }
 
     #[test]

@@ -135,10 +135,11 @@ struct WorkerCtx<S: TraceSink> {
     sink: S,
 }
 
-/// Runs the pipe-shared design on a fixed set of worker threads — the
-/// host's cores play the paper's processing elements. `W = min(cores,
-/// kernels, cells / grain)` workers ([`ExecPolicy::workers`](crate::ExecPolicy)
-/// pins `W`) live for the whole run; worker `g` owns kernels
+/// Runs a tiled design — baseline, pipe-shared or heterogeneous — on a
+/// fixed set of worker threads; the host's cores play the paper's
+/// processing elements. `W = min(cores, kernels, cells / grain)` workers
+/// ([`ExecPolicy::workers`](crate::ExecPolicy) pins `W`) live for the
+/// whole run; worker `g` owns kernels
 /// `g·K/W .. (g+1)·K/W`. A run whose statement sweeps fewer than two grains
 /// of cells gets one worker, which (without injected faults) runs on the
 /// calling thread.
@@ -148,8 +149,9 @@ struct WorkerCtx<S: TraceSink> {
 /// both kernels are its own, else from a bounded crossbeam channel, the
 /// OpenCL pipe, created once per directed cross-worker kernel pair. A
 /// worker starts the next statement only once it holds every slab of this
-/// one, so no pipe holds more than its capacity of 2 slabs. Results are
-/// bit-identical for every `W`, and to the reference.
+/// one, so no pipe holds more than its capacity of 2 slabs. A baseline
+/// design plans no edge, so its workers share nothing but the barriers.
+/// Results are bit-identical for every `W`, and to the reference.
 ///
 /// [`ExecOptions::policy`] sets the watchdog deadlines and `W`, and
 /// [`ExecOptions::faults`] arms injected worker faults; see
@@ -159,8 +161,8 @@ struct WorkerCtx<S: TraceSink> {
 ///
 /// # Errors
 ///
-/// [`ExecError::BadConfiguration`] for baseline partitions,
-/// [`ExecError::DiagonalAccess`] for non-star stencils, geometry and
+/// [`ExecError::DiagonalAccess`] for non-star stencils under a pipe
+/// design (a baseline design runs any shape), geometry and
 /// evaluation errors, [`ExecError::WorkerPanic`] naming the kernel whose
 /// step panicked, and [`ExecError::PipeStall`] if the watchdog sees no
 /// report within its deadline. On error the pool is cancelled
@@ -814,18 +816,6 @@ pub(crate) mod tests {
         let mut got = GridState::new(&p, init);
         run_threaded_opts(&p, &partition, &mut got, &ExecOptions::new().policy(policy)).unwrap();
         assert_eq!(expect.max_abs_diff(&got).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn rejects_baseline_partition() {
-        let p = programs::jacobi_1d()
-            .with_extent(Extent::new1(32))
-            .with_iterations(2);
-        let f = StencilFeatures::extract(&p).unwrap();
-        let d = Design::equal(DesignKind::Baseline, 2, vec![2], vec![8]).unwrap();
-        let partition = Partition::new(p.extent(), &d, &f.growth).unwrap();
-        let mut s = GridState::uniform(&p, 0.0);
-        assert!(run_threaded_opts(&p, &partition, &mut s, &ExecOptions::new()).is_err());
     }
 
     #[test]

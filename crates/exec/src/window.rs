@@ -1,28 +1,28 @@
-use stencilcl_grid::{Extent, Grid, Point, Rect};
+use stencilcl_grid::{Grid, Point, Rect};
 use stencilcl_lang::{GridState, Program};
 
+use crate::pool::window_extent;
 use crate::ExecError;
 
 /// Extracts the window `rect` (already clipped to the grid) of every array of
 /// `state` into a fresh local [`GridState`] over `local_program` — the
 /// functional analogue of the burst read into a kernel's BRAM buffers.
 ///
-/// `local_program` must be `program.with_extent(window extent)`.
+/// `local_program` must be the program re-extented to the window.
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] when the window is empty or the programs disagree.
-pub fn extract_window(
+/// Returns [`ExecError`] when the window is empty or its extent disagrees
+/// with `local_program`'s.
+pub(crate) fn extract_window(
     state: &GridState,
-    program: &Program,
     local_program: &Program,
     rect: &Rect,
 ) -> Result<GridState, ExecError> {
     if rect.is_empty() {
         return Err(ExecError::config(format!("empty window {rect}")));
     }
-    let lens: Vec<usize> = (0..rect.dim()).map(|d| rect.len(d) as usize).collect();
-    let extent = Extent::new(&lens).map_err(ExecError::from)?;
+    let extent = window_extent(rect)?;
     if local_program.extent() != extent {
         return Err(ExecError::config(format!(
             "local program extent {} does not match window {}",
@@ -31,7 +31,7 @@ pub fn extract_window(
         )));
     }
     let mut grids = std::collections::BTreeMap::new();
-    for decl in &program.grids {
+    for decl in &local_program.grids {
         let src = state.grid(&decl.name)?;
         let values = src.read_window(rect)?;
         grids.insert(decl.name.clone(), Grid::from_vec(extent, values)?);
@@ -47,7 +47,7 @@ pub fn extract_window(
 /// # Errors
 ///
 /// Returns [`ExecError`] when geometry or grid names disagree.
-pub fn write_back(
+pub(crate) fn write_back(
     state: &mut GridState,
     local: &GridState,
     updated: &[&str],
@@ -73,7 +73,7 @@ pub fn write_back(
 ///
 /// Returns [`ExecError::BadConfiguration`] unless `tile` lies inside
 /// `window`.
-pub fn halo_ring(window: &Rect, tile: &Rect) -> Result<Vec<Rect>, ExecError> {
+pub(crate) fn halo_ring(window: &Rect, tile: &Rect) -> Result<Vec<Rect>, ExecError> {
     if !window.contains_rect(tile) {
         return Err(ExecError::config(format!(
             "tile {tile} escapes its window {window}"
@@ -105,7 +105,7 @@ pub fn halo_ring(window: &Rect, tile: &Rect) -> Result<Vec<Rect>, ExecError> {
 ///
 /// Returns [`ExecError`] when a ring rect falls outside the local window
 /// or a named grid is missing.
-pub fn refresh_ring(
+pub(crate) fn refresh_ring(
     local: &mut GridState,
     global: &GridState,
     ring: &[Rect],
@@ -127,6 +127,7 @@ pub fn refresh_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencilcl_grid::Extent;
     use stencilcl_lang::parse;
 
     fn program(n: usize) -> Program {
@@ -146,7 +147,7 @@ mod tests {
         });
         let rect = Rect::new(Point::new2(2, 2), Point::new2(6, 6)).unwrap();
         let local_p = p.with_extent(Extent::new2(4, 4));
-        let local = extract_window(&state, &p, &local_p, &rect).unwrap();
+        let local = extract_window(&state, &local_p, &rect).unwrap();
         assert_eq!(
             *local.grid("A").unwrap().get(&Point::new2(0, 0)).unwrap(),
             100.0 + 18.0
@@ -180,7 +181,7 @@ mod tests {
         let state = GridState::uniform(&p, 0.0);
         let rect = Rect::new(Point::new2(0, 0), Point::new2(4, 4)).unwrap();
         let wrong = p.with_extent(Extent::new2(5, 5));
-        assert!(extract_window(&state, &p, &wrong, &rect).is_err());
+        assert!(extract_window(&state, &wrong, &rect).is_err());
     }
 
     #[test]
@@ -213,7 +214,7 @@ mod tests {
         let global = GridState::new(&p, |_, pt| (pt.coord(0) * 8 + pt.coord(1)) as f64);
         let window = Rect::new(Point::new2(2, 2), Point::new2(6, 6)).unwrap();
         let tile = Rect::new(Point::new2(3, 3), Point::new2(5, 5)).unwrap();
-        let mut local = extract_window(&global, &p, &local_p, &window).unwrap();
+        let mut local = extract_window(&global, &local_p, &window).unwrap();
         // Scribble over the whole local window, then refresh the ring.
         for x in 0..4 {
             for y in 0..4 {

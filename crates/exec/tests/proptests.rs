@@ -80,7 +80,8 @@ proptest! {
         let n = k * tile * regions;
         let program = programs::jacobi_1d().with_extent(Extent::new1(n)).with_iterations(iters);
         let base = Design::equal(DesignKind::Baseline, fused, vec![k], vec![tile]).unwrap();
-        prop_assert_eq!(verify(&program, &base, ExecMode::Overlapped, seed), 0.0);
+        prop_assert_eq!(verify(&program, &base, ExecMode::PipeShared, seed), 0.0);
+        prop_assert_eq!(verify(&program, &base, ExecMode::Threaded, seed), 0.0);
         let pipe = Design::equal(DesignKind::PipeShared, fused, vec![k], vec![tile]).unwrap();
         prop_assert_eq!(verify(&program, &pipe, ExecMode::PipeShared, seed), 0.0);
         prop_assert_eq!(verify(&program, &pipe, ExecMode::Threaded, seed), 0.0);
@@ -112,7 +113,8 @@ proptest! {
         let design = Design::equal(DesignKind::PipeShared, fused, vec![2], vec![tile]).unwrap();
         prop_assert_eq!(verify(&program, &design, ExecMode::PipeShared, seed), 0.0);
         let base = Design::equal(DesignKind::Baseline, fused, vec![2], vec![tile]).unwrap();
-        prop_assert_eq!(verify(&program, &base, ExecMode::Overlapped, seed), 0.0);
+        prop_assert_eq!(verify(&program, &base, ExecMode::PipeShared, seed), 0.0);
+        prop_assert_eq!(verify(&program, &base, ExecMode::Threaded, seed), 0.0);
     }
 
     #[test]
@@ -155,7 +157,8 @@ proptest! {
         prop_assert_eq!(verify(&program, &design, ExecMode::PipeShared, seed), 0.0);
         prop_assert_eq!(verify(&program, &design, ExecMode::Threaded, seed), 0.0);
         let base = Design::equal(DesignKind::Baseline, fused, vec![2, 2], vec![6, 6]).unwrap();
-        prop_assert_eq!(verify(&program, &base, ExecMode::Overlapped, seed), 0.0);
+        prop_assert_eq!(verify(&program, &base, ExecMode::PipeShared, seed), 0.0);
+        prop_assert_eq!(verify(&program, &base, ExecMode::Threaded, seed), 0.0);
     }
 
     #[test]
@@ -174,7 +177,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // The persistent-pool executors agree **with each other and with the
-    // reference**, bit for bit, over random star stencils, both partition
+    // reference**, bit for bit, over random star stencils, all three design
     // families, and fused depths that exercise partial final blocks.
     #[test]
     fn random_star_stencils_agree_across_all_executors(
@@ -182,7 +185,7 @@ proptest! {
         c in 1u64..=4,
         t in 4usize..=8,
         regions in 1usize..=2,
-        hetero in 0usize..=1,
+        family in 0usize..=2,
         skew in 0usize..2,
         narrow in 0usize..=2,
         fused in 1u64..=3,
@@ -201,7 +204,7 @@ proptest! {
                      + 0.15 * (A[i][j-{lj}] + A[i][j+{hj}]); }}"
         );
         let program = parse(&src).unwrap();
-        let design = if hetero == 1 {
+        let design = if family == 1 {
             let lens = split(2 * t, 2, skew);
             // A 1- or 2-column first tile (no narrower than the stencil's
             // column reach, which partitioning requires): its outgoing
@@ -212,7 +215,8 @@ proptest! {
             let cols = if narrow > 0 { vec![w, 2 * t - w] } else { lens.clone() };
             Design::heterogeneous(fused, vec![lens, cols]).unwrap()
         } else {
-            Design::equal(DesignKind::PipeShared, fused, vec![2, 2], vec![t, t]).unwrap()
+            let kind = if family == 2 { DesignKind::Baseline } else { DesignKind::PipeShared };
+            Design::equal(kind, fused, vec![2, 2], vec![t, t]).unwrap()
         };
         let f = StencilFeatures::extract(&program).unwrap();
         let partition = Partition::new(program.extent(), &design, &f.growth).unwrap();
@@ -265,11 +269,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // The worker count is a scheduling choice only: over random star
-    // stencils in 1-D, 2-D and 3-D, equal and heterogeneous partitions,
-    // fused depths with partial final blocks, and integrity on and off,
-    // every W in 1..=kernels (uneven splits such as 3 workers over 4
-    // kernels included) is bit-exact with the reference and moves
-    // exactly the same traffic as the one-worker run.
+    // stencils in 1-D, 2-D and 3-D, equal, heterogeneous and baseline
+    // partitions of one or two regions, fused depths with partial final
+    // blocks, and integrity on and off, every W in 1..=kernels (uneven
+    // splits such as 3 workers over 4 kernels included) is bit-exact with
+    // the reference and moves exactly the same traffic as the one-worker
+    // run. Every cell computed is either a statement update the reference
+    // makes too or redundant halo recompute outside the kernel's tile, of
+    // which a one-region pipe design has none.
     #[test]
     fn every_worker_count_is_bit_exact_and_moves_the_same_traffic(
         dim in 1usize..=3,
@@ -279,7 +286,7 @@ proptest! {
         parts0 in 2usize..=4,
         parts1 in 1usize..=2,
         t in 2usize..=4,
-        hetero in 0usize..=1,
+        family in 0usize..=2,
         skew in 0usize..=2,
         regions in 1usize..=2,
         fused in 1u64..=3,
@@ -303,7 +310,7 @@ proptest! {
             .enumerate()
             .map(|(a, &n)| {
                 let min = reach[a].0.max(reach[a].1);
-                tile_lens(n, t, if hetero == 1 { skew } else { 0 }, min)
+                tile_lens(n, t, if family == 1 { skew } else { 0 }, min)
             })
             .collect();
         let extent: Vec<usize> = parts
@@ -332,10 +339,11 @@ proptest! {
             at(0, 0)
         );
         let program = parse(&src).unwrap();
-        let design = if hetero == 1 {
+        let design = if family == 1 {
             Design::heterogeneous(fused, tile_lens).unwrap()
         } else {
-            Design::equal(DesignKind::PipeShared, fused, parts.clone(), vec![t; dim]).unwrap()
+            let kind = if family == 2 { DesignKind::Baseline } else { DesignKind::PipeShared };
+            Design::equal(kind, fused, parts.clone(), vec![t; dim]).unwrap()
         };
         let f = StencilFeatures::extract(&program).unwrap();
         let partition = Partition::new(program.extent(), &design, &f.growth).unwrap();
@@ -349,6 +357,12 @@ proptest! {
         let mut reference = GridState::new(&program, init);
         run_reference_opts(&program, &mut reference, &ExecOptions::new()).unwrap();
         let kernels: usize = parts.iter().product();
+        let updates: u64 = extent
+            .iter()
+            .zip(&reach)
+            .map(|(&n, &(l, h))| (n - l - h) as u64)
+            .product::<u64>()
+            * iters;
         let mut traffic = None;
         for w in 1..=kernels {
             let rec = Recorder::new();
@@ -364,6 +378,10 @@ proptest! {
             let c = &trace.counters;
             let seen = (c.slabs_sent, c.slabs_received, c.halo_bytes, c.cells_computed);
             prop_assert_eq!(c.slabs_sent, c.slabs_received);
+            prop_assert_eq!(c.cells_computed - c.redundant_cells, updates);
+            if regions == 1 && family < 2 {
+                prop_assert_eq!(c.redundant_cells, 0);
+            }
             match traffic {
                 None => traffic = Some(seen),
                 Some(one) => prop_assert_eq!(one, seen),

@@ -54,8 +54,7 @@ pub fn parse_kind(raw: &str) -> Result<DesignKind, String> {
 /// Builds one design point of `program` — fused ≥ 1, dimensions must
 /// match, heterogeneous tiles balanced per dimension — and its partition,
 /// plus the manifest-ready spec in canonical spelling. Every design kind
-/// builds, baseline included; callers that only execute pipe designs
-/// reject baseline themselves.
+/// builds and runs, baseline included.
 pub fn build_design(
     program: &Program,
     kind: DesignKind,
@@ -108,20 +107,14 @@ pub fn build_design(
 }
 
 /// Parses the source and builds the design/partition with
-/// [`build_design`], the CLI's builder: baseline designs are rejected (the
-/// service drives the supervised pipe executors), and the grid volume is
-/// bounded.
+/// [`build_design`], the CLI's builder, for any design kind; the grid
+/// volume is bounded.
 pub fn plan(source: &str, req: &DesignRequest) -> Result<PlannedJob, String> {
     let program = parse(source).map_err(|e| e.to_string())?;
     if program.extent().volume() > MAX_VOLUME {
         return Err("input too large for host-side execution; shrink the grid".into());
     }
     let kind = parse_kind(&req.kind)?;
-    if kind == DesignKind::Baseline {
-        return Err("the service drives the supervised pipe executors; \
-                    use kind `pipe` or `hetero`"
-            .into());
-    }
     let (_, partition, spec) =
         build_design(&program, kind, req.fused, &req.parallelism, &req.tile)?;
     Ok(PlannedJob {
@@ -153,14 +146,15 @@ mod tests {
         assert_eq!(planned.partition.kernel_count(), 4);
         assert_eq!(planned.spec.kind, "pipe");
         assert_eq!(planned.program.iterations, 6);
-        let planned = plan(SRC, &req("hetero")).expect("hetero plans");
-        assert_eq!(planned.spec.kind, "hetero");
+        for kind in ["hetero", "baseline"] {
+            let planned = plan(SRC, &req(kind)).expect("plans");
+            assert_eq!(planned.spec.kind, kind);
+        }
     }
 
     #[test]
     fn rejects_bad_requests_with_diagnostics() {
         assert!(plan("not a stencil", &req("pipe")).is_err());
-        assert!(plan(SRC, &req("baseline")).unwrap_err().contains("pipe"));
         assert!(plan(SRC, &req("quantum")).unwrap_err().contains("quantum"));
         let mut r = req("pipe");
         r.fused = 0;

@@ -32,9 +32,11 @@ pub enum Counter {
     CellsScanned,
     /// Wall-clock nanoseconds spent inside health scans.
     ScanNs,
-    /// Cell updates recomputed redundantly: halo overlap cells evaluated
-    /// outside the tile's own output rect (overlapped baseline). Always a
-    /// subset of `CellsComputed`.
+    /// Cell updates recomputed redundantly: cells a kernel evaluates
+    /// outside its own tile, which a neighboring tile owns — a baseline
+    /// cone's overlap, or a pipe design's region-boundary halo (0 for a
+    /// one-region pipe design). Always a subset of `CellsComputed`:
+    /// `CellsComputed − RedundantCells` is the reference's cell updates.
     RedundantCells,
     /// Bytes written into sealed checkpoint generations on disk.
     CkptBytes,

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "overlapped baseline",
             DesignKind::Baseline,
-            ExecMode::Overlapped,
+            ExecMode::Threaded,
         ),
         ("pipe-shared", DesignKind::PipeShared, ExecMode::PipeShared),
         ("threaded pipes", DesignKind::PipeShared, ExecMode::Threaded),

@@ -104,9 +104,10 @@ fn synthesized_design_kinds_validate_functionally_when_shrunk() {
     let f = StencilFeatures::extract(&tiny).unwrap();
     let base = Design::equal(DesignKind::Baseline, 3, vec![2, 2], vec![8, 8]).unwrap();
     let base_pt = stencilcl_opt::evaluate(&tiny, &f, base, &fw.device, &fw.cost, 2).unwrap();
-    fw.validate(&tiny, &base_pt, ExecMode::Overlapped).unwrap();
     let het = Design::heterogeneous(3, vec![vec![7, 9], vec![9, 7]]).unwrap();
     let het_pt = stencilcl_opt::evaluate(&tiny, &f, het, &fw.device, &fw.cost, 2).unwrap();
-    fw.validate(&tiny, &het_pt, ExecMode::PipeShared).unwrap();
-    fw.validate(&tiny, &het_pt, ExecMode::Threaded).unwrap();
+    for mode in ExecMode::ALL {
+        fw.validate(&tiny, &base_pt, mode).unwrap();
+        fw.validate(&tiny, &het_pt, mode).unwrap();
+    }
 }

@@ -47,11 +47,11 @@ fn all_benchmarks_overlapped_equal_tiles() {
     ] {
         let p = tiny(name, n, 6);
         let dim = p.dim();
-        let tile = vec![n / par[0].max(1) / 2; dim];
         let tiles: Vec<usize> = (0..dim).map(|d| n / par[d] / 2).collect();
-        let _ = tile;
         let d = Design::equal(DesignKind::Baseline, 3, par, tiles).unwrap();
-        assert_equivalent(&p, &d, ExecMode::Overlapped);
+        for mode in ExecMode::ALL {
+            assert_equivalent(&p, &d, mode);
+        }
     }
 }
 
@@ -110,7 +110,9 @@ fn fused_depth_exceeding_iterations_is_clamped() {
     let d = Design::equal(DesignKind::PipeShared, 8, vec![2, 2], vec![8, 8]).unwrap();
     assert_equivalent(&p, &d, ExecMode::PipeShared);
     let d = Design::equal(DesignKind::Baseline, 8, vec![2, 2], vec![8, 8]).unwrap();
-    assert_equivalent(&p, &d, ExecMode::Overlapped);
+    for mode in ExecMode::ALL {
+        assert_equivalent(&p, &d, mode);
+    }
 }
 
 #[test]
@@ -118,7 +120,9 @@ fn single_kernel_designs_degenerate_gracefully() {
     // One tile spanning each region: no pipes, no sharing, still exact.
     let p = tiny("Jacobi-2D", 32, 4);
     let d = Design::equal(DesignKind::Baseline, 2, vec![1, 1], vec![16, 16]).unwrap();
-    assert_equivalent(&p, &d, ExecMode::Overlapped);
+    for mode in ExecMode::ALL {
+        assert_equivalent(&p, &d, mode);
+    }
     let d = Design::equal(DesignKind::PipeShared, 2, vec![1, 1], vec![16, 16]).unwrap();
     assert_equivalent(&p, &d, ExecMode::PipeShared);
 }
