@@ -1,11 +1,14 @@
 //! Criterion microbench: functional executor throughput (reference vs
-//! the baseline design vs pipe-shared vs threaded on a small grid).
+//! the baseline design vs pipe-shared vs threaded on a small grid), and
+//! the three per-cell passes around a job's sweep at 512² — grid init,
+//! the result digest, and the checkpoint seal's encode + digest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use stencilcl::prelude::*;
-use stencilcl_exec::ExecError;
+use stencilcl_exec::{policy_fingerprint, program_hash, write_generation, ExecError, GridMeta};
 use stencilcl_server::default_init;
+use stencilcl_telemetry::CounterSnapshot;
 
 /// Jacobi-2D at 64² over `iters` iterations, partitioned by a `kind`
 /// design of 2×2 kernels on 16² tiles at fused depth 4.
@@ -76,5 +79,40 @@ fn bench_executors(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_executors);
+/// Grid init, digest and checkpoint encode of a 512² Jacobi state: the
+/// passes a served job runs besides its sweep, priced per call.
+fn bench_per_cell_passes(c: &mut Criterion) {
+    let program = programs::jacobi_2d().with_extent(Extent::new2(512, 512));
+    c.bench_function("init/default_512", |b| {
+        b.iter(|| GridState::new(black_box(&program), default_init))
+    });
+    let state = GridState::new(&program, default_init);
+    c.bench_function("digest/grid_512", |b| b.iter(|| black_box(&state).digest()));
+    let manifest = CheckpointManifest {
+        generation: 0,
+        program_hash: program_hash(&program),
+        policy_fingerprint: policy_fingerprint(&ExecPolicy::default()),
+        program: program.clone(),
+        design: None,
+        total_iterations: program.iterations,
+        completed_iterations: 0,
+        blocks_done: 0,
+        deadline_total_ms: None,
+        deadline_remaining_ms: None,
+        grids: program
+            .grids
+            .iter()
+            .map(|d| GridMeta {
+                name: d.name.clone(),
+                cells: d.extent.volume(),
+            })
+            .collect(),
+        counters: CounterSnapshot::default(),
+    };
+    c.bench_function("seal/encode_512", |b| {
+        b.iter(|| write_generation(&mut std::io::sink(), &manifest, black_box(&state)).unwrap())
+    });
+}
+
+criterion_group!(benches, bench_executors, bench_per_cell_passes);
 criterion_main!(benches);

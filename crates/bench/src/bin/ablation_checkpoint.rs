@@ -1,6 +1,6 @@
 //! Ablation: **durable checkpoint persistence on vs off** — the supervised
 //! executor sealing a crash-safe generation (temp-file → fsync → atomic
-//! rename, FNV-1a-64 digest over the whole file) every 4th fused-block
+//! rename, lane digest over the whole file) every 4th fused-block
 //! barrier, against the same supervised executor with persistence
 //! disabled. The store is wiped before every checkpointed run so each pays
 //! the same first-write cost.
@@ -16,7 +16,10 @@
 //!
 //! Each row also carries `save_ms` and `remove_ms`: the median of a few
 //! `DirStore::save` calls with one generation-sized buffer, and of
-//! `remove`, on the same scratch directory — the store's share of a seal.
+//! `remove`, on the same scratch directory — the store's share of a seal —
+//! and `seal_cpu_ms`: the median of a few `write_generation` calls that
+//! stream one sealed generation (encode + digest) into `io::sink()`, the
+//! seal's CPU share with no disk.
 //!
 //! The overhead is the paired-median change of the shared harness in
 //! `stencilcl_bench::ab`, judged against a 5% budget: the binary exits 1
@@ -34,16 +37,18 @@ use stencilcl_bench::ab::{
     grid_cases, knobs, report, scratch_dir, time_grid_pairs, timed, AbRow, Spread,
 };
 use stencilcl_exec::{
-    run_supervised_opts, CheckpointPolicy, DirStore, ExecOptions, ExecPolicy, Recorder,
+    load_latest, run_supervised_opts, write_generation, CheckpointPolicy, DirStore, ExecOptions,
+    ExecPolicy, Recorder,
 };
-use stencilcl_lang::GridState;
+use stencilcl_lang::{GridState, Program};
 use stencilcl_server::default_init;
 use stencilcl_telemetry::EnvConfig;
 
 /// Fused-block barriers between sealed generations.
 const EVERY_BARRIERS: u64 = 4;
 
-/// Store calls timed per row for the `save_ms` / `remove_ms` evidence.
+/// Store and encode calls timed per row for the `save_ms` / `remove_ms` /
+/// `seal_cpu_ms` evidence.
 const STORE_SAMPLES: u64 = 5;
 
 /// Median wall time, in ms, of one `DirStore::save` of a `len`-byte
@@ -58,6 +63,22 @@ fn store_costs(dir: &Path, len: usize) -> (f64, f64) {
         .map(|g| timed(|| store.remove(g).expect("checkpoint remove")))
         .collect();
     (Spread::of(&save).median, Spread::of(&remove).median)
+}
+
+/// Median wall time, in ms, of streaming the newest generation in `dir`
+/// back through `write_generation` into a sink: encode + digest, no disk.
+fn seal_cpu_ms(dir: &Path, program: &Program) -> f64 {
+    let loaded = load_latest(&DirStore::new(dir), None).expect("a sealed generation");
+    let state = GridState::from_grids(program, loaded.grids).expect("the run's own grids");
+    let encode: Vec<f64> = (0..STORE_SAMPLES)
+        .map(|_| {
+            timed(|| {
+                write_generation(&mut std::io::sink(), &loaded.manifest, &state)
+                    .expect("encode into a sink");
+            })
+        })
+        .collect();
+    Spread::of(&encode).median
 }
 
 fn main() {
@@ -94,6 +115,7 @@ fn main() {
         run(&mut GridState::new(p, default_init), &counted);
         let counters = rec.finish().counters;
         let kept = DirStore::new(&dir).generations().map_or(0, |g| g.len());
+        let seal_cpu_ms = seal_cpu_ms(&dir, p);
         wipe();
         let (sealed, bytes) = (counters.ckpt_generations, counters.ckpt_bytes);
         assert!(sealed > 0, "{name}: no generation was sealed");
@@ -107,6 +129,7 @@ fn main() {
             .with("generations_sealed", sealed)
             .with("bytes_written", bytes)
             .with("generations_kept", kept)
+            .with("seal_cpu_ms", seal_cpu_ms)
             .with("save_ms", save_ms)
             .with("remove_ms", remove_ms);
         rows.push(row);

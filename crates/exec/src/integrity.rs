@@ -6,12 +6,12 @@
 //! neighbor's halo and produces a bit-wrong grid that nothing downstream
 //! detects. This module closes that gap end to end:
 //!
-//! * **Slab checksums** — every slab is sealed at send time with an
-//!   FNV-1a-64 hash over its payload bit patterns, its `(iteration,
-//!   statement)` step tag, and a per-channel sequence number; the splice
-//!   site recomputes and compares, surfacing any mismatch as the
-//!   *transient* [`ExecError::SlabCorrupt`] so the supervisor can retry
-//!   from the fused-block-barrier checkpoint.
+//! * **Slab checksums** — every slab is sealed at send time with a
+//!   four-lane word hash ([`LaneHash`]) over its payload bit patterns, its
+//!   `(iteration, statement)` step tag, and a per-channel sequence number;
+//!   the splice site recomputes and compares, surfacing any mismatch as
+//!   the *transient* [`ExecError::SlabCorrupt`] so the supervisor can
+//!   retry from the fused-block-barrier checkpoint.
 //! * **Numerical health** — a [`HealthPolicy`] samples the written grids
 //!   at every fused-block barrier (strided, to bound overhead) for
 //!   NaN/Inf/out-of-bound values and aborts with the *permanent*
@@ -29,7 +29,7 @@
 
 use std::time::{Duration, Instant};
 
-use stencilcl_grid::Rect;
+use stencilcl_grid::{LaneHash, Rect};
 use stencilcl_lang::GridState;
 use stencilcl_telemetry::{Counter, TraceSink};
 
@@ -39,26 +39,18 @@ use crate::jobs::{CancelHandle, Progress};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one `u64` word into a running FNV-1a-style hash. Word-wise rather
-/// than the spec's byte-wise folding: each XOR-then-multiply-by-odd-prime
-/// step is a bijection on `u64`, so corruption of any single word provably
-/// changes the digest, and the 8× fewer dependent multiplies keep sealing
-/// megabytes of slab payload inside the ≤ 3% overhead budget.
-#[inline]
-pub(crate) fn fnv1a_u64(hash: u64, word: u64) -> u64 {
-    (hash ^ word).wrapping_mul(FNV_PRIME)
-}
-
-/// Word-wise FNV-1a-64 over a byte stream: bytes are folded in 8-byte
-/// little-endian chunks (the final partial chunk zero-padded), preceded by
-/// the length so streams differing only in trailing zero bytes digest
-/// differently. Shared by checkpoint sealing
-/// ([`crate::persist`]) and content hashing.
+/// Word-wise FNV-1a-64 over a byte stream: the length, then the bytes in
+/// 8-byte little-endian chunks (the final partial chunk zero-padded), so
+/// streams differing only in trailing zero bytes digest differently. It
+/// keys the program hash and policy fingerprint that stores written before
+/// the lane digest carry, and seals those version-1 checkpoint files, so
+/// it stays as it is; bulk data goes through [`LaneHash`].
 pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash = fnv1a_u64(FNV_OFFSET, bytes.len() as u64);
+    let fold = |hash: u64, word: u64| (hash ^ word).wrapping_mul(FNV_PRIME);
+    let mut hash = fold(FNV_OFFSET, bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        hash = fnv1a_u64(
+        hash = fold(
             hash,
             u64::from_le_bytes(c.try_into().expect("8-byte chunk")),
         );
@@ -67,23 +59,22 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     if !rem.is_empty() {
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
-        hash = fnv1a_u64(hash, u64::from_le_bytes(last));
+        hash = fold(hash, u64::from_le_bytes(last));
     }
     hash
 }
 
-/// Seals a slab: FNV-1a-64 over the sequence number, the `(iteration,
-/// statement)` step tag, and every payload value's IEEE-754 bit pattern
-/// (so `-0.0` vs `0.0` and NaN payloads all checksum distinctly).
+/// Seals a slab: one [`LaneHash`] stream over the sequence number, the
+/// `(iteration, statement)` step tag, and every payload value's IEEE-754
+/// bit pattern (so `-0.0` vs `0.0` and NaN payloads all checksum
+/// distinctly). Any single corrupted word always changes the checksum.
 pub(crate) fn slab_checksum(seq: u64, step: (u64, usize), values: &[f64]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash = fnv1a_u64(hash, seq);
-    hash = fnv1a_u64(hash, step.0);
-    hash = fnv1a_u64(hash, step.1 as u64);
-    for v in values {
-        hash = fnv1a_u64(hash, v.to_bits());
-    }
-    hash
+    let mut hash = LaneHash::new();
+    hash.write_u64(seq);
+    hash.write_u64(step.0);
+    hash.write_u64(step.1 as u64);
+    hash.write_f64s(values);
+    hash.finish()
 }
 
 /// Recomputes a received slab's checksum against the sequence number the

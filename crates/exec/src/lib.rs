@@ -139,8 +139,8 @@ pub use integrity::{HealthMode, HealthPolicy};
 pub use jobs::{CancelHandle, ExecPool, JobOutcome, JobSpec, Progress};
 pub use options::ExecOptions;
 pub use persist::{
-    load_latest, policy_fingerprint, program_hash, resume_supervised_full, CheckpointManifest,
-    CheckpointPolicy, DesignSpec, DirStore, GridMeta, LoadedCheckpoint,
+    load_latest, policy_fingerprint, program_hash, resume_supervised_full, write_generation,
+    CheckpointManifest, CheckpointPolicy, DesignSpec, DirStore, GridMeta, LoadedCheckpoint,
 };
 pub use pipeshare::run_pipe_shared_opts;
 pub use reference::run_reference_opts;

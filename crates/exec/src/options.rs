@@ -41,7 +41,7 @@ pub struct ExecOptions {
     /// fused-block barrier for NaN/Inf/out-of-bound values. Disarmed by
     /// default.
     pub health: HealthPolicy,
-    /// Seal every boundary slab with an FNV-1a checksum + sequence number
+    /// Seal every boundary slab with a lane-hash checksum + sequence number
     /// at send and verify at splice, turning silent payload corruption
     /// into the retryable
     /// [`ExecError::SlabCorrupt`](crate::ExecError::SlabCorrupt). Off by

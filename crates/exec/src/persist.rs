@@ -13,17 +13,18 @@
 //!   written temp-file → fdatasync → atomic rename, so a crash at any
 //!   instant leaves either the previous generations or the previous
 //!   generations *plus* one new sealed file, never a half-written newest
-//!   generation masquerading as valid. The barrier itself pays only a
-//!   grid-state clone + enqueue: serialization, digesting, and the disk
-//!   I/O all run on a dedicated seal thread that is joined before the run
-//!   returns, keeping the durability contract while taking the entire
-//!   sealing cost off the compute path.
-//! - Every generation is sealed with the run's word-wise FNV-1a-64 digest
-//!   (the same primitive that seals boundary slabs) over the entire file,
-//!   and carries a JSON [`CheckpointManifest`] embedding the program itself,
-//!   its iterations-normalized hash, the iteration cursor, the fused-block
-//!   sequence base, the remaining wall-clock deadline budget, and a
-//!   telemetry counter snapshot.
+//!   generation masquerading as valid. The barrier itself pays only a copy
+//!   of the cells into a snapshot buffer the seal thread hands back, plus
+//!   an enqueue: encoding, digesting, and the disk I/O all run on a
+//!   dedicated seal thread that is joined before the run returns.
+//! - A generation (format version 2) is a header zero-padded to whole
+//!   words, the grids' `f64` bit patterns, and the [`LaneHash`] digest of
+//!   every word before it, computed while the grids stream out through a
+//!   64 KiB staging chunk. Its JSON [`CheckpointManifest`] embeds the
+//!   program itself, its iterations-normalized hash, the iteration cursor,
+//!   the fused-block sequence base, the remaining wall-clock deadline
+//!   budget, and a telemetry counter snapshot. Version-1 files (no
+//!   padding, word-wise FNV-1a-64 digest) still resume.
 //! - [`resume_supervised_full`] walks the generations newest → oldest: a
 //!   generation that fails digest or decode validation is skipped with a
 //!   diagnostic and the next-older one is tried; an *intact* manifest whose
@@ -45,14 +46,14 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use stencilcl_grid::{Grid, Partition};
+use stencilcl_grid::{Grid, LaneHash, Partition};
 use stencilcl_lang::{GridState, Program};
 use stencilcl_telemetry::{Counter, CounterSnapshot, EnvConfig, Recorder, TracePhase, TraceSink};
 
@@ -65,8 +66,12 @@ use crate::supervise::{dispatch, globalize, ExecPolicy, RecoveryPath, ResumeBase
 /// File magic of a checkpoint generation.
 const MAGIC: &[u8; 8] = b"STCLCKPT";
 /// On-disk format version; bumped on any layout change so older readers
-/// reject newer files with a diagnostic instead of misparsing them.
-const VERSION: u32 = 1;
+/// reject newer files with a diagnostic instead of misparsing them (a
+/// newer version that kept the [`LaneHash`] digest; any other reads as
+/// corrupt).
+const VERSION: u32 = 2;
+/// Bytes of grid payload the seal thread encodes per `write_all`.
+const STAGE_BYTES: usize = 64 << 10;
 
 /// When and where [`run_supervised_full`](crate::run_supervised_full)
 /// persists durable checkpoints. Disabled by default (`dir: None`) — the
@@ -263,48 +268,61 @@ pub fn policy_fingerprint(policy: &ExecPolicy) -> u64 {
     fnv1a_bytes(repr.as_bytes())
 }
 
-/// Serializes one consistent barrier state into the on-disk generation
-/// layout: magic, version, manifest length + JSON, grid payloads in
-/// manifest order as `f64` bit patterns, and the trailing FNV-1a-64 digest
-/// over everything before it.
-#[cfg(test)]
-fn encode_checkpoint(manifest: &CheckpointManifest, state: &GridState) -> Result<Vec<u8>, String> {
-    let json = serde_json::to_string(manifest).map_err(|e| format!("manifest encoding: {e}"))?;
-    encode_with_json(manifest, &json, state)
+/// Bytes of a version-2 header around a `json_len`-byte manifest: magic,
+/// version, manifest length, the JSON, and zero padding to a word.
+fn header_len(json_len: usize) -> usize {
+    (16 + json_len).next_multiple_of(8)
 }
 
-/// `encode_checkpoint` with the manifest JSON already serialized — the
-/// writer prices the sealed size on the compute path (the JSON is tiny) and
-/// hands both to the seal thread so nothing is serialized twice.
-fn encode_with_json(
+/// Streams one sealed generation of `state` under `manifest` into `out`
+/// (see the module docs for the layout) and returns the bytes written.
+/// The payload goes through one 64 KiB staging chunk and is digested as
+/// it is written, so the cost is about one pass over the cells.
+///
+/// # Errors
+///
+/// Any error of `out`, a manifest that fails to serialize or exceeds
+/// 4 GiB, or a manifest grid that `state` does not hold.
+pub fn write_generation(
+    out: &mut impl Write,
     manifest: &CheckpointManifest,
-    json: &str,
     state: &GridState,
-) -> Result<Vec<u8>, String> {
-    let payload_cells: u64 = manifest.grids.iter().map(|g| g.cells).sum();
-    let mut buf =
-        Vec::with_capacity(16 + json.len() + usize::try_from(payload_cells * 8).unwrap_or(0) + 8);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    let len = u32::try_from(json.len()).map_err(|_| "manifest larger than 4 GiB".to_string())?;
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(json.as_bytes());
+) -> io::Result<u64> {
+    let json = serde_json::to_string(manifest).map_err(io::Error::other)?;
+    let len =
+        u32::try_from(json.len()).map_err(|_| io::Error::other("manifest larger than 4 GiB"))?;
+    let mut header = Vec::with_capacity(header_len(json.len()));
+    header.extend_from_slice(MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&len.to_le_bytes());
+    header.extend_from_slice(json.as_bytes());
+    header.resize(header_len(json.len()), 0);
+    let mut hash = LaneHash::new();
+    hash.write_bytes(&header);
+    out.write_all(&header)?;
+    let mut stage = vec![0u8; STAGE_BYTES];
     for meta in &manifest.grids {
-        let grid = state
-            .grid(&meta.name)
-            .map_err(|e| format!("grid `{}` absent from state: {e}", meta.name))?;
-        for v in grid.as_slice() {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        let grid = state.grid(&meta.name).map_err(|e| {
+            io::Error::other(format!("grid `{}` absent from state: {e}", meta.name))
+        })?;
+        for cells in grid.as_slice().chunks(STAGE_BYTES / 8) {
+            hash.write_f64s(cells);
+            let bytes = &mut stage[..cells.len() * 8];
+            for (word, v) in bytes.chunks_exact_mut(8).zip(cells) {
+                word.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+            out.write_all(bytes)?;
         }
     }
-    let digest = fnv1a_bytes(&buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
-    Ok(buf)
+    out.write_all(&hash.finish().to_le_bytes())?;
+    Ok(hash.words() * 8 + 8)
 }
 
-/// Validates and decodes one generation. Errors are human-readable reasons
-/// for the fallback ladder, not `ExecError`s — a single bad generation is
-/// not yet a failed resume.
+/// Validates and decodes one generation, of format version 2 or 1. Errors
+/// are human-readable reasons for the fallback ladder, not `ExecError`s —
+/// a single bad generation is not yet a failed resume. The digest is
+/// checked before anything else is trusted, so corruption anywhere,
+/// including the version field, reads as a digest mismatch.
 fn decode_checkpoint(
     bytes: &[u8],
 ) -> Result<(CheckpointManifest, BTreeMap<String, Grid<f64>>), String> {
@@ -312,14 +330,18 @@ fn decode_checkpoint(
         .len()
         .checked_sub(8)
         .ok_or_else(|| format!("file is {} byte(s), shorter than its digest", bytes.len()))?;
-    let sealed = u64::from_le_bytes(bytes[digest_at..].try_into().expect("8-byte digest"));
-    let computed = fnv1a_bytes(&bytes[..digest_at]);
-    if sealed != computed {
+    let (body, sealed) = bytes.split_at(digest_at);
+    let sealed = u64::from_le_bytes(sealed.try_into().expect("8-byte digest"));
+    let mut hash = LaneHash::new();
+    hash.write_bytes(body);
+    let computed = hash.finish();
+    let v1 =
+        computed != sealed && body.get(8..12) == Some(&[1, 0, 0, 0]) && fnv1a_bytes(body) == sealed;
+    if computed != sealed && !v1 {
         return Err(format!(
             "digest mismatch: sealed {sealed:#018x}, computed {computed:#018x}"
         ));
     }
-    let body = &bytes[..digest_at];
     if body.len() < 16 {
         return Err("header truncated".to_string());
     }
@@ -327,21 +349,29 @@ fn decode_checkpoint(
         return Err("bad magic (not a stencilcl checkpoint)".to_string());
     }
     let version = u32::from_le_bytes(body[8..12].try_into().expect("4-byte version"));
-    if version != VERSION {
+    if !v1 && version != VERSION {
         return Err(format!(
-            "unsupported format version {version} (this build reads {VERSION})"
+            "unsupported format version {version} (this build reads 1 and {VERSION})"
         ));
     }
     let manifest_len = u32::from_le_bytes(body[12..16].try_into().expect("4-byte length")) as usize;
-    let rest = &body[16..];
-    if rest.len() < manifest_len {
+    let json_end = 16 + manifest_len;
+    let header = if v1 {
+        json_end
+    } else {
+        header_len(manifest_len)
+    };
+    if body.len() < header {
         return Err("manifest truncated".to_string());
     }
-    let text = std::str::from_utf8(&rest[..manifest_len])
+    if body[json_end..header].iter().any(|&b| b != 0) {
+        return Err("nonzero header padding".to_string());
+    }
+    let text = std::str::from_utf8(&body[16..json_end])
         .map_err(|e| format!("manifest is not UTF-8: {e}"))?;
     let manifest: CheckpointManifest =
         serde_json::from_str(text).map_err(|e| format!("manifest parse: {e}"))?;
-    let mut payload = &rest[manifest_len..];
+    let mut payload = &body[header..];
     let mut grids = BTreeMap::new();
     for meta in &manifest.grids {
         let decl = manifest
@@ -358,9 +388,9 @@ fn decode_checkpoint(
                 decl.extent.volume()
             ));
         }
-        let cells = usize::try_from(meta.cells).map_err(|_| "payload overflow".to_string())?;
-        let nbytes = cells
-            .checked_mul(8)
+        let nbytes = usize::try_from(meta.cells)
+            .ok()
+            .and_then(|cells| cells.checked_mul(8))
             .ok_or_else(|| "payload overflow".to_string())?;
         if payload.len() < nbytes {
             return Err(format!(
@@ -370,12 +400,10 @@ fn decode_checkpoint(
                 nbytes
             ));
         }
-        let mut data = Vec::with_capacity(cells);
-        for chunk in payload[..nbytes].chunks_exact(8) {
-            data.push(f64::from_bits(u64::from_le_bytes(
-                chunk.try_into().expect("8-byte cell"),
-            )));
-        }
+        let data = payload[..nbytes]
+            .chunks_exact(8)
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte cell"))))
+            .collect();
         let grid = Grid::from_vec(decl.extent, data)
             .map_err(|e| format!("grid `{}` reconstruction: {e}", meta.name))?;
         grids.insert(meta.name.clone(), grid);
@@ -430,6 +458,15 @@ impl DirStore {
     /// Durably stores `bytes` as generation `generation`, atomically:
     /// after an error, either the full generation exists or none of it.
     pub fn save(&self, generation: u64, bytes: &[u8]) -> io::Result<()> {
+        self.save_with(generation, |file| file.write_all(bytes))
+    }
+
+    /// [`DirStore::save`] of whatever `write` streams into the temp file.
+    fn save_with(
+        &self,
+        generation: u64,
+        write: impl FnOnce(&mut fs::File) -> io::Result<()>,
+    ) -> io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         let fault = self.faults.fire_io(IoOp::Write, generation);
         if matches!(fault, Some(FaultKind::FsyncFail)) {
@@ -437,16 +474,16 @@ impl DirStore {
             // reaches the rename, so no generation appears at all.
             return Err(io::Error::other("injected checkpoint fsync failure"));
         }
-        let written: &[u8] = match fault {
+        let tmp = self.dir.join(format!(".ckpt-{generation:08}.tmp"));
+        let mut file = fs::File::create(&tmp)?;
+        write(&mut file)?;
+        if let Some(FaultKind::TornWrite(n)) = fault {
             // A torn write models a device that acknowledged durability it
             // did not deliver: the generation *is* sealed (renamed into
             // place) but its tail is gone, so only the digest catches it.
-            Some(FaultKind::TornWrite(n)) => &bytes[..n.min(bytes.len())],
-            _ => bytes,
-        };
-        let tmp = self.dir.join(format!(".ckpt-{generation:08}.tmp"));
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(written)?;
+            let len = file.metadata()?.len();
+            file.set_len(len.min(n as u64))?;
+        }
         // fdatasync, not fsync: the payload and its size must be durable
         // before the rename publishes the generation, but the inode's
         // timestamp metadata need not be — on journaling filesystems that
@@ -589,30 +626,26 @@ pub fn load_latest(
     })
 }
 
-/// One generation's worth of work for the seal thread: the grids are a
-/// plain clone of the committed barrier buffer (a memcpy — the cheapest
-/// consistent copy possible, since the buffer is the next fused block's
-/// write target), and serialization, digesting, and disk I/O all happen
-/// off the compute path.
+/// One generation for the seal thread, sent beside the snapshot of the
+/// committed barrier buffer (the next fused block's write target) it seals.
 struct SealJob {
     generation: u64,
     manifest: CheckpointManifest,
-    manifest_json: String,
-    state: GridState,
 }
 
-/// Sealing is serialization + digest + I/O (write + fdatasync + rename)
-/// and must not stall the barrier: the worker pool would sit idle for
-/// milliseconds per seal. The supervisor thread pays only a grid-state
-/// clone + enqueue; this dedicated thread drains the queue in generation
-/// order (encode, save, then prune). Dropping the worker closes the
-/// channel and joins, so every enqueued generation is durably on disk
-/// before the run returns — the durability contract is unchanged, only
-/// its latency moved off the compute path. When the thread cannot start
-/// (fd/thread exhaustion), sealing degrades to inline synchronous writes
-/// instead of losing durability.
+/// Sealing is encoding + digest + I/O (write + fdatasync + rename) and
+/// must not stall the barrier: the worker pool would sit idle for
+/// milliseconds per seal. The supervisor thread pays only a snapshot copy
+/// and an enqueue; this dedicated thread drains the queue in generation
+/// order (stream, save, then prune) and hands each snapshot back for the
+/// next barrier to copy into. Dropping the worker closes the channel and
+/// joins, so every enqueued generation is durably on disk before the run
+/// returns. When the thread cannot start (fd/thread exhaustion), sealing
+/// degrades to inline synchronous writes instead of losing durability.
 struct SealWorker {
-    tx: Option<mpsc::Sender<SealJob>>,
+    tx: Option<mpsc::Sender<(SealJob, GridState)>>,
+    /// Snapshot buffers the seal thread is done with.
+    spare: mpsc::Receiver<GridState>,
     handle: Option<thread::JoinHandle<()>>,
     /// Synchronous fallback when the thread failed to spawn.
     inline: Option<(DirStore, usize)>,
@@ -620,40 +653,47 @@ struct SealWorker {
 
 impl SealWorker {
     fn spawn(store: DirStore, keep: usize) -> SealWorker {
-        let (tx, rx) = mpsc::channel::<SealJob>();
+        let (tx, rx) = mpsc::channel::<(SealJob, GridState)>();
+        let (back, spare) = mpsc::channel();
         let worker_store = store.clone();
         let spawned = thread::Builder::new()
             .name("stencilcl-ckpt-seal".into())
             .spawn(move || {
-                for job in rx {
-                    seal_one(&worker_store, keep, &job);
+                for (job, snapshot) in rx {
+                    seal_one(&worker_store, keep, &job, &snapshot);
+                    let _ = back.send(snapshot);
                 }
             });
         match spawned {
             Ok(handle) => SealWorker {
                 tx: Some(tx),
+                spare,
                 handle: Some(handle),
                 inline: None,
             },
             Err(_) => SealWorker {
                 tx: None,
+                spare,
                 handle: None,
                 inline: Some((store, keep)),
             },
         }
     }
 
-    fn enqueue(&self, job: SealJob) {
+    /// Queues a snapshot of `state` for sealing as `job`'s generation.
+    fn enqueue(&self, job: SealJob, state: &GridState) {
         if let Some(tx) = &self.tx {
+            let mut snapshot = self.spare.try_recv().unwrap_or_default();
+            snapshot.clone_from(state);
             let generation = job.generation;
-            if tx.send(job).is_ok() {
+            if tx.send((job, snapshot)).is_ok() {
                 return;
             }
             // The seal thread is gone (it cannot panic, but be defensive):
             // fall through to nothing — there is no receiver to recover.
             eprintln!("[stencilcl] checkpoint generation {generation} dropped: seal thread gone");
         } else if let Some((store, keep)) = &self.inline {
-            seal_one(store, *keep, &job);
+            seal_one(store, *keep, &job, state);
         }
     }
 }
@@ -667,19 +707,15 @@ impl Drop for SealWorker {
     }
 }
 
-/// Encodes, saves, and prunes one generation; failures warn and keep the
-/// run alive — the older generations on disk stay valid, which is strictly
-/// better than killing a healthy run over a full disk.
-fn seal_one(store: &DirStore, keep: usize, job: &SealJob) {
+/// Streams, saves, and prunes one generation of `state`; failures warn and
+/// keep the run alive — the older generations on disk stay valid, which is
+/// strictly better than killing a healthy run over a full disk.
+fn seal_one(store: &DirStore, keep: usize, job: &SealJob, state: &GridState) {
     let generation = job.generation;
-    let bytes = match encode_with_json(&job.manifest, &job.manifest_json, &job.state) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("[stencilcl] checkpoint generation {generation} not encoded: {e}");
-            return;
-        }
-    };
-    if let Err(e) = store.save(generation, &bytes) {
+    let saved = store.save_with(generation, |file| {
+        write_generation(file, &job.manifest, state).map(drop)
+    });
+    if let Err(e) = saved {
         eprintln!(
             "[stencilcl] checkpoint generation {generation} not written \
              (older generations remain intact): {e}"
@@ -818,9 +854,9 @@ impl CheckpointWriter {
         self.write(state, self.total_iterations, blocks_global, sink);
     }
 
-    /// Best-effort seal: the barrier pays a grid-state clone + enqueue; the
-    /// encode, digest, and save (and any of their failures) happen on the
-    /// seal thread. A generation number is consumed per enqueue, so a
+    /// Best-effort seal: the barrier pays a copy of the cells into a
+    /// snapshot buffer + enqueue; the encode, digest, and save (and any of
+    /// their failures) happen on the seal thread. A generation number is consumed per enqueue, so a
     /// failed seal leaves a numbering gap the fallback ladder simply walks
     /// across. The `CheckpointWrite` span therefore measures the
     /// compute-path cost of sealing, not the serialization or the disk.
@@ -830,34 +866,24 @@ impl CheckpointWriter {
         self.last_write.set(Instant::now());
         let generation = self.next_generation.get();
         let manifest = self.manifest(generation, completed, blocks);
-        // The JSON is tiny (no payload), so serialize it here: it prices
-        // the sealed file exactly for the counters, and it surfaces
-        // encoding errors synchronously.
-        let manifest_json = match serde_json::to_string(&manifest) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("[stencilcl] checkpoint generation {generation} not encoded: {e}");
-                return;
-            }
-        };
         self.next_generation.set(generation + 1);
         self.last_sealed.set(Some(completed));
         if S::ACTIVE {
+            // The padded header, payload and digest — exactly what
+            // `write_generation` streams for this manifest. Only a traced
+            // run serializes the (small) manifest here as well.
+            let json = serde_json::to_string(&manifest).map_or(0, |j| j.len());
             let cells: u64 = manifest.grids.iter().map(|g| g.cells).sum();
-            // magic + version + len + JSON + payload + digest — exactly
-            // what `encode_with_json` seals for this manifest.
-            sink.add(
-                Counter::CkptBytes,
-                16 + manifest_json.len() as u64 + cells * 8 + 8,
-            );
+            sink.add(Counter::CkptBytes, header_len(json) as u64 + cells * 8 + 8);
             sink.add(Counter::CkptGenerations, 1);
         }
-        self.seal.enqueue(SealJob {
-            generation,
-            manifest,
-            manifest_json,
-            state: state.clone(),
-        });
+        self.seal.enqueue(
+            SealJob {
+                generation,
+                manifest,
+            },
+            state,
+        );
         if S::ACTIVE {
             sink.span(0, 0, TracePhase::CheckpointWrite, t0, sink.now());
         }
@@ -1058,6 +1084,41 @@ mod tests {
         .validate_against(state)
     }
 
+    /// One generation in the current format, in memory.
+    fn encode(manifest: &CheckpointManifest, state: &GridState) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let written = write_generation(&mut bytes, manifest, state).unwrap();
+        assert_eq!(written, bytes.len() as u64);
+        bytes
+    }
+
+    /// A version-1 generation, laid out as the version-1 writer did it: no
+    /// header padding, and a word-wise FNV-1a-64 digest of everything
+    /// before it.
+    fn encode_v1(manifest: &CheckpointManifest, state: &GridState) -> Vec<u8> {
+        let json = serde_json::to_string(manifest).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::try_from(json.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(json.as_bytes());
+        for meta in &manifest.grids {
+            for v in state.grid(&meta.name).unwrap().as_slice() {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        let digest = fnv1a_bytes(&bytes);
+        bytes.extend_from_slice(&digest.to_le_bytes());
+        bytes
+    }
+
+    /// Rewrites a version-2 file's trailing digest to match its body.
+    fn reseal(bytes: &mut [u8]) {
+        let at = bytes.len() - 8;
+        let mut hash = LaneHash::new();
+        hash.write_bytes(&bytes[..at]);
+        bytes[at..].copy_from_slice(&hash.finish().to_le_bytes());
+    }
+
     impl CheckpointManifest {
         /// Test helper: sanity-checks the manifest matches the state it is
         /// about to seal.
@@ -1074,7 +1135,8 @@ mod tests {
         let (p, _) = blur();
         let state = GridState::new(&p, init);
         let manifest = manifest_for(&p, &state, 4);
-        let bytes = encode_checkpoint(&manifest, &state).unwrap();
+        let bytes = encode(&manifest, &state);
+        assert_eq!(bytes.len() % 8, 0, "version 2 files are whole words");
         let (back_manifest, grids) = decode_checkpoint(&bytes).unwrap();
         assert_eq!(back_manifest, manifest);
         for decl in &p.grids {
@@ -1092,7 +1154,7 @@ mod tests {
         let (p, _) = blur();
         let state = GridState::uniform(&p, 1.5);
         let manifest = manifest_for(&p, &state, 2);
-        let good = encode_checkpoint(&manifest, &state).unwrap();
+        let good = encode(&manifest, &state);
         // Flip one byte in the header, the manifest, and the payload.
         for &at in &[4usize, 40, good.len() / 2, good.len() - 12] {
             let mut bad = good.clone();
@@ -1106,6 +1168,100 @@ mod tests {
         // Truncation (torn write) is also caught.
         let err = decode_checkpoint(&good[..good.len() - 100]).unwrap_err();
         assert!(err.contains("digest"), "{err}");
+    }
+
+    #[test]
+    fn a_version_1_store_resumes_bit_exact() {
+        let (p, partition) = blur();
+        let dir = scratch("v1");
+        let mut expect = GridState::new(&p, init);
+        run_reference_opts(&p, &mut expect, &ExecOptions::new()).unwrap();
+        // The barrier state after two fused blocks of depth 2.
+        let mut mid = GridState::new(&p, init);
+        run_reference_opts(&p.with_iterations(4), &mut mid, &ExecOptions::new()).unwrap();
+        let mut m = manifest_for(&p, &mid, 4);
+        m.blocks_done = 2;
+        let store = DirStore::new(&dir);
+        store.save(0, &encode_v1(&m, &mid)).unwrap();
+
+        let opts = ExecOptions::new().checkpoint(CheckpointPolicy::at(&dir));
+        let (state, report) = resume(&p, &partition, &dir, &opts).unwrap();
+        assert_eq!(report.attempts[0].start_iteration, 4);
+        for decl in &p.grids {
+            let (a, b) = (
+                expect.grid(&decl.name).unwrap(),
+                state.grid(&decl.name).unwrap(),
+            );
+            assert!(a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+        // The resumed run seals on top of the old store in the current format.
+        let newest = *store.generations().unwrap().last().unwrap();
+        let bytes = store.load(newest).unwrap();
+        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&bytes).unwrap().0.completed_iterations,
+            p.iterations
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_newer_format_version_is_rejected_with_a_diagnostic() {
+        let (p, _) = blur();
+        let state = GridState::uniform(&p, 0.5);
+        let mut bytes = encode(&manifest_for(&p, &state, 2), &state);
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = decode_checkpoint(&bytes).unwrap_err();
+        assert!(err.contains("unsupported format version 3"), "{err}");
+    }
+
+    #[test]
+    fn a_flipped_byte_anywhere_in_a_v2_file_is_skipped_as_a_digest_mismatch() {
+        let (p, _) = blur();
+        let state = GridState::uniform(&p, 0.25);
+        // Some manifest among eight consecutive JSON lengths needs padding.
+        let (manifest, json_len) = (0..8)
+            .map(|k| {
+                let mut m = manifest_for(&p, &state, 6);
+                m.generation = 1;
+                m.total_iterations = 10u64.pow(k);
+                let len = serde_json::to_string(&m).unwrap().len();
+                (m, len)
+            })
+            .find(|(_, len)| header_len(*len) > 16 + len)
+            .unwrap();
+        let good = encode(&manifest, &state);
+        assert_eq!(good.len() % 8, 0);
+        let places = [
+            ("header", 13),
+            ("padding", 16 + json_len),
+            ("payload", header_len(json_len) + 100),
+            ("digest", good.len() - 1),
+        ];
+        for (what, at) in places {
+            let dir = scratch("flip");
+            let store = DirStore::new(&dir);
+            store
+                .save(0, &encode(&manifest_for(&p, &state, 3), &state))
+                .unwrap();
+            let mut bad = good.clone();
+            bad[at] ^= 0x10;
+            store.save(1, &bad).unwrap();
+            let loaded = load_latest(&store, Some(program_hash(&p))).unwrap();
+            assert_eq!(loaded.manifest.generation, 0, "{what}");
+            assert_eq!(loaded.fallback_notes.len(), 1, "{what}");
+            let note = &loaded.fallback_notes[0];
+            assert!(
+                note.contains("generation 1: digest mismatch"),
+                "{what}: {note}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1233,12 +1389,10 @@ mod tests {
         let state = GridState::uniform(&p, 0.25);
         let mut m0 = manifest_for(&p, &state, 3);
         m0.generation = 0;
-        store
-            .save(0, &encode_checkpoint(&m0, &state).unwrap())
-            .unwrap();
+        store.save(0, &encode(&m0, &state)).unwrap();
         let mut m1 = manifest_for(&p, &state, 6);
         m1.generation = 1;
-        let mut newest = encode_checkpoint(&m1, &state).unwrap();
+        let mut newest = encode(&m1, &state);
         let at = newest.len() / 3;
         newest[at] ^= 0xff; // corrupt after sealing
         store.save(1, &newest).unwrap();
@@ -1311,9 +1465,7 @@ mod tests {
         let mut m = manifest_for(&p, &state, 4);
         m.deadline_total_ms = Some(250);
         m.deadline_remaining_ms = Some(0); // the original cutoff has passed
-        store
-            .save(0, &encode_checkpoint(&m, &state).unwrap())
-            .unwrap();
+        store.save(0, &encode(&m, &state)).unwrap();
 
         let opts = ExecOptions::new();
         let (restored, report, result) =
@@ -1338,9 +1490,7 @@ mod tests {
         let mut m = manifest_for(&p, &state, 4);
         m.deadline_total_ms = Some(60_000);
         m.deadline_remaining_ms = Some(30_000); // plenty for 5 tiny iterations
-        store
-            .save(0, &encode_checkpoint(&m, &state).unwrap())
-            .unwrap();
+        store.save(0, &encode(&m, &state)).unwrap();
 
         // Sequentially compute the expected tail: reference from the
         // checkpoint state for the remaining iterations.

@@ -32,7 +32,7 @@ pub(crate) const PIPE_CAPACITY: usize = 2;
 /// pipe across every fused block and region still detects skew.
 ///
 /// With integrity on ([`ExecOptions::integrity`](crate::ExecOptions)),
-/// [`Slab::seal`] additionally stamps an FNV-1a-64 checksum over the
+/// [`Slab::seal`] additionally stamps a lane-hash checksum over the
 /// payload bits, the step tag, and the pipe's sequence number; the
 /// splice site recomputes it so a payload corrupted in flight surfaces as
 /// [`ExecError::SlabCorrupt`](crate::ExecError) instead of splicing
@@ -41,7 +41,7 @@ pub(crate) const PIPE_CAPACITY: usize = 2;
 pub(crate) struct Slab {
     pub step: (u64, usize),
     pub values: Vec<f64>,
-    /// `Some(fnv1a(seq, step, values))` when the run seals slabs; `None`
+    /// `Some(slab_checksum(seq, step, values))` when the run seals slabs; `None`
     /// on the zero-overhead default path.
     pub checksum: Option<u64>,
 }

@@ -18,10 +18,26 @@ use crate::{Extent, GridError, Point, Rect, MAX_DIM};
 /// assert_eq!(*g.get(&Point::new2(1, 2))?, 3.5);
 /// # Ok::<(), stencilcl_grid::GridError>(())
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Grid<T> {
     extent: Extent,
     data: Vec<T>,
+}
+
+impl<T: Clone> Clone for Grid<T> {
+    fn clone(&self) -> Self {
+        Grid {
+            extent: self.extent,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into the existing allocation when it is large enough, so a
+    /// reused snapshot buffer costs a copy and no allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.extent = source.extent;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl<T: Clone> Grid<T> {
@@ -35,11 +51,25 @@ impl<T: Clone> Grid<T> {
 }
 
 impl<T> Grid<T> {
-    /// Creates a grid by evaluating `f` at every point in row-major order.
+    /// Creates a grid by evaluating `f` at every point in row-major order
+    /// (the order of [`Extent::iter`]). It walks rows: one [`Point`] per
+    /// row, of which only the last coordinate advances per cell.
     pub fn from_fn(extent: Extent, mut f: impl FnMut(&Point) -> T) -> Self {
-        let mut data = Vec::with_capacity(extent.volume() as usize);
-        for p in extent.iter() {
-            data.push(f(&p));
+        let volume = extent.volume() as usize;
+        let mut data = Vec::with_capacity(volume);
+        let last = extent.dim() - 1;
+        let row = extent.len(last) as i64;
+        let mut start = [0i64; MAX_DIM];
+        while data.len() < volume {
+            let p = Point::from_array(extent.dim(), start);
+            data.extend((0..row).map(|x| f(&p.with_coord(last, x))));
+            for d in (0..last).rev() {
+                start[d] += 1;
+                if (start[d] as usize) < extent.len(d) {
+                    break;
+                }
+                start[d] = 0;
+            }
         }
         Grid { extent, data }
     }

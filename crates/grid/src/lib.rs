@@ -5,6 +5,8 @@
 //! * [`Point`] / [`Extent`] / [`Rect`] — small fixed-capacity N-d (N ≤ 3) index
 //!   arithmetic used everywhere else in the workspace;
 //! * [`Grid`] — a dense row-major N-d array holding stencil data;
+//! * [`LaneHash`] — the four-lane word hash that digests grid data, slabs
+//!   and checkpoint files;
 //! * [`Growth`] — per-dimension, per-side halo growth of a fused-iteration cone;
 //! * [`Cone`] — the iteration-fusion cone of a tile: the widest *base* footprint
 //!   loaded from global memory and the per-level footprints that shrink toward
@@ -44,6 +46,7 @@ mod error;
 mod extent;
 mod grid;
 mod growth;
+mod hash;
 mod partition;
 mod point;
 mod rect;
@@ -54,6 +57,7 @@ pub use error::GridError;
 pub use extent::Extent;
 pub use grid::Grid;
 pub use growth::Growth;
+pub use hash::LaneHash;
 pub use partition::{Design, DesignKind, Partition};
 pub use point::Point;
 pub use rect::Rect;

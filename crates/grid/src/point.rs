@@ -44,6 +44,7 @@ impl Point {
     /// A point from a dimensionality the caller already validated and its
     /// coordinate array, whose entries past `dim` must be zero (equality
     /// and hashing compare the whole array).
+    #[inline]
     pub(crate) fn from_array(dim: usize, coords: [i64; MAX_DIM]) -> Self {
         Point { dim, coords }
     }
@@ -86,6 +87,7 @@ impl Point {
     }
 
     /// Number of dimensions of this point.
+    #[inline]
     pub fn dim(&self) -> usize {
         self.dim
     }
@@ -95,6 +97,7 @@ impl Point {
     /// # Panics
     ///
     /// Panics if `d >= self.dim()`.
+    #[inline]
     pub fn coord(&self, d: usize) -> i64 {
         assert!(
             d < self.dim,
@@ -105,6 +108,7 @@ impl Point {
     }
 
     /// The coordinates as a slice of length `self.dim()`.
+    #[inline]
     pub fn as_slice(&self) -> &[i64] {
         &self.coords[..self.dim]
     }
@@ -114,6 +118,7 @@ impl Point {
     /// # Panics
     ///
     /// Panics if `d >= self.dim()`.
+    #[inline]
     pub fn with_coord(mut self, d: usize, value: i64) -> Self {
         assert!(
             d < self.dim,

@@ -14,6 +14,20 @@ fn arb_extent() -> impl Strategy<Value = Extent> {
 
 proptest! {
     #[test]
+    fn from_fn_visits_the_points_of_extent_iter_in_order(extent in arb_extent()) {
+        let mut seen = Vec::new();
+        let grid = Grid::from_fn(extent, |p| {
+            seen.push(*p);
+            p.as_slice().to_vec()
+        });
+        let expect: Vec<Point> = extent.iter().collect();
+        prop_assert_eq!(&seen, &expect);
+        for (p, v) in grid.iter() {
+            prop_assert_eq!(p.as_slice(), v.as_slice());
+        }
+    }
+
+    #[test]
     fn linearize_roundtrips(extent in arb_extent(), seed in 0usize..10_000) {
         let idx = seed % extent.volume() as usize;
         let p = extent.delinearize(idx);

@@ -1,6 +1,6 @@
 use std::collections::BTreeMap;
 
-use stencilcl_grid::{Grid, Point, Rect};
+use stencilcl_grid::{Grid, LaneHash, Point, Rect};
 
 use crate::ast::{BinOp, Expr, Func, Program, UnaryOp};
 use crate::LangError;
@@ -8,7 +8,7 @@ use crate::LangError;
 /// The values of all of a program's grids at some point in time — the
 /// functional analogue of the accelerator's global memory. The default is
 /// the empty state (no grids).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct GridState {
     grids: BTreeMap<String, Grid<f64>>,
 }
@@ -128,27 +128,43 @@ impl GridState {
         Ok(worst)
     }
 
-    /// FNV-1a-64 fingerprint of the whole state: every grid's name bytes
-    /// followed by its `f64` bit patterns, in sorted name order. Process-
-    /// and mode-portable, so the CLI, the job service, and library callers
-    /// can compare final states for bit-exactness by exchanging one `u64`
-    /// instead of whole grids.
+    /// Fingerprint of the whole state: one [`LaneHash`] stream over, per
+    /// grid in sorted name order, the name's byte length, its bytes
+    /// (zero-padded to a word), the cell count, and every cell's `f64` bit
+    /// pattern. Process- and mode-portable, so the CLI, the job service,
+    /// and library callers can compare final states for bit-exactness by
+    /// exchanging one `u64` instead of whole grids. It costs under 1 ns
+    /// per cell, about what a copy of the state costs.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut hash = LaneHash::new();
         for (name, grid) in &self.grids {
-            for byte in name.as_bytes() {
-                mix(*byte);
-            }
-            for v in grid.as_slice() {
-                for byte in v.to_bits().to_le_bytes() {
-                    mix(byte);
-                }
-            }
+            hash.write_u64(name.len() as u64);
+            hash.write_bytes(name.as_bytes());
+            hash.write_u64(grid.as_slice().len() as u64);
+            hash.write_f64s(grid.as_slice());
         }
-        hash
+        hash.finish()
+    }
+}
+
+impl Clone for GridState {
+    fn clone(&self) -> Self {
+        GridState {
+            grids: self.grids.clone(),
+        }
+    }
+
+    /// Copies grid by grid into the existing allocations when both states
+    /// hold the same grid names, so a reused checkpoint snapshot costs one
+    /// copy of the cells and no allocation.
+    fn clone_from(&mut self, source: &Self) {
+        if self.grids.keys().ne(source.grids.keys()) {
+            *self = source.clone();
+            return;
+        }
+        for (mine, theirs) in self.grids.values_mut().zip(source.grids.values()) {
+            mine.clone_from(theirs);
+        }
     }
 }
 

@@ -121,3 +121,128 @@ proptest! {
         prop_assert_eq!(f1, f2);
     }
 }
+
+/// A 1-D state of grids `names[g]` with `lens[g]` cells each, filled in
+/// order from the bit patterns `words`. The extents need not agree: the
+/// digest is defined over any grid set, checked programs or not.
+fn state_of(names: &[&str], lens: &[usize], words: &[u64]) -> GridState {
+    let mut p = parse("stencil s { grid A[4] : f32; grid B[4] : f32; iterations 1; A[i] = B[i]; }")
+        .unwrap();
+    p.grids.truncate(names.len());
+    let mut grids = std::collections::BTreeMap::new();
+    let mut rest = words;
+    for (g, (name, &len)) in p.grids.iter_mut().zip(names.iter().zip(lens)) {
+        g.name = name.to_string();
+        g.extent = Extent::new1(len);
+        let (mine, tail) = rest.split_at(len);
+        rest = tail;
+        let values = mine.iter().map(|&w| f64::from_bits(w)).collect();
+        grids.insert(
+            g.name.clone(),
+            stencilcl_grid::Grid::from_vec(g.extent, values).unwrap(),
+        );
+    }
+    GridState::from_grids(&p, grids).unwrap()
+}
+
+fn words(n: usize, seed: u64) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| {
+            (seed ^ i)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(17)
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn a_one_bit_flip_in_any_cell_changes_the_digest(
+        a in 1usize..24, b in 1usize..24, seed in any::<u64>(),
+        cell in any::<usize>(), bit in 0u32..64,
+    ) {
+        let mut w = words(a + b, seed);
+        let before = state_of(&["A", "B"], &[a, b], &w).digest();
+        w[cell % (a + b)] ^= 1 << bit;
+        prop_assert_ne!(before, state_of(&["A", "B"], &[a, b], &w).digest());
+    }
+
+    #[test]
+    fn swapping_two_adjacent_cells_changes_the_digest(
+        n in 2usize..40, seed in any::<u64>(), at in any::<usize>(),
+    ) {
+        let mut w = words(2 * n, seed);
+        let at = at % (2 * n - 1);
+        prop_assert_ne!(w[at], w[at + 1], "the generator makes neighbours distinct");
+        let before = state_of(&["A", "B"], &[n, n], &w).digest();
+        w.swap(at, at + 1);
+        prop_assert_ne!(before, state_of(&["A", "B"], &[n, n], &w).digest());
+    }
+
+    #[test]
+    fn moving_a_value_across_a_grid_boundary_changes_the_digest(
+        a in 1usize..24, b in 2usize..24, seed in any::<u64>(),
+    ) {
+        // The same cell stream, cut one cell later: only the lengths differ.
+        let w = words(a + b, seed);
+        prop_assert_ne!(
+            state_of(&["A", "B"], &[a, b], &w).digest(),
+            state_of(&["A", "B"], &[a + 1, b - 1], &w).digest()
+        );
+    }
+
+    #[test]
+    fn renaming_a_grid_changes_the_digest(n in 1usize..24, seed in any::<u64>()) {
+        let w = words(2 * n, seed);
+        let base = state_of(&["A", "B"], &[n, n], &w).digest();
+        for names in [["A", "C"], ["A", "BB"], ["A", "B\0"], ["Ab", "B"]] {
+            prop_assert_ne!(base, state_of(&names, &[n, n], &w).digest());
+        }
+    }
+}
+
+#[test]
+fn every_short_grid_length_digests_apart() {
+    // Lengths 1..=9 cover every offset into the four hash lanes; the empty
+    // state stands for length 0.
+    let w = words(9, 7);
+    let mut seen = vec![GridState::default().digest()];
+    for n in 1..=9 {
+        let state = state_of(&["A"], &[n], &w);
+        let d = state.digest();
+        assert!(!seen.contains(&d), "length {n} collides");
+        seen.push(d);
+        for cell in 0..n {
+            let mut flipped = w.clone();
+            flipped[cell] ^= 1;
+            assert_ne!(d, state_of(&["A"], &[n], &flipped).digest(), "{n}/{cell}");
+        }
+    }
+}
+
+#[test]
+fn the_digest_of_a_fixed_state_is_pinned() {
+    // A silent change to the digest algorithm must fail here: job results,
+    // benchmarks and stored expectations compare against these values.
+    let p = parse(
+        "stencil s { grid A[2][3] : f32; grid B[2][3] : f32; iterations 1; A[i][j] = B[i][j]; }",
+    )
+    .unwrap();
+    let state = GridState::new(&p, |name, pt| {
+        name.len() as f64 + pt.coord(0) as f64 * 0.5 - pt.coord(1) as f64
+    });
+    assert_eq!(state.digest(), 0xc951_c4ed_89ff_9781);
+}
+
+#[test]
+fn clone_from_equals_clone_whether_or_not_the_grid_sets_match() {
+    let two = state_of(&["A", "B"], &[5, 5], &words(10, 3));
+    let other = state_of(&["A", "B"], &[5, 5], &words(10, 4));
+    let mut reused = other.clone();
+    reused.clone_from(&two);
+    assert_eq!(reused, two);
+    let mut mismatched = state_of(&["C"], &[3], &words(3, 5));
+    mismatched.clone_from(&two);
+    assert_eq!(mismatched, two);
+    assert_eq!(mismatched.digest(), two.digest());
+}

@@ -19,6 +19,7 @@ pub const MAX_VOLUME: u64 = 1 << 22;
 /// The deterministic initial-condition the service fills submitted grids
 /// with — byte-identical to the CLI's, so service digests compare
 /// directly against `stencilcl run` output for the same program.
+#[inline]
 pub fn default_init(name: &str, p: &Point) -> f64 {
     let mut v = name.len() as f64;
     for d in 0..p.dim() {
@@ -127,6 +128,7 @@ pub fn plan(source: &str, req: &DesignRequest) -> Result<PlannedJob, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencilcl_lang::GridState;
 
     const SRC: &str = "stencil blur { grid A[32][32] : f32; iterations 6;
         A[i][j] = 0.5 * A[i][j] + 0.125 * (A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1]); }";
@@ -162,6 +164,34 @@ mod tests {
         let mut r = req("pipe");
         r.parallelism = vec![2];
         assert!(plan(SRC, &r).unwrap_err().contains("2-D"));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn default_init_state_equals_a_point_by_point_fill(
+            lens in proptest::prop::collection::vec(1usize..=9, 1..=3),
+        ) {
+            let idx = ["[i]", "[i][j]", "[i][j][k]"][lens.len() - 1];
+            let decl: String = lens.iter().map(|n| format!("[{n}]")).collect();
+            let src = format!(
+                "stencil s {{ grid A{decl} : f32; grid Bq{decl} : f32; iterations 1; \
+                 A{idx} = Bq{idx}; }}"
+            );
+            let program = stencilcl_lang::parse(&src).unwrap();
+            let state = GridState::new(&program, default_init);
+            for decl in &program.grids {
+                let got = state.grid(&decl.name).unwrap().as_slice();
+                let expect: Vec<f64> = decl
+                    .extent
+                    .iter()
+                    .map(|p| default_init(&decl.name, &p))
+                    .collect();
+                proptest::prop_assert_eq!(got.len(), expect.len());
+                for (a, b) in got.iter().zip(&expect) {
+                    proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::protocol::{JobPhase, JobStatus, TenantMetrics};
 pub struct JobDone {
     /// Final (or last-barrier) grid state, kept for `?grid=1` payloads.
     pub state: GridState,
-    /// FNV-1a-64 digest of `state` (the CLI-comparable fingerprint).
+    /// [`GridState::digest`] of `state` (the CLI-comparable fingerprint).
     pub digest: u64,
     /// Supervision attempt history.
     pub report: RunReport,

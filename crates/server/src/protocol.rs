@@ -206,7 +206,7 @@ pub struct JobResult {
     pub job: String,
     /// Terminal phase ([`JobPhase::Done`] or [`JobPhase::Failed`]).
     pub phase: JobPhase,
-    /// FNV-1a-64 digest of the final grid state, formatted `{:#018x}` —
+    /// `GridState::digest` of the final grid state, formatted `{:#018x}` —
     /// byte-identical to the digest the CLI prints, so a service result is
     /// directly comparable against a direct `stencilcl run`.
     pub digest: String,
