@@ -1,7 +1,9 @@
 //! Criterion microbench: functional executor throughput (reference vs
-//! the baseline design vs pipe-shared vs threaded on a small grid), and
-//! the three per-cell passes around a job's sweep at 512² — grid init,
-//! the result digest, and the checkpoint seal's encode + digest.
+//! the baseline design vs pipe-shared vs threaded on a small grid), the
+//! per-cell cost of the row sweep at 1024² (the reference and the
+//! one-worker pipe step), and the three per-cell passes around a job's
+//! sweep at 512² — grid init, the result digest, and the checkpoint seal's
+//! encode + digest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -114,5 +116,42 @@ fn bench_per_cell_passes(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_executors, bench_per_cell_passes);
+/// The row sweep at the `serve_compute` job shape, 1024² × 8 iterations:
+/// the reference, and the pipe step on one worker (pipe 4×4, fused 4,
+/// tile 256²). Divide by 8 × 1024² for the per-cell cost. Each sample
+/// restores the initial grid with `clone_from` (one copy, no allocation).
+fn bench_sweep(c: &mut Criterion) {
+    let design = Design::equal(DesignKind::PipeShared, 4, vec![4, 4], vec![256, 256]).unwrap();
+    let mut group = c.benchmark_group("sweep");
+    group.sample_size(10);
+    for (name, program) in [
+        ("jacobi_1024", programs::jacobi_2d()),
+        ("hotspot_1024", programs::hotspot_2d()),
+        ("fdtd_1024", programs::fdtd_2d()),
+    ] {
+        let program = program
+            .with_extent(Extent::new2(1024, 1024))
+            .with_iterations(8);
+        let f = StencilFeatures::extract(&program).unwrap();
+        let partition = Partition::new(f.extent, &design, &f.growth).unwrap();
+        let init = GridState::new(&program, default_init);
+        let mut s = init.clone();
+        let opts = ExecOptions::new();
+        group.bench_function(&format!("{name}/reference"), |b| {
+            b.iter(|| {
+                s.clone_from(&init);
+                run_reference_opts(black_box(&program), &mut s, &opts).unwrap();
+            })
+        });
+        group.bench_function(&format!("{name}/pipe_one_worker"), |b| {
+            b.iter(|| {
+                s.clone_from(&init);
+                run_pipe_shared_opts(black_box(&program), &partition, &mut s, &opts).unwrap();
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_executors, bench_per_cell_passes, bench_sweep);
 criterion_main!(benches);

@@ -64,7 +64,9 @@
 //! (region, kernel) for the tiled executors — that walk each row in chunks
 //! of [`ExecOptions::lanes`] cells per tape pass (256 by default; the
 //! lanes run across cells, never within one, so every width is
-//! bit-exact). The tree-walking `stencilcl_lang::Interpreter` stays in the
+//! bit-exact). The reference and the tiled step run the same
+//! line-buffered sweep (`CompiledProgram::apply_statement_with`). The
+//! tree-walking `stencilcl_lang::Interpreter` stays in the
 //! language crate as the differential-test oracle.
 //!
 //! [`ExecOptions`] is the only configuration channel: the crate never reads

@@ -1,7 +1,7 @@
 use std::sync::{Arc, PoisonError, RwLock};
 
 use stencilcl_grid::{Extent, FaceKind, Partition, Rect};
-use stencilcl_lang::{CompiledProgram, GridState, Program, StencilFeatures};
+use stencilcl_lang::{CompiledProgram, FusedScratch, GridState, Program, StencilFeatures};
 use stencilcl_telemetry::{Counter, TracePhase, TraceSink};
 
 use crate::domains::{reject_diagonals, DomainPlan};
@@ -431,28 +431,18 @@ pub(crate) fn check_slab_step(
     }
 }
 
-/// Reusable per-run scratch for [`apply_statement_split`]: the swept
-/// values of the clipped domain and the row walk's value stack, allocated
-/// once per run instead of per fused block and statement.
-#[derive(Debug, Default)]
-pub(crate) struct SplitScratch {
-    values: Vec<f64>,
-    eval: stencilcl_lang::EvalScratch,
-}
-
 /// Applies statement `s` over the **pre-clipped** local domain `clipped`
 /// (already intersected with the statement's updatable interior — see
 /// [`DepthPlans::local_domain`]), then hands every outgoing slab to `emit`.
 ///
-/// The domain is swept once, row by row, through the row-chunk walk
-/// ([`CompiledProgram::eval_row_into`]) against the unmutated
-/// pre-statement state, and committed with one `write_window`. Each slab
-/// is then read from the committed window: its cells inside `clipped`
-/// carry the swept values, and its cells outside (grid-boundary cells
-/// the statement never updates) still carry their pre-statement values,
-/// because the commit writes `clipped` and nothing else. Snapshot
-/// semantics, and therefore bit-exactness with the reference execution,
-/// hold because every evaluation precedes the commit.
+/// The sweep is the reference's own: [`CompiledProgram::apply_statement_with`]
+/// walks the domain in bands of rows and commits each row into the window
+/// through its line buffer as soon as no later row reads it, so the pipe
+/// step and the plain sweep share one per-cell path. Each slab is then
+/// read from the committed window: its cells inside `clipped` carry the
+/// swept values, and its cells outside (grid-boundary cells the statement
+/// never updates) still carry their pre-statement values, because the
+/// commit writes `clipped` and nothing else.
 ///
 /// Section 3.1 evaluates the slab cells first so a neighbor can start
 /// early; the simulator and the generated OpenCL keep that order. The host
@@ -472,34 +462,15 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
     s: usize,
     clipped: &Rect,
     outs: &[Link],
-    scratch: &mut SplitScratch,
+    scratch: &mut FusedScratch,
     sink: &S,
     mut emit: impl FnMut(usize, Vec<f64>) -> Result<(), ExecError>,
 ) -> Result<(), ExecError> {
     if S::ACTIVE {
         sink.add(Counter::CellsComputed, clipped.volume());
     }
-    let target = cp.kernel(s).target();
-    if !clipped.is_empty() {
-        scratch.values.clear();
-        let views = cp.views(local)?;
-        let row_len = clipped.len(clipped.dim() - 1) as usize;
-        for start in clipped.row_starts() {
-            let base = cp.extent().linearize(&start)?;
-            cp.eval_row_into(
-                s,
-                &views,
-                base,
-                row_len,
-                &mut scratch.eval,
-                &mut scratch.values,
-            )?;
-        }
-        local
-            .grid_mut(target)?
-            .write_window(clipped, &scratch.values)?;
-    }
-    let target_grid = local.grid(target)?;
+    cp.apply_statement_with(local, s, clipped, scratch)?;
+    let target_grid = local.grid(cp.kernel(s).target())?;
     for (e, link) in outs.iter().enumerate() {
         emit(e, target_grid.read_window(&link.rect)?)?;
     }
@@ -511,7 +482,7 @@ pub(crate) fn apply_statement_split<S: TraceSink>(
 /// kernels it owns in lockstep, buffering slabs between its own kernels
 /// and moving the rest over channels. The step owns the kernel's
 /// persistent local windows (one per region, extracted on the first block
-/// and halo-refreshed afterwards), its split scratch, and its per-pipe
+/// and halo-refreshed afterwards), its sweep scratch, and its per-pipe
 /// slab sequence numbers: both ends of every pipe count from 0 for the
 /// whole run, so a sealed slab also proves nothing was dropped or
 /// reordered.
@@ -522,7 +493,7 @@ pub(crate) struct KernelStep<'p, S> {
     sink: &'p S,
     updated: Vec<&'p str>,
     locals: Vec<Option<GridState>>,
-    scratch: SplitScratch,
+    scratch: FusedScratch,
     sent: Vec<u64>,
     received: Vec<u64>,
 }
@@ -537,7 +508,7 @@ impl<'p, S: TraceSink> KernelStep<'p, S> {
             sink,
             updated: plan.updated.iter().map(String::as_str).collect(),
             locals: vec![None; plan.regions.len()],
-            scratch: SplitScratch::default(),
+            scratch: FusedScratch::new(),
             sent: vec![0; plan.pairs.len()],
             received: vec![0; plan.pairs.len()],
         }

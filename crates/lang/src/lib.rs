@@ -56,7 +56,9 @@ mod token;
 
 pub use ast::{BinOp, ElemType, Expr, Func, GridDecl, ParamDecl, Program, UnaryOp, UpdateStmt};
 pub use check::check;
-pub use compile::{CompiledKernel, CompiledProgram, EvalScratch, FusedScratch, Op, LANE_WIDTH};
+pub use compile::{
+    BinKind, CompiledKernel, CompiledProgram, EvalScratch, FusedScratch, Leaf, Op, LANE_WIDTH,
+};
 pub use error::LangError;
 pub use features::{OpCounts, StatementFeatures, StencilFeatures};
 pub use interp::{GridState, Interpreter};

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 use stencilcl_grid::{Extent, Point, Rect};
-use stencilcl_lang::{parse, tokenize, GridState, Interpreter, StencilFeatures};
+use stencilcl_lang::{
+    parse, tokenize, BinOp, CompiledProgram, Expr, Func, GridState, Interpreter, StencilFeatures,
+    UnaryOp,
+};
 
 proptest! {
     #[test]
@@ -245,4 +248,140 @@ fn clone_from_equals_clone_whether_or_not_the_grid_sets_match() {
     mismatched.clone_from(&two);
     assert_eq!(mismatched, two);
     assert_eq!(mismatched.digest(), two.digest());
+}
+
+/// Values whose operation order shows: NaN (both signs), signed zeros,
+/// infinities, subnormals, and a few ordinary numbers. Grids start from
+/// them; literals take the finite ones (the checker rejects non-finite
+/// literals), and NaN and infinite constants come from folded `0.0 / 0.0`
+/// and `±1.0 / 0.0`.
+const SPECIAL: [f64; 12] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -2.5e-310,
+    1.5,
+    -0.75,
+    3.0e10,
+    -7.25e-3,
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// A small deterministic generator for expression trees (xorshift64*).
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+    }
+
+    /// A leaf: a load of `A` (the target) or `B` within radius 1, or a
+    /// constant drawn from [`SPECIAL`].
+    fn leaf(&mut self) -> Expr {
+        if self.next(2) == 0 {
+            let num = |v: f64| Box::new(Expr::Number(v));
+            return match SPECIAL[self.next(SPECIAL.len())] {
+                v if v.is_finite() => *num(v),
+                v if v.is_nan() => {
+                    let nan = Expr::Binary(BinOp::Div, num(0.0), num(0.0));
+                    if v.is_sign_negative() {
+                        Expr::Unary(UnaryOp::Neg, Box::new(nan))
+                    } else {
+                        nan
+                    }
+                }
+                v => Expr::Binary(BinOp::Div, num(v.signum()), num(0.0)),
+            };
+        }
+        let grid = ["A", "B"][self.next(2)].to_string();
+        let offset = Point::new2(self.next(3) as i64 - 1, self.next(3) as i64 - 1);
+        Expr::Access { grid, offset }
+    }
+
+    /// Operation `op` (0..9: `+ - * /`, `min`, `max`, negation, `abs`,
+    /// `sqrt`) over random subtrees at most `depth` deep.
+    fn node(&mut self, op: usize, depth: usize) -> Expr {
+        let sub = |g: &mut Gen| Box::new(g.tree(depth));
+        match op {
+            0..=3 => {
+                let kind = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][op];
+                Expr::Binary(kind, sub(self), sub(self))
+            }
+            4 | 5 => {
+                let func = if op == 4 { Func::Min } else { Func::Max };
+                Expr::Call(func, vec![*sub(self), *sub(self)])
+            }
+            6 => Expr::Unary(UnaryOp::Neg, sub(self)),
+            7 => Expr::Call(Func::Abs, vec![*sub(self)]),
+            _ => Expr::Call(Func::Sqrt, vec![*sub(self)]),
+        }
+    }
+
+    fn tree(&mut self, depth: usize) -> Expr {
+        if depth == 0 || self.next(3) == 0 {
+            self.leaf()
+        } else {
+            let op = self.next(9);
+            self.node(op, depth - 1)
+        }
+    }
+}
+
+/// Every cell's bit pattern, with each NaN replaced by one marker. Rust
+/// leaves the sign and payload of a NaN that arithmetic produces
+/// unspecified — LLVM may commute `a + b`, so `NaN + -NaN` can come out
+/// with either sign, in the interpreter as in a vectorized lane loop — so a
+/// NaN cell compares as "NaN on both sides". Every other value, signed
+/// zeros, infinities and subnormals included, compares bit for bit.
+fn bits(s: &GridState) -> Vec<u64> {
+    s.grid_names()
+        .flat_map(|g| s.grid(g).unwrap().as_slice().iter())
+        .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+        .collect()
+}
+
+proptest! {
+    // Operand folding reads loads and constants in place; it must apply
+    // the same operation to the same operands in the same order as the
+    // interpreter, down to `min(NaN, x)`, `max(-0.0, 0.0)` and signed
+    // zeros.
+    #[test]
+    fn folded_tapes_match_the_interpreter_bit_for_bit(
+        seed in any::<u64>(),
+        rows in 3usize..6,
+        cols in 0usize..40,
+    ) {
+        // Mostly short rows; one case in eight runs past a 256-lane chunk.
+        let cols = if cols < 35 { 3 + cols % 24 } else { 257 + cols };
+        let src = format!(
+            "stencil r {{ grid A[{rows}][{cols}] : f32; grid B[{rows}][{cols}] : f32 read_only;
+             iterations 2; A[i][j] = A[i][j]; }}"
+        );
+        let mut gen = Gen(seed | 1);
+        let init = |name: &str, pt: &Point| {
+            let h = (seed ^ ((name.len() as u64) << 32))
+                .wrapping_add((pt.coord(0) * 1000 + pt.coord(1)) as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            SPECIAL[(h >> 58) as usize % SPECIAL.len()]
+        };
+        // Every operation is the root of one tree per case.
+        for op in 0..9 {
+            let mut p = parse(&src).unwrap();
+            p.updates[0].rhs = gen.node(op, 4);
+            let mut want = GridState::new(&p, init);
+            Interpreter::new(&p).run(&mut want, p.iterations).unwrap();
+            for lanes in [1, stencilcl_lang::LANE_WIDTH] {
+                let cp = CompiledProgram::compile(&p).unwrap().with_lanes(lanes);
+                let mut got = GridState::new(&p, init);
+                cp.run(&mut got, p.iterations).unwrap();
+                prop_assert_eq!(bits(&got), bits(&want), "lanes {}: {}", lanes, p.updates[0].rhs);
+            }
+        }
+    }
 }

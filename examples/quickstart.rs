@@ -89,7 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 7. Every executor above ran compiled kernels: each update statement
     //    compiled once to a flat postfix bytecode tape (dense grid slots,
-    //    neighbor offsets folded to linear-index deltas) and executed with
+    //    neighbor offsets folded to linear-index deltas, loads and
+    //    constants read in place by their operation) and executed with
     //    branch-free row sweeps, 256 cells per tape pass by default. The
     //    tree-walking AST `Interpreter` remains the differential-testing
     //    oracle; the tape is bit-exact with it, performing the same f64
